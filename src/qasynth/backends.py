@@ -11,8 +11,13 @@ Wire format of the HTTP backend:
     POST {base_url}/v1/translate  {"text", "source", "target"}                               -> {"text"}
 The base URL comes from the constructor or the QAM_BACKEND_URL environment
 variable; an optional bearer token from the constructor or QAM_BACKEND_TOKEN.
-Transport failures and 5xx responses are retried up to 3 attempts with
-exponential backoff; 4xx and malformed payloads fail immediately.
+Transport failures, 5xx and 429 responses are retried up to 3 attempts with
+jittered exponential backoff; a 429 with a delta-seconds Retry-After waits
+that long instead (capped at the timeout). Other 4xx and malformed payloads
+fail immediately.
+
+run_requests is the one way stages fan requests out: it sends each distinct
+request once, over a bounded thread pool, and returns results in input order.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ import hashlib
 import os
 import random
 import re
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import requests
 
@@ -34,7 +41,7 @@ _DIGIT_RUN = re.compile(r"\d+")
 
 
 class BackendError(Exception):
-    """A backend failure. retryable marks transient faults (transport, 5xx)."""
+    """A backend failure. retryable marks transient faults (transport, 5xx, 429)."""
 
     def __init__(self, message: str, retryable: bool = False):
         super().__init__(message)
@@ -109,7 +116,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
     """Client for the documented JSON-over-HTTP backend protocol.
 
     retry_base_delay exists so tests can shrink the backoff; production
-    callers keep the default (0.5s, 1s between the three attempts).
+    callers keep the default (about 0.5s, then 1s, between the three
+    attempts). Safe to call from several threads at once.
     """
 
     def __init__(
@@ -129,20 +137,47 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         self.timeout = timeout
         self.token = token or os.environ.get("QAM_BACKEND_TOKEN")
         self.retry_base_delay = retry_base_delay
-        self._session = session or requests.Session()
+        self._shared_session = session
+        self._local = threading.local()
+        # Private, so backoff jitter never draws from (or moves) the global RNG.
+        self._jitter = random.Random()
 
     @property
     def backend_id(self) -> str:
         return f"http:{self.base_url}"
+
+    @property
+    def _session(self) -> requests.Session:
+        """The caller's session if one was given, else one per thread:
+        requests does not promise that a Session is thread-safe."""
+        if self._shared_session is not None:
+            return self._shared_session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
+
+    def _backoff(self, attempt: int) -> float:
+        """Exponential delay before retry number attempt (1-based), +-50% jitter."""
+        return self.retry_base_delay * (2 ** (attempt - 1)) * self._jitter.uniform(0.5, 1.5)
+
+    def _retry_after(self, resp: requests.Response) -> Optional[float]:
+        """A delta-seconds Retry-After, capped at the timeout; None if absent."""
+        value = resp.headers.get("Retry-After", "").strip()
+        if not value.isdigit():
+            return None
+        return min(float(value), self.timeout)
 
     def _post(self, path: str, payload: dict) -> dict:
         headers = {}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         last_error: Optional[BackendError] = None
+        delay: Optional[float] = None
         for attempt in range(MAX_ATTEMPTS):
             if attempt > 0:
-                time.sleep(self.retry_base_delay * (2 ** (attempt - 1)))
+                time.sleep(self._backoff(attempt) if delay is None else delay)
+            delay = None
             try:
                 resp = self._session.post(
                     f"{self.base_url}{path}",
@@ -157,6 +192,12 @@ class HttpBackend(GenerationBackend, TranslationBackend):
                 last_error = BackendError(
                     f"server error {resp.status_code} from {path}", retryable=True
                 )
+                continue
+            if resp.status_code == 429:
+                last_error = BackendError(
+                    f"rate limited (status 429) by {path}", retryable=True
+                )
+                delay = self._retry_after(resp)
                 continue
             if resp.status_code != 200:
                 raise BackendError(
@@ -203,6 +244,44 @@ class HttpBackend(GenerationBackend, TranslationBackend):
             },
         )
         return TranslationResponse(text=body["text"], backend_id=self.backend_id)
+
+
+Request = Union[GenerationRequest, TranslationRequest]
+Response = Union[GenerationResponse, TranslationResponse]
+
+
+def run_requests(
+    backend: Union[GenerationBackend, TranslationBackend],
+    reqs: Sequence[Request],
+    parallelism: int,
+) -> List[Tuple[Optional[Response], Optional[Exception]]]:
+    """Send each distinct request once; one (response, error) per input, in order.
+
+    Decoding is greedy, so identical requests are interchangeable and share
+    one call and one result. Distinct requests fan out over at most
+    parallelism threads. A request that raises gets (None, exception): the
+    caller decides whether that aborts its stage or drops one item.
+    """
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
+    distinct = list(dict.fromkeys(reqs))
+
+    def call(req: Request) -> Tuple[Optional[Response], Optional[Exception]]:
+        try:
+            if isinstance(req, GenerationRequest):
+                return backend.generate(req), None
+            return backend.translate(req), None
+        except Exception as e:
+            return None, e
+
+    workers = min(parallelism, len(distinct))
+    if workers <= 1:
+        results = [call(req) for req in distinct]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(call, distinct))
+    by_request = dict(zip(distinct, results))
+    return [by_request[req] for req in reqs]
 
 
 class TaggingTranslator(TranslationBackend):

@@ -332,12 +332,16 @@ def cmd_exemplars(args, config: RunConfig) -> int:
         if not any(ex.language == "en" for ex in gold.examples):
             raise ConfigError("english_only exemplars need English gold data")
         shots = subsample_fewshot(gold, "en", config.n_shot, seed)
-        exemplars = build_exemplars_en_only(shots, translator, args.language)
+        exemplars = build_exemplars_en_only(
+            shots, translator, args.language, parallelism=config.backend.parallelism
+        )
     else:
         if not any(ex.language == args.language for ex in gold.examples):
             raise ConfigError(f"no gold examples in language {args.language!r}")
         shots = subsample_fewshot(gold, args.language, config.n_shot, seed)
-        exemplars = build_exemplars_fewshot(shots, translator)
+        exemplars = build_exemplars_fewshot(
+            shots, translator, parallelism=config.backend.parallelism
+        )
     outdir = _outdir(args, config)
     out_path = outdir / f"{args.language}.exemplars.json"
     save_exemplars(exemplars, out_path)
@@ -415,7 +419,13 @@ def cmd_synth(args, config: RunConfig) -> int:
         if not args.gold:
             raise ConfigError("--method mt requires --gold")
         d_en = read_jsonl(Path(args.gold))
-        run = synth_mt(d_en, make_translator(config), targets, config.config_hash)
+        run = synth_mt(
+            d_en,
+            make_translator(config),
+            targets,
+            config.config_hash,
+            parallelism=config.backend.parallelism,
+        )
     elif args.method == "pe":
         if not args.passages_dir or not args.exemplars_dir:
             raise ConfigError("--method pe requires --passages-dir and --exemplars-dir")
@@ -457,6 +467,7 @@ def cmd_synth(args, config: RunConfig) -> int:
                 backend=make_generator(config, seed),
                 scenario=config.scenario,
                 config_hash=config.config_hash,
+                parallelism=config.backend.parallelism,
             )
     else:
         raise ConfigError(f"unknown method {args.method!r}")
@@ -518,6 +529,7 @@ def cmd_filter(args, config: RunConfig) -> int:
                 backend,
                 exemplars,
                 mode=config.filters.get("roundtrip_mode", "normalized"),
+                parallelism=config.backend.parallelism,
             )
             merged = merge_reports(merged, rt_report)
         reports[lang] = merged

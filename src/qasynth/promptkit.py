@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .backends import BackendError, TranslationBackend, TranslationRequest
+from .backends import BackendError, TranslationBackend, TranslationRequest, run_requests
 from .corpus import Dataset, Passage
 
 ANSWER_INSTRUCTION = "I will write potential answers\nfor the following passages."
@@ -81,59 +81,82 @@ class RenderedPrompt:
     target_language: str
 
 
-def _translate(
+def _translate_all(
     translator: TranslationBackend,
-    text: str,
+    rows: Sequence[Tuple[str, str, str]],
     source: str,
     target: str,
-    field_name: str,
-    example_id: str,
-) -> str:
-    try:
-        return translator.translate(
-            TranslationRequest(text=text, source=source, target=target)
-        ).text
-    except BackendError as e:
+    parallelism: int,
+) -> List[str]:
+    """Translate (example id, field name, text) rows in one run_requests call.
+
+    The first failure in row order is raised, naming its field and example.
+    """
+    def failure(row: Tuple[str, str, str], e: Exception) -> str:
+        example_id, field_name, _ = row
+        return f"translation of {field_name!r} failed for example {example_id!r}: {e}"
+
+    reqs = []
+    for row in rows:
+        try:
+            reqs.append(TranslationRequest(text=row[2], source=source, target=target))
+        except BackendError as e:
+            raise BackendError(failure(row, e), retryable=e.retryable) from e
+    out: List[str] = []
+    for row, (response, error) in zip(rows, run_requests(translator, reqs, parallelism)):
         # keep the type: callers route backend faults to a distinct exit code
-        raise BackendError(
-            f"translation of {field_name!r} failed for example {example_id!r}: {e}",
-            retryable=e.retryable,
-        ) from e
-    except Exception as e:
-        raise PromptError(
-            f"translation of {field_name!r} failed for example {example_id!r}: {e}"
-        ) from e
+        if isinstance(error, BackendError):
+            raise BackendError(failure(row, error), retryable=error.retryable) from error
+        if error is not None:
+            raise PromptError(failure(row, error)) from error
+        out.append(response.text)
+    return out
 
 
 def build_exemplars_en_only(
     d_en_n: Dataset,
     translator: TranslationBackend,
     target_language: str,
+    parallelism: int = 1,
 ) -> ExemplarSet:
     """Build exemplars for a language with no labeled data of its own.
 
     Each English (c, q, a) is mapped to (T(c), q, a, T(q), T(a)) where T
-    translates en -> target_language. Order is preserved.
+    translates en -> target_language. Order is preserved. The translations
+    go through one run_requests call bounded by parallelism.
     """
-    exemplars: List[Exemplar] = []
     for ex in d_en_n.examples:
         if ex.language != "en":
             raise PromptError(
                 f"example {ex.id!r} is {ex.language!r}; expected an English dataset"
             )
-        exemplars.append(
-            Exemplar(
-                context_l=_translate(translator, ex.context, "en", target_language, "context", ex.id),
-                question_en=ex.question,
-                answer_en=ex.answer,
-                question_l=_translate(translator, ex.question, "en", target_language, "question", ex.id),
-                answer_l=_translate(translator, ex.answer, "en", target_language, "answer", ex.id),
-                language=target_language,
-            )
+    translated = iter(
+        _translate_all(
+            translator,
+            [
+                (ex.id, name, getattr(ex, name))
+                for ex in d_en_n.examples
+                for name in ("context", "question", "answer")
+            ],
+            "en",
+            target_language,
+            parallelism,
         )
+    )
+    exemplars = tuple(
+        Exemplar(
+            context_l=next(translated),
+            question_en=ex.question,
+            answer_en=ex.answer,
+            question_l=next(translated),
+            answer_l=next(translated),
+            language=target_language,
+        )
+        for ex in d_en_n.examples
+    )
     return ExemplarSet(
         language=target_language,
-        exemplars=tuple(exemplars),
+        exemplars=exemplars,
         scenario=SCENARIO_ENGLISH_ONLY,
     )
 
@@ -141,11 +164,13 @@ def build_exemplars_en_only(
 def build_exemplars_fewshot(
     d_l_n: Dataset,
     translator: TranslationBackend,
+    parallelism: int = 1,
 ) -> ExemplarSet:
     """Build exemplars from a handful of labeled target-language examples.
 
     Each (c, q, a) in language l != en is mapped to (c, T(q), T(a), q, a)
-    where T translates l -> en. The dataset must be monolingual.
+    where T translates l -> en. The dataset must be monolingual. The
+    translations go through one run_requests call bounded by parallelism.
     """
     languages = {ex.language for ex in d_l_n.examples}
     if len(languages) != 1:
@@ -155,11 +180,24 @@ def build_exemplars_fewshot(
     (language,) = languages
     if language == "en":
         raise PromptError("few-shot exemplars are for non-English languages")
+    translated = iter(
+        _translate_all(
+            translator,
+            [
+                (ex.id, name, getattr(ex, name))
+                for ex in d_l_n.examples
+                for name in ("question", "answer")
+            ],
+            language,
+            "en",
+            parallelism,
+        )
+    )
     exemplars = tuple(
         Exemplar(
             context_l=ex.context,
-            question_en=_translate(translator, ex.question, language, "en", "question", ex.id),
-            answer_en=_translate(translator, ex.answer, language, "en", "answer", ex.id),
+            question_en=next(translated),
+            answer_en=next(translated),
             question_l=ex.question,
             answer_l=ex.answer,
             language=language,

@@ -14,9 +14,8 @@ filtered, matching the recipe this implements.
 from __future__ import annotations
 
 import dataclasses
-import json
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -27,6 +26,7 @@ from .backends import (
     GenerationRequest,
     TranslationBackend,
     TranslationRequest,
+    run_requests,
 )
 from .corpus import Dataset, Passage, QAExample, write_jsonl
 from .metrics import normalize_answer
@@ -137,13 +137,16 @@ def synth_mt(
     translator: TranslationBackend,
     languages: Sequence[str],
     config_hash: str = "",
+    parallelism: int = 1,
 ) -> SynthesisRun:
     """Translate the English dataset field-by-field into each target language.
 
     context, question, and answer are translated independently, so the
     translated answer generally is not a substring of the translated context;
     answer_start is therefore dropped. No filtering is applied to translated
-    data. Target languages exclude English.
+    data. Target languages exclude English. Every translation of every
+    language goes through one run_requests call; the first failure in
+    (language, example, field) order aborts the run.
     """
     for ex in d_en.examples:
         if ex.language != "en":
@@ -151,26 +154,30 @@ def synth_mt(
                 f"example {ex.id!r} is {ex.language!r}; synth_mt needs English input"
             )
     targets = sorted(l for l in languages if l != "en")
+    names = ("context", "question", "answer")
+    reqs = [
+        TranslationRequest(text=getattr(ex, name), source="en", target=lang)
+        for lang in targets
+        for ex in d_en.examples
+        for name in names
+    ]
+    results = iter(run_requests(translator, reqs, parallelism))
     raw: Dict[str, Dataset] = {}
     for lang in targets:
         examples: List[QAExample] = []
         for ex in d_en.examples:
             fields = {}
-            for name, value in (
-                ("context", ex.context),
-                ("question", ex.question),
-                ("answer", ex.answer),
-            ):
-                try:
-                    fields[name] = translator.translate(
-                        TranslationRequest(text=value, source="en", target=lang)
-                    ).text
-                except BackendError as e:
+            for name in names:
+                response, error = next(results)
+                if isinstance(error, BackendError):
                     raise BackendError(
                         f"translation of {name!r} failed for example {ex.id!r} "
-                        f"({lang}): {e}",
-                        retryable=e.retryable,
-                    ) from e
+                        f"({lang}): {error}",
+                        retryable=error.retryable,
+                    ) from error
+                if error is not None:
+                    raise error
+                fields[name] = response.text
             examples.append(
                 QAExample(
                     id=f"mt-{lang}-{ex.id}",
@@ -195,40 +202,51 @@ def synth_mt(
     )
 
 
-def _generate_pair(
+def _render(render, *args) -> Union[str, PromptError]:
+    """A rendered prompt's text, or the PromptError that rendering raised."""
+    try:
+        return render(*args).text
+    except PromptError as e:
+        return e
+
+
+def _complete(
     backend: GenerationBackend,
-    exemplars: ExemplarSet,
-    passage: Passage,
+    prompts: Sequence[Union[str, Exception]],
     max_tokens: int,
     stop_sequences: Tuple[str, ...],
-) -> Tuple[Optional[Tuple[str, str]], Optional[str]]:
-    """Run both prompting stages on one passage.
+    parallelism: int,
+) -> List[Union[str, Exception]]:
+    """Generate and parse one completion per prompt, in one run_requests call.
 
-    Returns ((answer, question), None) on success or (None, reason) when a
-    stage failed; failures never abort the surrounding run.
+    An exception in place of a prompt marks an item that already failed; it
+    passes through unchanged. A BackendError or PromptError becomes that
+    item's result; any other exception is raised.
     """
-    try:
-        answer_prompt = render_answer_prompt(exemplars, passage)
-        answer_raw = backend.generate(
-            GenerationRequest(
-                prompt=answer_prompt.text,
-                max_tokens=max_tokens,
-                stop_sequences=stop_sequences,
-            )
-        ).text
-        answer = parse_completion(answer_raw)
-        question_prompt = render_question_prompt(exemplars, passage, answer)
-        question_raw = backend.generate(
-            GenerationRequest(
-                prompt=question_prompt.text,
-                max_tokens=max_tokens,
-                stop_sequences=stop_sequences,
-            )
-        ).text
-        question = parse_completion(question_raw)
-    except (BackendError, PromptError) as e:
-        return None, f"{passage.id}: {e}"
-    return (answer, question), None
+    reqs = [
+        GenerationRequest(
+            prompt=prompt, max_tokens=max_tokens, stop_sequences=stop_sequences
+        )
+        for prompt in prompts
+        if isinstance(prompt, str)
+    ]
+    results = iter(run_requests(backend, reqs, parallelism))
+    out: List[Union[str, Exception]] = []
+    for prompt in prompts:
+        if not isinstance(prompt, str):
+            out.append(prompt)
+            continue
+        response, error = next(results)
+        if error is None:
+            try:
+                out.append(parse_completion(response.text))
+            except PromptError as e:
+                out.append(e)
+        elif isinstance(error, BackendError):
+            out.append(error)
+        else:
+            raise error
+    return out
 
 
 def synth_pe(
@@ -244,9 +262,10 @@ def synth_pe(
 
     Stage one asks for an answer span, stage two asks for the question given
     that answer. Passages whose generation fails at either stage are counted
-    as empty_generation in the report (with a note) and skipped. Generation
-    fans out across a thread pool bounded by parallelism; results keep
-    passage order. The output is raw: run the filter stack separately.
+    as empty_generation in the report (with a note) and skipped. Each stage
+    sends the prompts of every language through one run_requests call
+    bounded by parallelism; results keep passage order. The output is raw:
+    run the filter stack separately.
     """
     if parallelism < 1:
         raise SynthesisError("parallelism must be >= 1")
@@ -259,57 +278,71 @@ def synth_pe(
                 f"exemplar set for {lang!r} has language "
                 f"{exemplars_by_language[lang].language!r}"
             )
-    scenarios = {exemplars_by_language[l].scenario for l in languages}
-    scenario = scenarios.pop() if len(scenarios) == 1 else "few_shot"
-
-    raw: Dict[str, Dataset] = {}
-    reports: Dict[str, FilterReport] = {}
-    for lang in languages:
-        passages = list(passages_by_language[lang])
-        for p in passages:
+        for p in passages_by_language[lang]:
             if p.language != lang:
                 raise SynthesisError(
                     f"passage {p.id!r} is {p.language!r}, listed under {lang!r}"
                 )
-        exemplars = exemplars_by_language[lang]
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(
-                pool.map(
-                    lambda p: _generate_pair(
-                        backend, exemplars, p, max_tokens, stop_sequences
-                    ),
-                    passages,
-                )
+    scenarios = {exemplars_by_language[l].scenario for l in languages}
+    scenario = scenarios.pop() if len(scenarios) == 1 else "few_shot"
+
+    passages = [p for lang in languages for p in passages_by_language[lang]]
+    answers = _complete(
+        backend,
+        [
+            _render(render_answer_prompt, exemplars_by_language[p.language], p)
+            for p in passages
+        ],
+        max_tokens,
+        stop_sequences,
+        parallelism,
+    )
+    questions = _complete(
+        backend,
+        [
+            answer
+            if isinstance(answer, Exception)
+            else _render(
+                render_question_prompt, exemplars_by_language[p.language], p, answer
             )
-        examples: List[QAExample] = []
-        notes: List[str] = []
-        failed = 0
-        for passage, (pair, failure) in zip(passages, results):
-            if pair is None:
-                failed += 1
-                notes.append(failure)
-                continue
-            answer, question = pair
-            examples.append(
-                QAExample(
-                    id=f"pe-{lang}-{passage.id}",
-                    context=passage.text,
-                    question=question,
-                    answer=answer,
-                    answer_start=None,
-                    language=lang,
-                    provenance="pe",
-                    source_dataset=passage.source or "unlabeled",
-                )
+            for p, answer in zip(passages, answers)
+        ],
+        max_tokens,
+        stop_sequences,
+        parallelism,
+    )
+
+    examples: Dict[str, List[QAExample]] = {lang: [] for lang in languages}
+    notes: Dict[str, List[str]] = {lang: [] for lang in languages}
+    for passage, answer, question in zip(passages, answers, questions):
+        if isinstance(question, Exception):
+            notes[passage.language].append(f"{passage.id}: {question}")
+            continue
+        examples[passage.language].append(
+            QAExample(
+                id=f"pe-{passage.language}-{passage.id}",
+                context=passage.text,
+                question=question,
+                answer=answer,
+                answer_start=None,
+                language=passage.language,
+                provenance="pe",
+                source_dataset=passage.source or "unlabeled",
             )
-        raw[lang] = Dataset(name=f"pe-{lang}", examples=tuple(examples))
-        dropped = {"empty_generation": failed} if failed else {}
-        reports[lang] = FilterReport(
-            input_count=len(passages),
-            kept_count=len(examples),
-            dropped=dropped,
-            notes=tuple(notes),
         )
+    raw = {
+        lang: Dataset(name=f"pe-{lang}", examples=tuple(examples[lang]))
+        for lang in languages
+    }
+    reports = {
+        lang: FilterReport(
+            input_count=len(passages_by_language[lang]),
+            kept_count=len(examples[lang]),
+            dropped={"empty_generation": len(notes[lang])} if notes[lang] else {},
+            notes=tuple(notes[lang]),
+        )
+        for lang in languages
+    }
     return SynthesisRun(
         method="pe",
         scenario=scenario,
@@ -329,6 +362,7 @@ def synth_pt(
     max_tokens: int = 128,
     scenario: str = "english_only",
     config_hash: str = "",
+    parallelism: int = 1,
 ) -> SynthesisRun:
     """Generate QA pairs by greedy decoding from tuned prompts.
 
@@ -336,8 +370,10 @@ def synth_pt(
     "[l]" BOS passage-bytes and the decoded continuation is split at the
     first SEP into (answer, question). Remote path: pass backend instead;
     the prompt is "[l] passage" and the completion convention is the answer,
-    a newline, then the question. Either way a generation with no separator
-    or an empty side is dropped as empty_generation.
+    a newline, then the question. The remote prompts of every language go
+    through one run_requests call bounded by parallelism. Either way a
+    generation with no separator or an empty side is dropped as
+    empty_generation.
     """
     toy = model is not None or prompts_by_language is not None
     if toy and (model is None or prompts_by_language is None):
@@ -347,6 +383,13 @@ def synth_pt(
             "pass either model+prompts_by_language or backend, not both"
         )
     languages = sorted(passages_by_language)
+    if not toy:
+        reqs = [
+            GenerationRequest(prompt=f"[{lang}] {p.text}", max_tokens=max_tokens)
+            for lang in languages
+            for p in passages_by_language[lang]
+        ]
+        completions = iter(run_requests(backend, reqs, parallelism))
     raw: Dict[str, Dataset] = {}
     reports: Dict[str, FilterReport] = {}
     for lang in languages:
@@ -367,17 +410,14 @@ def synth_pt(
                 )
                 pair = split_decoded(tokens)
             else:
-                try:
-                    text = backend.generate(
-                        GenerationRequest(
-                            prompt=f"[{lang}] {passage.text}",
-                            max_tokens=max_tokens,
-                        )
-                    ).text
-                except BackendError as e:
-                    notes.append(f"{passage.id}: {e}")
+                response, error = next(completions)
+                if isinstance(error, BackendError):
+                    notes.append(f"{passage.id}: {error}")
                     failed += 1
                     continue
+                if error is not None:
+                    raise error
+                text = response.text
                 if "\n" in text:
                     answer, question = text.split("\n", 1)
                     pair = (answer.strip(), question.strip().split("\n")[0])
@@ -451,6 +491,7 @@ def filter_roundtrip(
     mode: str = "normalized",
     max_tokens: int = DEFAULT_MAX_TOKENS,
     stop_sequences: Tuple[str, ...] = DEFAULT_STOP_SEQUENCES,
+    parallelism: int = 1,
 ) -> Tuple[Dataset, FilterReport]:
     """Consistency filter: re-answer each generated question and compare.
 
@@ -458,30 +499,32 @@ def filter_roundtrip(
     into the target block; the example survives iff the re-predicted answer
     matches the original (after normalize_answer in "normalized" mode, raw
     string equality in "raw" mode). Backend failures drop the example as
-    roundtrip_mismatch and leave a note.
+    roundtrip_mismatch and leave a note. The re-answers go through one
+    run_requests call bounded by parallelism.
     """
     if mode not in ("normalized", "raw"):
         raise SynthesisError(f"mode must be 'normalized' or 'raw', got {mode!r}")
+    prompts = [
+        _render(
+            render_roundtrip_prompt,
+            exemplars,
+            Passage(
+                id=ex.id, text=ex.context, language=ex.language, source=ex.source_dataset
+            ),
+            ex.question,
+        )
+        for ex in examples.examples
+    ]
+    predictions = _complete(
+        qa_backend, prompts, max_tokens, stop_sequences, parallelism
+    )
     kept: List[QAExample] = []
     mismatches = 0
     notes: List[str] = []
-    for ex in examples.examples:
-        passage = Passage(
-            id=ex.id, text=ex.context, language=ex.language, source=ex.source_dataset
-        )
-        try:
-            prompt = render_roundtrip_prompt(exemplars, passage, ex.question)
-            raw_text = qa_backend.generate(
-                GenerationRequest(
-                    prompt=prompt.text,
-                    max_tokens=max_tokens,
-                    stop_sequences=stop_sequences,
-                )
-            ).text
-            predicted = parse_completion(raw_text)
-        except (BackendError, PromptError) as e:
+    for ex, predicted in zip(examples.examples, predictions):
+        if isinstance(predicted, Exception):
             mismatches += 1
-            notes.append(f"{ex.id}: {e}")
+            notes.append(f"{ex.id}: {predicted}")
             continue
         if mode == "normalized":
             same = normalize_answer(predicted, ex.language) == normalize_answer(

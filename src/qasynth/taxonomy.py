@@ -16,11 +16,10 @@ import csv
 import io
 import json
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .backends import TranslationBackend, TranslationRequest
+from .backends import TranslationBackend, TranslationRequest, run_requests
 from .corpus import Dataset
 
 OTHER = "Other"
@@ -143,7 +142,8 @@ def distribution(
 ) -> TaxonomyReport:
     """Bucket every question in the dataset by its English surface form.
 
-    Non-English questions are translated to English first; a failed
+    Non-English questions are translated to English first, each distinct
+    one once, through one run_requests call bounded by parallelism; a failed
     translation buckets its question under "Other" and is counted in
     translation_failures. pool_all_languages controls whether English
     examples enter the pooled view (per-language views always keep them).
@@ -155,35 +155,32 @@ def distribution(
     if parallelism < 1:
         raise TaxonomyError("parallelism must be >= 1")
 
+    results = iter(
+        run_requests(
+            translator,
+            [
+                TranslationRequest(text=ex.question, source=ex.language, target="en")
+                for ex in dataset.examples
+                if ex.language != "en"
+            ],
+            parallelism,
+        )
+    )
+
     failures = 0
     notes: List[str] = []
-
-    def to_english(ex) -> Tuple[str, bool]:
-        if ex.language == "en":
-            return ex.question, True
-        try:
-            return (
-                translator.translate(
-                    TranslationRequest(
-                        text=ex.question, source=ex.language, target="en"
-                    )
-                ).text,
-                True,
-            )
-        except Exception as e:
-            return f"{ex.id}: {e}", False
-
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        translated = list(pool.map(to_english, dataset.examples))
-
     records: List[Tuple[str, str, str]] = []
-    for ex, (text, ok) in zip(dataset.examples, translated):
-        if ok:
-            cat, sub = categorize(text)
+    for ex in dataset.examples:
+        if ex.language == "en":
+            cat, sub = categorize(ex.question)
         else:
-            failures += 1
-            notes.append(f"translation failed: {text}")
-            cat, sub = OTHER, OTHER
+            response, error = next(results)
+            if error is None:
+                cat, sub = categorize(response.text)
+            else:
+                failures += 1
+                notes.append(f"translation failed: {ex.id}: {error}")
+                cat, sub = OTHER, OTHER
         records.append((ex.language, cat, sub))
 
     # One merge decision for every view, from the counts over all examples.

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+import sys
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
@@ -18,6 +21,7 @@ from qasynth.backends import (
     TranslationRequest,
     apply_stop_sequences,
     mock_qa_generate,
+    run_requests,
 )
 from qasynth.corpus import Passage
 from qasynth.promptkit import render_answer_prompt, render_question_prompt
@@ -25,7 +29,8 @@ from tests.test_promptkit import one_exemplar
 
 
 class RecordingHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of (status, body) responses and records requests."""
+    """Replays a scripted list of (status, body[, headers]) responses and
+    records requests."""
 
     script = []
     requests_seen = []
@@ -36,11 +41,13 @@ class RecordingHandler(BaseHTTPRequestHandler):
         type(self).requests_seen.append(
             {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
         )
-        status, payload = (
+        status, payload, *extra = (
             self.script.pop(0) if self.script else (200, {"text": "fallback"})
         )
         raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
@@ -55,7 +62,9 @@ def server():
     httpd = HTTPServer(("127.0.0.1", 0), RecordingHandler)
     RecordingHandler.script = []
     RecordingHandler.requests_seen = []
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_port}", RecordingHandler
     httpd.shutdown()
@@ -147,12 +156,123 @@ class TestRetries:
         with pytest.raises(BackendError, match="text"):
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))
 
+    def test_429_with_retry_after_is_retried(self, server):
+        url, handler = server
+        handler.script.extend(
+            [(429, {}, {"Retry-After": "0"}), (200, {"text": "second"})]
+        )
+        backend = HttpBackend(base_url=url, retry_base_delay=0.0)
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "second"
+        assert len(handler.requests_seen) == 2
+
+    def test_429_exhausts_after_three(self, server):
+        url, handler = server
+        handler.script.extend([(429, {})] * 5)
+        backend = HttpBackend(base_url=url, retry_base_delay=0.0)
+        with pytest.raises(BackendError, match="429") as err:
+            backend.generate(GenerationRequest(prompt="p", max_tokens=4))
+        assert err.value.retryable
+        assert len(handler.requests_seen) == 3
+
+    def test_retry_after_is_capped_at_timeout(self, server):
+        url, handler = server
+        handler.script.extend(
+            [(429, {}, {"Retry-After": "3600"}), (200, {"text": "ok"})]
+        )
+        backend = HttpBackend(base_url=url, timeout=0.05, retry_base_delay=0.0)
+        start = time.monotonic()
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "ok"
+        assert time.monotonic() - start < 5
+
+    def test_backoff_jitter_leaves_global_random_alone(self, server):
+        url, handler = server
+        handler.script.extend([(500, {}), (503, {}), (200, {"text": "ok"})])
+        backend = HttpBackend(base_url=url, retry_base_delay=0.001)
+        random.seed(1234)
+        state = random.getstate()
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "ok"
+        assert random.getstate() == state
+
     def test_transport_failure_retried_then_raised(self):
         # nothing listens on this port; connection errors are retryable
         backend = HttpBackend(base_url="http://127.0.0.1:9", retry_base_delay=0.0)
         with pytest.raises(BackendError) as err:
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))
         assert err.value.retryable
+
+
+class TestSessions:
+    def test_one_session_per_thread(self):
+        backend = HttpBackend(base_url="http://127.0.0.1:9")
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(backend._session))
+        worker.start()
+        worker.join()
+        assert backend._session is backend._session
+        assert seen[0] is not backend._session
+
+    def test_given_session_is_shared(self, server):
+        import requests
+
+        url, handler = server
+        handler.script.append((200, {"text": "ok"}))
+        session = requests.Session()
+        backend = HttpBackend(base_url=url, session=session)
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(backend._session))
+        worker.start()
+        worker.join()
+        assert seen == [session]
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "ok"
+
+
+class EchoHandler(BaseHTTPRequestHandler):
+    """Translates by reversing the text, so every reply names its request."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = json.dumps({"text": body["text"][::-1]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestConcurrentClient:
+    def test_every_reply_reaches_its_request(self):
+        # More workers than cores and a short switch interval, so a session
+        # shared unsafely between threads would mix up or lose replies.
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), EchoHandler)
+        httpd.daemon_threads = True
+        thread = threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            backend = HttpBackend(
+                base_url=f"http://127.0.0.1:{httpd.server_port}", timeout=10
+            )
+            reqs = [
+                TranslationRequest(text=f"text {i % 60}", source="en", target="fi")
+                for i in range(120)
+            ]
+            results = run_requests(backend, reqs, 8)
+        finally:
+            sys.setswitchinterval(old)
+            httpd.shutdown()
+            httpd.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert [error for _, error in results] == [None] * len(reqs)
+        assert [r.text for r, _ in results] == [req.text[::-1] for req in reqs]
 
 
 class TestRequestTypes:

@@ -1,0 +1,226 @@
+"""The request runner: dedup, order, bounded fan-out, and the failure
+semantics of every stage built on it."""
+
+from __future__ import annotations
+
+import threading
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qasynth.backends import (
+    BackendError,
+    MockQABackend,
+    TranslationBackend,
+    TranslationRequest,
+    TranslationResponse,
+    run_requests,
+)
+from qasynth.corpus import Dataset, QAExample
+from qasynth.promptkit import PromptError, build_exemplars_en_only
+from qasynth.synthesis import (
+    filter_extractive,
+    filter_roundtrip,
+    synth_mt,
+    synth_pe,
+    synth_pt,
+)
+from qasynth.taxonomy import distribution
+from tests.conftest import make_example
+from tests.test_synthesis import StubRoundtrip, fi_exemplars, fi_passages
+
+
+class CountingTranslator(TranslationBackend):
+    """Reverses the text; counts calls per (text, source, target); raises
+    BackendError on the texts in fail_on."""
+
+    backend_id = "mock:counting"
+
+    def __init__(self, fail_on=()):
+        self.fail_on = set(fail_on)
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def translate(self, request):
+        with self._lock:
+            self.calls[(request.text, request.source, request.target)] += 1
+        if request.text in self.fail_on:
+            raise BackendError(f"cannot translate {request.text!r}")
+        return TranslationResponse(text=request.text[::-1], backend_id=self.backend_id)
+
+
+def doubled(gold_en: Dataset) -> Dataset:
+    """gold_en twice over, under fresh ids: every string repeats."""
+    copies = tuple(
+        QAExample(
+            id=f"b-{i}", context=ex.context, question=ex.question,
+            answer=ex.answer, answer_start=ex.answer_start,
+            language="en", provenance="gold", source_dataset="fixture",
+        )
+        for i, ex in enumerate(gold_en.examples)
+    )
+    return Dataset(name="en10", examples=gold_en.examples + copies)
+
+
+class TestRunRequests:
+    def test_empty(self):
+        assert run_requests(CountingTranslator(), [], 4) == []
+
+    def test_rejects_bad_parallelism(self):
+        with pytest.raises(ValueError):
+            run_requests(CountingTranslator(), [], 0)
+
+    def test_fans_out_to_parallelism(self):
+        # Every call waits until `parallelism` calls are in flight at once;
+        # a runner with less fan-out breaks the barrier and records errors.
+        barrier = threading.Barrier(3, timeout=5)
+
+        class Waiting(CountingTranslator):
+            def translate(self, request):
+                barrier.wait()
+                return super().translate(request)
+
+        reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(6)]
+        results = run_requests(Waiting(), reqs, 3)
+        assert [error for _, error in results] == [None] * 6
+        assert [r.text for r, _ in results] == [f"{i}t" for i in range(6)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 5), max_size=20),
+        failing=st.sets(st.integers(0, 5)),
+        parallelism=st.integers(1, 4),
+    )
+    def test_equals_serial_map(self, picks, failing, parallelism):
+        texts = [f"text {i}" for i in range(6)]
+        reqs = [TranslationRequest(text=texts[i], source="en", target="fi") for i in picks]
+        translator = CountingTranslator(fail_on={texts[i] for i in failing})
+
+        def serial(req):
+            try:
+                return translator.translate(req), None
+            except BackendError as e:
+                return None, e
+
+        expected = [serial(req) for req in reqs]
+        translator.calls.clear()
+        got = run_requests(translator, reqs, parallelism)
+        assert [r for r, _ in got] == [r for r, _ in expected]
+        assert [(type(e), str(e)) for _, e in got] == [(type(e), str(e)) for _, e in expected]
+        assert sum(translator.calls.values()) == len(set(reqs))
+
+
+class TestDedup:
+    def test_synth_mt_one_call_per_distinct_request(self, gold_en):
+        translator = CountingTranslator()
+        run = synth_mt(doubled(gold_en), translator, ["fi", "ar"], parallelism=4)
+        distinct = {
+            (getattr(ex, name), "en", lang)
+            for ex in gold_en.examples
+            for name in ("context", "question", "answer")
+            for lang in ("fi", "ar")
+        }
+        assert set(translator.calls) == distinct
+        assert set(translator.calls.values()) == {1}
+        assert sum(len(ds) for ds in run.raw.values()) == 20
+
+    def test_failing_duplicate_is_sent_once(self, gold_en):
+        bad = gold_en.examples[1].question
+        translator = CountingTranslator(fail_on={bad})
+        with pytest.raises(BackendError):
+            synth_mt(doubled(gold_en), translator, ["fi"], parallelism=4)
+        assert translator.calls[(bad, "en", "fi")] == 1
+
+
+class TestFailureSemantics:
+    def test_synth_mt_raises_first_failure_in_order(self, gold_en):
+        bad = gold_en.examples[1].question
+        messages = set()
+        for parallelism in (1, 4):
+            with pytest.raises(BackendError) as err:
+                synth_mt(gold_en, CountingTranslator(fail_on={bad}), ["fi", "ar"],
+                         parallelism=parallelism)
+            messages.add(str(err.value))
+        assert messages == {
+            f"translation of 'question' failed for example 'en-1' (ar): "
+            f"cannot translate {bad!r}"
+        }
+
+    def test_build_exemplars_raises_first_failure_in_order(self, gold_en):
+        bad = {gold_en.examples[3].answer, gold_en.examples[2].context}
+        messages = set()
+        for parallelism in (1, 4):
+            with pytest.raises(BackendError) as err:
+                build_exemplars_en_only(gold_en, CountingTranslator(fail_on=bad), "fi",
+                                        parallelism=parallelism)
+            messages.add(str(err.value))
+        assert messages == {
+            f"translation of 'context' failed for example 'en-2': "
+            f"cannot translate {gold_en.examples[2].context!r}"
+        }
+
+    def test_non_backend_failure_is_a_prompt_error(self, gold_en):
+        class Broken(TranslationBackend):
+            def translate(self, request):
+                raise RuntimeError("boom")
+
+        with pytest.raises(PromptError, match="'context' failed for example 'en-0': boom"):
+            build_exemplars_en_only(gold_en, Broken(), "fi", parallelism=4)
+
+    def test_filter_roundtrip_one_note_per_failed_item(self):
+        examples = Dataset(
+            name="r",
+            examples=tuple(
+                make_example(i, "Silta valmistui 1956.", q, "1956", provenance="pe")
+                for i, q in enumerate(["Milloin?", "Kuka?", "Milloin?", "Miksi?"])
+            ),
+        )
+        backend = StubRoundtrip({"Milloin?": "1956"})
+        kept, report = filter_roundtrip(examples, backend, fi_exemplars(), parallelism=4)
+        assert [ex.id for ex in kept.examples] == ["pe-fi-0", "pe-fi-2"]
+        assert report.dropped == {"roundtrip_mismatch": 2}
+        assert [note.split(":")[0] for note in report.notes] == ["pe-fi-1", "pe-fi-3"]
+
+    def test_synth_pe_one_note_per_failed_item(self):
+        class FailOnPassage(MockQABackend):
+            def generate(self, request):
+                if "Kaupungissa" in request.prompt.rsplit("  Passage: ", 1)[1]:
+                    raise BackendError("refused")
+                return super().generate(request)
+
+        passages = fi_passages(10)
+        run = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, FailOnPassage(),
+                       parallelism=4)
+        report = run.reports["fi"]
+        failed = [p.id for p in passages if "Kaupungissa" in p.text]
+        assert report.dropped == {"empty_generation": len(failed)}
+        assert list(report.notes) == [f"{pid}: refused" for pid in failed]
+        assert len(run.raw["fi"]) == 10 - len(failed)
+
+
+class TestParallelismInvariance:
+    """parallelism changes how many requests are in flight, never the output."""
+
+    def test_every_stage(self, gold_en):
+        backend = MockQABackend(noise_rate=0.5, seed=3)
+        passages = {"fi": fi_passages(12)}
+
+        def outputs(p):
+            mt = synth_mt(gold_en, CountingTranslator(), ["fi", "ar"], parallelism=p)
+            pe = synth_pe({"fi": fi_exemplars()}, passages, backend, parallelism=p)
+            extracted, _ = filter_extractive(pe.raw["fi"])
+            rt = filter_roundtrip(extracted, backend, fi_exemplars(), parallelism=p)
+            pt = synth_pt(passages, backend=backend, parallelism=p)
+            mixed = Dataset(
+                name="tax",
+                examples=gold_en.examples + mt.raw["fi"].examples + mt.raw["ar"].examples,
+            )
+            tax = distribution(mixed, CountingTranslator(), parallelism=p)
+            return (mt.raw, mt.reports, pe.raw, pe.reports, rt, pt.raw, pt.reports,
+                    tax.to_dict())
+
+        serial = outputs(1)
+        assert serial[4][0].examples  # non-vacuous: the round trip keeps something
+        assert outputs(4) == serial
