@@ -98,14 +98,28 @@ def apply_stop_sequences(text: str, stop_sequences: Sequence[str]) -> str:
     return text[:cut]
 
 
-class GenerationBackend:
+class Backend:
+    """Shared base. A backend that holds connections releases them in
+    close(); using it as a context manager closes it on exit."""
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class GenerationBackend(Backend):
     """Contract for text continuation backends."""
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         raise NotImplementedError
 
 
-class TranslationBackend:
+class TranslationBackend(Backend):
     """Contract for translation backends."""
 
     def translate(self, request: TranslationRequest) -> TranslationResponse:
@@ -117,7 +131,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
 
     retry_base_delay exists so tests can shrink the backoff; production
     callers keep the default (about 0.5s, then 1s, between the three
-    attempts). Safe to call from several threads at once.
+    attempts). Safe to call from several threads at once. close(), or a
+    with block, closes the sessions it opened.
     """
 
     def __init__(
@@ -139,6 +154,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         self.retry_base_delay = retry_base_delay
         self._shared_session = session
         self._local = threading.local()
+        self._sessions: List[requests.Session] = []
+        self._sessions_lock = threading.Lock()
         # Private, so backoff jitter never draws from (or moves) the global RNG.
         self._jitter = random.Random()
 
@@ -155,7 +172,19 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         session = getattr(self._local, "session", None)
         if session is None:
             session = self._local.session = requests.Session()
+            with self._sessions_lock:
+                self._sessions.append(session)
         return session
+
+    def close(self) -> None:
+        """Close every session this backend opened. A session given to the
+        constructor belongs to the caller and stays open."""
+        with self._sessions_lock:
+            sessions, self._sessions = self._sessions, []
+            # A later call opens (and tracks) a fresh session.
+            self._local = threading.local()
+        for session in sessions:
+            session.close()
 
     def _backoff(self, attempt: int) -> float:
         """Exponential delay before retry number attempt (1-based), +-50% jitter."""

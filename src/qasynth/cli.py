@@ -14,8 +14,10 @@ Exit codes: 0 success, 1 validation/input error, 2 backend failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -90,6 +92,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _check_int(obj, section: str, name: str, minimum: int) -> None:
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(
+            f"{section}.{name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
+def _check_number(obj, section: str, name: str) -> None:
+    value = getattr(obj, name)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{section}.{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     kind: str = "mock"
@@ -101,10 +121,11 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("http", "mock"):
             raise ConfigError(f"backend.kind must be 'http' or 'mock', got {self.kind!r}")
-        if self.parallelism < 1:
-            raise ConfigError("backend.parallelism must be >= 1")
+        _check_int(self, "backend", "parallelism", 1)
+        _check_number(self, "backend", "timeout")
         if self.timeout <= 0:
             raise ConfigError("backend.timeout must be > 0")
+        _check_number(self, "backend", "noise_rate")
 
 
 @dataclass(frozen=True)
@@ -121,6 +142,19 @@ class TunerSettings:
     max_steps: int = 1000
     eval_every: int = 50
     early_stop_metric: str = "bleu"
+
+    def __post_init__(self):
+        for name in ("m", "d", "h", "warmup_steps", "batch_size", "max_steps", "eval_every"):
+            _check_int(self, "tuner", name, 1)
+        _check_int(self, "tuner", "model_seed", 0)
+        _check_number(self, "tuner", "learning_rate")
+        if self.learning_rate <= 0:
+            raise ConfigError("tuner.learning_rate must be > 0")
+        if self.early_stop_metric not in ("bleu", "dev_loss"):
+            raise ConfigError(
+                f"tuner.early_stop_metric must be 'bleu' or 'dev_loss', "
+                f"got {self.early_stop_metric!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -326,22 +360,23 @@ def cmd_sample(args, config: RunConfig) -> int:
 
 def cmd_exemplars(args, config: RunConfig) -> int:
     gold = read_jsonl(Path(args.gold))
-    translator = make_translator(config)
     seed = config.seed("fewshot")
     if config.scenario == "english_only":
         if not any(ex.language == "en" for ex in gold.examples):
             raise ConfigError("english_only exemplars need English gold data")
         shots = subsample_fewshot(gold, "en", config.n_shot, seed)
-        exemplars = build_exemplars_en_only(
-            shots, translator, args.language, parallelism=config.backend.parallelism
-        )
+        with make_translator(config) as translator:
+            exemplars = build_exemplars_en_only(
+                shots, translator, args.language, parallelism=config.backend.parallelism
+            )
     else:
         if not any(ex.language == args.language for ex in gold.examples):
             raise ConfigError(f"no gold examples in language {args.language!r}")
         shots = subsample_fewshot(gold, args.language, config.n_shot, seed)
-        exemplars = build_exemplars_fewshot(
-            shots, translator, parallelism=config.backend.parallelism
-        )
+        with make_translator(config) as translator:
+            exemplars = build_exemplars_fewshot(
+                shots, translator, parallelism=config.backend.parallelism
+            )
     outdir = _outdir(args, config)
     out_path = outdir / f"{args.language}.exemplars.json"
     save_exemplars(exemplars, out_path)
@@ -419,13 +454,14 @@ def cmd_synth(args, config: RunConfig) -> int:
         if not args.gold:
             raise ConfigError("--method mt requires --gold")
         d_en = read_jsonl(Path(args.gold))
-        run = synth_mt(
-            d_en,
-            make_translator(config),
-            targets,
-            config.config_hash,
-            parallelism=config.backend.parallelism,
-        )
+        with make_translator(config) as translator:
+            run = synth_mt(
+                d_en,
+                translator,
+                targets,
+                config.config_hash,
+                parallelism=config.backend.parallelism,
+            )
     elif args.method == "pe":
         if not args.passages_dir or not args.exemplars_dir:
             raise ConfigError("--method pe requires --passages-dir and --exemplars-dir")
@@ -434,13 +470,14 @@ def cmd_synth(args, config: RunConfig) -> int:
             lang: load_exemplars(Path(args.exemplars_dir) / f"{lang}.exemplars.json")
             for lang in targets
         }
-        run = synth_pe(
-            exemplars,
-            passages,
-            make_generator(config, seed),
-            parallelism=config.backend.parallelism,
-            config_hash=config.config_hash,
-        )
+        with make_generator(config, seed) as generator:
+            run = synth_pe(
+                exemplars,
+                passages,
+                generator,
+                parallelism=config.backend.parallelism,
+                config_hash=config.config_hash,
+            )
     elif args.method == "pt":
         if not args.passages_dir:
             raise ConfigError("--method pt requires --passages-dir")
@@ -462,13 +499,14 @@ def cmd_synth(args, config: RunConfig) -> int:
                 config_hash=config.config_hash,
             )
         else:
-            run = synth_pt(
-                passages,
-                backend=make_generator(config, seed),
-                scenario=config.scenario,
-                config_hash=config.config_hash,
-                parallelism=config.backend.parallelism,
-            )
+            with make_generator(config, seed) as generator:
+                run = synth_pt(
+                    passages,
+                    backend=generator,
+                    scenario=config.scenario,
+                    config_hash=config.config_hash,
+                    parallelism=config.backend.parallelism,
+                )
     else:
         raise ConfigError(f"unknown method {args.method!r}")
     outdir = _outdir(args, config)
@@ -506,38 +544,39 @@ def cmd_filter(args, config: RunConfig) -> int:
             "filters.roundtrip to 'off')"
         )
     seed = config.seed("synth")
-    backend = make_generator(config, seed) if roundtrip else None
+    backend = make_generator(config, seed) if roundtrip else contextlib.nullcontext()
     outdir = _outdir(args, config)
     reports = {}
     outputs = ["report.json", "config.json"]
-    for lang in languages:
-        raw = read_jsonl(run_dir / lang / "raw.jsonl", name=f"{method}-{lang}")
-        prior = FilterReport(
-            input_count=report_doc["reports"][lang]["input_count"],
-            kept_count=report_doc["reports"][lang]["kept_count"],
-            dropped=report_doc["reports"][lang]["dropped"],
-            notes=tuple(report_doc["reports"][lang].get("notes", ())),
-        )
-        filtered, extractive_report = filter_extractive(raw)
-        merged = merge_reports(prior, extractive_report)
-        if roundtrip:
-            exemplars = load_exemplars(
-                Path(args.exemplars_dir) / f"{lang}.exemplars.json"
+    with backend:
+        for lang in languages:
+            raw = read_jsonl(run_dir / lang / "raw.jsonl", name=f"{method}-{lang}")
+            prior = FilterReport(
+                input_count=report_doc["reports"][lang]["input_count"],
+                kept_count=report_doc["reports"][lang]["kept_count"],
+                dropped=report_doc["reports"][lang]["dropped"],
+                notes=tuple(report_doc["reports"][lang].get("notes", ())),
             )
-            filtered, rt_report = filter_roundtrip(
-                filtered,
-                backend,
-                exemplars,
-                mode=config.filters.get("roundtrip_mode", "normalized"),
-                parallelism=config.backend.parallelism,
-            )
-            merged = merge_reports(merged, rt_report)
-        reports[lang] = merged
-        lang_dir = outdir / lang
-        lang_dir.mkdir(parents=True, exist_ok=True)
-        write_jsonl(raw, lang_dir / "raw.jsonl")
-        write_jsonl(filtered, lang_dir / "filtered.jsonl")
-        outputs += [f"{lang}/raw.jsonl", f"{lang}/filtered.jsonl"]
+            filtered, extractive_report = filter_extractive(raw)
+            merged = merge_reports(prior, extractive_report)
+            if roundtrip:
+                exemplars = load_exemplars(
+                    Path(args.exemplars_dir) / f"{lang}.exemplars.json"
+                )
+                filtered, rt_report = filter_roundtrip(
+                    filtered,
+                    backend,
+                    exemplars,
+                    mode=config.filters.get("roundtrip_mode", "normalized"),
+                    parallelism=config.backend.parallelism,
+                )
+                merged = merge_reports(merged, rt_report)
+            reports[lang] = merged
+            lang_dir = outdir / lang
+            lang_dir.mkdir(parents=True, exist_ok=True)
+            write_jsonl(raw, lang_dir / "raw.jsonl")
+            write_jsonl(filtered, lang_dir / "filtered.jsonl")
+            outputs += [f"{lang}/raw.jsonl", f"{lang}/filtered.jsonl"]
     _write_json(
         outdir / "report.json",
         {
@@ -633,13 +672,14 @@ def cmd_eval(args, config: RunConfig) -> int:
 
 def cmd_taxonomy(args, config: RunConfig) -> int:
     dataset = read_jsonl(Path(args.input))
-    report = distribution(
-        dataset,
-        make_translator(config),
-        pool_all_languages=not args.exclude_english,
-        other_threshold=args.other_threshold,
-        parallelism=config.backend.parallelism,
-    )
+    with make_translator(config) as translator:
+        report = distribution(
+            dataset,
+            translator,
+            pool_all_languages=not args.exclude_english,
+            other_threshold=args.other_threshold,
+            parallelism=config.backend.parallelism,
+        )
     outdir = _outdir(args, config)
     _write_json(outdir / "taxonomy.json", report.to_dict())
     (outdir / "categories.csv").write_text(

@@ -38,7 +38,13 @@ from .promptkit import (
     render_question_prompt,
     render_roundtrip_prompt,
 )
-from .tuner import SoftPrompt, ToyLM, encode_context, greedy_decode, split_decoded
+from .tuner import (
+    SoftPrompt,
+    ToyLM,
+    encode_context,
+    greedy_decode_batch,
+    split_decoded,
+)
 
 FILTER_REASONS = (
     "not_substring_of_context",
@@ -368,7 +374,9 @@ def synth_pt(
 
     Toy path: pass model + prompts_by_language; each passage is encoded as
     "[l]" BOS passage-bytes and the decoded continuation is split at the
-    first SEP into (answer, question). Remote path: pass backend instead;
+    first SEP into (answer, question). Every language must have a prompt
+    before any decoding starts; each language's passages are decoded in one
+    greedy_decode_batch call. Remote path: pass backend instead;
     the prompt is "[l] passage" and the completion convention is the answer,
     a newline, then the question. The remote prompts of every language go
     through one run_requests call bounded by parallelism. Either way a
@@ -383,7 +391,23 @@ def synth_pt(
             "pass either model+prompts_by_language or backend, not both"
         )
     languages = sorted(passages_by_language)
-    if not toy:
+    if toy:
+        for lang in languages:
+            if lang not in prompts_by_language:
+                raise SynthesisError(f"no tuned prompt for language {lang!r}")
+        decodes = iter(
+            [
+                tokens
+                for lang in languages
+                for tokens in greedy_decode_batch(
+                    model,
+                    prompts_by_language[lang],
+                    [encode_context(p.text, lang) for p in passages_by_language[lang]],
+                    max_tokens,
+                )
+            ]
+        )
+    else:
         reqs = [
             GenerationRequest(prompt=f"[{lang}] {p.text}", max_tokens=max_tokens)
             for lang in languages
@@ -394,21 +418,13 @@ def synth_pt(
     reports: Dict[str, FilterReport] = {}
     for lang in languages:
         passages = list(passages_by_language[lang])
-        if toy and lang not in prompts_by_language:
-            raise SynthesisError(f"no tuned prompt for language {lang!r}")
         examples: List[QAExample] = []
         notes: List[str] = []
         failed = 0
         for passage in passages:
             pair: Optional[Tuple[str, str]]
             if toy:
-                tokens = greedy_decode(
-                    model,
-                    prompts_by_language[lang],
-                    encode_context(passage.text, lang),
-                    max_tokens,
-                )
-                pair = split_decoded(tokens)
+                pair = split_decoded(next(decodes))
             else:
                 response, error = next(completions)
                 if isinstance(error, BackendError):

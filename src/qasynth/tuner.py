@@ -284,25 +284,31 @@ def _batch_nll(
     body_lens = [len(inp) + len(tgt) - 1 for inp, tgt in batch]
     T = m + max(body_lens)
 
-    X = np.zeros((B, T, model.d))
-    X[:, :m, :] = prompt.P
+    # Time-major layout: step t reads and writes the contiguous (B, .) block
+    # [t]. Inputs are gathered per step from the embedding table extended by
+    # the prompt rows and one zero row for padding.
+    V = model.vocab_size
+    table = np.vstack([model.E, prompt.P, np.zeros((1, model.d))])
+    ids = np.full((T, B), V + m, dtype=np.intp)
+    ids[:m] = V + np.arange(m)[:, None]
     loss_mask = np.zeros((B, T), dtype=bool)
     targets = np.zeros((B, T), dtype=np.int64)
     for b, (inp, tgt) in enumerate(batch):
-        body = list(inp) + list(tgt[:-1])
-        X[b, m : m + len(body), :] = model.E[body]
+        ids[m : m + len(inp), b] = inp
+        ids[m + len(inp) : m + len(inp) + len(tgt) - 1, b] = tgt[:-1]
         base = m + len(inp) - 1
-        for j, y in enumerate(tgt):
-            loss_mask[b, base + j] = True
-            targets[b, base + j] = y
+        loss_mask[b, base : base + len(tgt)] = True
+        targets[b, base : base + len(tgt)] = tgt
 
-    S = np.empty((B, T, model.h))
+    S = np.empty((T, B, model.h))
     prev = np.zeros((B, model.h))
     for t in range(T):
-        prev = np.tanh(X[:, t, :] @ model.W_x.T + prev @ model.W_s.T + model.b_s)
-        S[:, t, :] = prev
+        prev = np.tanh(
+            table[ids[t]] @ model.W_x.T + prev @ model.W_s.T + model.b_s, out=S[t]
+        )
 
-    flat_states = S[loss_mask]
+    # Loss positions in example-major order, through a (B, T, h) view.
+    flat_states = S.transpose(1, 0, 2)[loss_mask]
     flat_targets = targets[loss_mask]
     n = flat_targets.shape[0]
     logits = flat_states @ model.W_o.T + model.b_o
@@ -319,13 +325,16 @@ def _batch_nll(
     dlogits[np.arange(n), flat_targets] -= 1.0
     dlogits /= n
 
-    dS = np.zeros((B, T, model.h))
-    dS[loss_mask] = dlogits @ model.W_o
+    dS = np.zeros((T, B, model.h))
+    dS.transpose(1, 0, 2)[loss_mask] = dlogits @ model.W_o
 
+    # S is not read again, so it becomes the tanh derivative in place.
+    S *= S
+    np.subtract(1.0, S, out=S)
     dP = np.zeros((m, model.d))
     carry = np.zeros((B, model.h))
     for t in range(T - 1, -1, -1):
-        dz = (dS[:, t, :] + carry) * (1.0 - S[:, t, :] ** 2)
+        dz = (dS[t] + carry) * S[t]
         if t < m:
             dP[t] = (dz @ model.W_x).sum(axis=0)
         carry = dz @ model.W_s
@@ -436,6 +445,84 @@ def greedy_decode(
     return tuple(out)
 
 
+def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row i is W @ X[i].
+
+    np.matmul computes a stack of matrix-vector products with the BLAS
+    routine that the 1-d W @ x in greedy_decode uses, so each row is
+    bit-identical to the serial product. One X @ W.T matrix product rounds
+    differently.
+    """
+    return np.matmul(W, X[:, :, None])[:, :, 0]
+
+
+def greedy_decode_batch(
+    model: ToyLM,
+    prompt: SoftPrompt,
+    contexts: Sequence[Sequence[int]],
+    max_len: int,
+) -> List[Tuple[int, ...]]:
+    """greedy_decode for every context, in one batched recurrence.
+
+    Contexts are right-aligned, so every row feeds its last context token on
+    the same step; a row's state stays exactly 0 until its prompt rows
+    start, and a row stops updating once it emits EOS. Each row's step is
+    greedy_decode's W_x x + W_s s + b_s, then np.argmax, with the same
+    matrix-vector products (see _matvec_rows), so the result equals
+    [greedy_decode(model, prompt, c, max_len) for c in contexts].
+    """
+    if max_len < 0:
+        raise TunerError("max_len must be >= 0")
+    if not contexts:
+        return []
+    m = prompt.m
+    B = len(contexts)
+    # Longest context first, so the rows that have started form a prefix.
+    order = sorted(range(B), key=lambda b: -len(contexts[b]))
+    L = len(contexts[order[0]])
+    # W_x x for every token, then for every prompt row, as greedy_decode
+    # computes it.
+    inputs = _matvec_rows(model.W_x, np.vstack([model.E, prompt.P]))
+    ids = np.empty((m + L, B), dtype=np.intp)
+    starts = np.empty(B, dtype=np.intp)
+    for row, b in enumerate(order):
+        context = np.asarray(contexts[b], dtype=np.intp)
+        if context.size and not (
+            0 <= context.min() and context.max() < model.vocab_size
+        ):
+            raise TunerError(f"context {b} has a token id outside the vocabulary")
+        start = L - len(context)
+        starts[row] = start
+        ids[start : start + m, row] = model.vocab_size + np.arange(m)
+        ids[start + m :, row] = context
+    S = np.zeros((B, model.h))
+    for t in range(m + L):
+        k = int(np.searchsorted(starts, t, side="right"))
+        S[:k] = np.tanh(
+            inputs[ids[t, :k]] + _matvec_rows(model.W_s, S[:k]) + model.b_s
+        )
+
+    tokens = np.empty((max_len, B), dtype=np.intp)
+    lengths = np.zeros(B, dtype=np.intp)
+    live = np.arange(B)
+    for step in range(max_len):
+        logits = _matvec_rows(model.W_o, S[live]) + model.b_o
+        nxt = np.argmax(logits, axis=1)
+        going = nxt != EOS
+        live, nxt = live[going], nxt[going]
+        if not live.size:
+            break
+        tokens[step, live] = nxt
+        lengths[live] += 1
+        S[live] = np.tanh(
+            inputs[nxt] + _matvec_rows(model.W_s, S[live]) + model.b_s
+        )
+    out: List[Tuple[int, ...]] = [()] * B
+    for row, b in enumerate(order):
+        out[b] = tuple(tokens[: lengths[row], row].tolist())
+    return out
+
+
 def _dataset_language(dataset: Dataset, role: str) -> str:
     languages = {ex.language for ex in dataset.examples}
     if len(languages) != 1:
@@ -468,10 +555,12 @@ def _dev_bleu(
 ) -> float:
     """Corpus BLEU of greedily decoded question bytes against dev questions."""
     max_len = max(len(tgt) for _, tgt in dev_encoded) + 8
+    decodes = greedy_decode_batch(
+        model, prompt, [inp for inp, _ in dev_encoded], max_len
+    )
     hypotheses = []
     references = []
-    for ex, (inp, _) in zip(dev.examples, dev_encoded):
-        decoded = greedy_decode(model, prompt, inp, max_len)
+    for ex, decoded in zip(dev.examples, decodes):
         if SEP in decoded:
             question_tokens = list(decoded[decoded.index(SEP) + 1 :])
         else:

@@ -189,3 +189,26 @@ def squad_raw() -> bytes:
         ],
     }
     return json.dumps(doc).encode("utf-8")
+
+
+@pytest.fixture
+def recorded_sessions(monkeypatch) -> list:
+    """Every requests.Session created during the test, in creation order;
+    each one records whether close() was called."""
+    import requests
+
+    made = []
+
+    class RecordingSession(requests.Session):
+        closed = False
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def close(self):
+            self.closed = True
+            super().close()
+
+    monkeypatch.setattr(requests, "Session", RecordingSession)
+    return made

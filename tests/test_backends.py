@@ -68,6 +68,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_port}", RecordingHandler
     httpd.shutdown()
+    httpd.server_close()
 
 
 class TestWireFormat:
@@ -242,6 +243,45 @@ class EchoHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+class TestClose:
+    def test_close_closes_every_thread_session(self, server, recorded_sessions):
+        url, _ = server
+        backend = HttpBackend(base_url=url)
+        reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(6)]
+        assert [e for _, e in run_requests(backend, reqs, 3)] == [None] * 6
+        backend._session  # the calling thread's own session
+        assert len(recorded_sessions) >= 2
+        backend.close()
+        assert all(s.closed for s in recorded_sessions)
+
+    def test_use_after_close_opens_a_tracked_session(self, server, recorded_sessions):
+        url, _ = server
+        backend = HttpBackend(base_url=url)
+        request = TranslationRequest(text="a", source="en", target="fi")
+        backend.translate(request)
+        backend.close()
+        backend.translate(request)
+        assert [s.closed for s in recorded_sessions] == [True, False]
+        backend.close()
+        assert recorded_sessions[1].closed
+
+    def test_with_block_closes(self, server, recorded_sessions):
+        url, _ = server
+        with HttpBackend(base_url=url) as backend:
+            backend.translate(TranslationRequest(text="a", source="en", target="fi"))
+        assert len(recorded_sessions) == 1 and recorded_sessions[0].closed
+
+    def test_given_session_stays_open(self, server, recorded_sessions):
+        import requests
+
+        url, _ = server
+        session = requests.Session()
+        with HttpBackend(base_url=url, session=session) as backend:
+            backend.translate(TranslationRequest(text="a", source="en", target="fi"))
+        assert recorded_sessions == [session] and not session.closed
+        session.close()
 
 
 class TestConcurrentClient:

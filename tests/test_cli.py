@@ -128,6 +128,44 @@ class TestLoadConfig:
         assert "error:" in capsys.readouterr().err
 
 
+class TestConfigValidation:
+    """Each bad value ends in exit 1 and one `error:` line naming the key."""
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"tuner": {"learning_rate": "0.3"}}, "tuner.learning_rate"),
+            ({"tuner": {"learning_rate": 0}}, "tuner.learning_rate"),
+            ({"tuner": {"eval_every": "5"}}, "tuner.eval_every"),
+            ({"tuner": {"d": 0}}, "tuner.d"),
+            ({"tuner": {"max_steps": 0}}, "tuner.max_steps"),
+            ({"tuner": {"m": True}}, "tuner.m"),
+            ({"tuner": {"batch_size": 2.5}}, "tuner.batch_size"),
+            ({"tuner": {"early_stop_metric": "f1"}}, "tuner.early_stop_metric"),
+            ({"backend": {"parallelism": "4"}}, "backend.parallelism"),
+            ({"backend": {"parallelism": 0}}, "backend.parallelism"),
+            ({"backend": {"timeout": "60"}}, "backend.timeout"),
+        ],
+    )
+    def test_bad_value_exits_validation(self, tmp_path, capsys, doc, key):
+        path = write_config(tmp_path, doc)
+        code = main(["stats", "--config", path, "--input", "x.jsonl", "--out", "o"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err
+
+    def test_integer_valued_settings_accepted(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"tuner": {"learning_rate": 1, "model_seed": 0},
+             "backend": {"timeout": 5, "parallelism": 2}},
+        )
+        config = load_config(path)
+        assert config.tuner.learning_rate == 1
+        assert config.backend.timeout == 5
+
+
 class TestIngest:
     def test_squad_to_jsonl(self, tmp_path, squad_raw, capsys):
         src = tmp_path / "squad.json"
@@ -547,5 +585,54 @@ class TestBackendFailures:
             )
         finally:
             httpd.shutdown()
+            httpd.server_close()
         assert code == EXIT_BACKEND
         assert "backend error" in capsys.readouterr().err
+
+
+class TestHttpSessionsClosed:
+    def test_http_command_leaves_no_unclosed_socket(
+        self, tmp_path, gold_en_path, recorded_sessions
+    ):
+        import gc
+        import threading
+        import warnings
+        from http.server import ThreadingHTTPServer
+
+        from test_backends import RecordingHandler
+
+        class KeepAliveHandler(RecordingHandler):
+            # HTTP/1.1 keeps each client connection open in its session's
+            # pool, so a session that is never closed leaves a socket open.
+            protocol_version = "HTTP/1.1"
+            script = []
+            requests_seen = []
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
+        thread = threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        config = write_config(
+            tmp_path,
+            {"backend": {"kind": "http", "parallelism": 3,
+                         "url": f"http://127.0.0.1:{httpd.server_port}"}},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                code = main(
+                    ["exemplars", "--config", config, "--gold", gold_en_path,
+                     "--language", "fi", "--out", str(tmp_path / "o")]
+                )
+            finally:
+                httpd.shutdown()
+                httpd.server_close()
+            gc.collect()
+        assert code == EXIT_OK
+        assert KeepAliveHandler.requests_seen
+        assert recorded_sessions and all(s.closed for s in recorded_sessions)
+        unclosed = [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and "unclosed" in str(w.message)]
+        assert unclosed == []

@@ -222,6 +222,67 @@ class TestSynthPT:
         with pytest.raises(SynthesisError):
             synth_pt({"fi": fi_passages(1)})
 
+    def test_toy_path_equals_serial_decode(self):
+        from qasynth.tuner import (
+            create_toy_lm, encode_context, greedy_decode, init_prompt, split_decoded,
+        )
+
+        model = create_toy_lm(seed=0)
+        prompts = {"fi": init_prompt(4, model.d, seed=0), "sw": init_prompt(4, model.d, seed=1)}
+        passages = {"fi": fi_passages(5), "sw": fi_passages(3)}
+        run = synth_pt(passages, model=model, prompts_by_language=prompts, max_tokens=40)
+        for lang, batch in passages.items():
+            want = []
+            for p in batch:
+                pair = split_decoded(
+                    greedy_decode(model, prompts[lang], encode_context(p.text, lang), 40)
+                )
+                if pair and pair[0] and pair[1]:
+                    want.append((f"pt-{lang}-{p.id}", pair[0], pair[1]))
+            got = [(ex.id, ex.answer, ex.question) for ex in run.raw[lang].examples]
+            assert got == want
+
+    def test_missing_prompt_fails_before_decoding(self, monkeypatch):
+        import qasynth.synthesis as synthesis
+        from qasynth.tuner import create_toy_lm, init_prompt
+
+        calls = []
+        monkeypatch.setattr(
+            synthesis, "greedy_decode_batch", lambda *a: calls.append(a) or []
+        )
+        model = create_toy_lm(seed=0)
+        with pytest.raises(SynthesisError, match="'sw'"):
+            synth_pt(
+                {"fi": fi_passages(2), "sw": fi_passages(2)},
+                model=model,
+                prompts_by_language={"fi": init_prompt(2, model.d, seed=0)},
+            )
+        assert calls == []
+
+    def test_language_without_passages_is_empty(self):
+        from qasynth.tuner import create_toy_lm, init_prompt
+
+        model = create_toy_lm(seed=0)
+        prompts = {"fi": init_prompt(2, model.d, seed=0), "sw": init_prompt(2, model.d, seed=1)}
+        run = synth_pt(
+            {"fi": fi_passages(2), "sw": []}, model=model,
+            prompts_by_language=prompts, max_tokens=16,
+        )
+        assert len(run.raw["sw"]) == 0
+        assert run.reports["sw"].input_count == 0
+        assert run.reports["fi"].input_count == 2
+
+    def test_negative_max_tokens_rejected(self):
+        from qasynth.tuner import TunerError, create_toy_lm, init_prompt
+
+        model = create_toy_lm(seed=0)
+        with pytest.raises(TunerError):
+            synth_pt(
+                {"fi": fi_passages(1)}, model=model,
+                prompts_by_language={"fi": init_prompt(2, model.d, seed=0)},
+                max_tokens=-1,
+            )
+
 
 class TestFilterExtractive:
     def test_keep_and_align(self):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qasynth.corpus import Dataset, QAExample
 from qasynth.tuner import (
@@ -25,6 +27,7 @@ from qasynth.tuner import (
     encode_example,
     grad,
     greedy_decode,
+    greedy_decode_batch,
     init_prompt,
     load_prompt,
     loss,
@@ -209,6 +212,26 @@ class TestOptimizer:
         assert values[14] == pytest.approx(0.3)
 
 
+def flat_model(base: ToyLM) -> ToyLM:
+    """Zero readout and bias: every logit ties, so argmax picks id 0."""
+    return ToyLM(
+        d=base.d, h=base.h, E=base.E.copy(), W_x=base.W_x.copy(),
+        W_s=base.W_s.copy(), W_o=np.zeros_like(base.W_o),
+        b_s=base.b_s.copy(), b_o=np.zeros(VOCAB_SIZE), seed=0,
+    )
+
+
+def eager_model(base: ToyLM) -> ToyLM:
+    """Zero readout, bias favouring EOS: every decode stops at once."""
+    bias = np.full(VOCAB_SIZE, -10.0)
+    bias[EOS] = 10.0
+    return ToyLM(
+        d=base.d, h=base.h, E=base.E.copy(), W_x=base.W_x.copy(),
+        W_s=base.W_s.copy(), W_o=np.zeros_like(base.W_o),
+        b_s=base.b_s.copy(), b_o=bias, seed=0,
+    )
+
+
 class TestGreedyDecode:
     def test_max_len_zero(self):
         model = create_toy_lm(seed=0)
@@ -217,25 +240,84 @@ class TestGreedyDecode:
 
     def test_tie_breaks_to_lowest_id(self):
         base = create_toy_lm(seed=0)
-        flat = ToyLM(
-            d=base.d, h=base.h, E=base.E.copy(), W_x=base.W_x.copy(),
-            W_s=base.W_s.copy(), W_o=np.zeros_like(base.W_o),
-            b_s=base.b_s.copy(), b_o=np.zeros(VOCAB_SIZE), seed=0,
-        )
+        flat = flat_model(base)
         out = greedy_decode(flat, init_prompt(2, base.d, seed=0), encode_context("a", "fi"), 5)
         assert out == (0, 0, 0, 0, 0)
 
     def test_eos_stops_and_is_excluded(self):
         base = create_toy_lm(seed=0)
-        bias = np.full(VOCAB_SIZE, -10.0)
-        bias[EOS] = 10.0
-        eager = ToyLM(
-            d=base.d, h=base.h, E=base.E.copy(), W_x=base.W_x.copy(),
-            W_s=base.W_s.copy(), W_o=np.zeros_like(base.W_o),
-            b_s=base.b_s.copy(), b_o=bias, seed=0,
-        )
+        eager = eager_model(base)
         out = greedy_decode(eager, init_prompt(2, base.d, seed=0), encode_context("a", "fi"), 5)
         assert out == ()
+
+
+class TestGreedyDecodeBatch:
+    """The batched decoder against the serial greedy_decode oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "eos_eager", "tie_flat"]),
+        model_seed=st.integers(0, 50),
+        m=st.integers(1, 4),
+        scale=st.sampled_from([0.5, 3.0, 8.0]),
+        contexts=st.lists(
+            st.tuples(st.integers(1, 600), st.integers(0, 2**16)),
+            min_size=1,
+            max_size=6,
+        ),
+        duplicates=st.integers(0, 2),
+        max_len=st.integers(0, 300),
+    )
+    @example(kind="random", model_seed=1, m=2, scale=3.0,
+             contexts=[(1, 0)], duplicates=0, max_len=200)
+    @example(kind="random", model_seed=2, m=3, scale=8.0,
+             contexts=[(600, 1), (1, 2), (300, 3)], duplicates=2, max_len=300)
+    @example(kind="random", model_seed=3, m=1, scale=3.0,
+             contexts=[(5, 4), (400, 5)], duplicates=0, max_len=0)
+    @example(kind="eos_eager", model_seed=0, m=2, scale=1.0,
+             contexts=[(3, 6), (50, 7)], duplicates=1, max_len=5)
+    @example(kind="tie_flat", model_seed=0, m=2, scale=1.0,
+             contexts=[(3, 8), (50, 9)], duplicates=1, max_len=5)
+    def test_equals_serial_decode(
+        self, kind, model_seed, m, scale, contexts, duplicates, max_len
+    ):
+        model = create_toy_lm(seed=model_seed)
+        if kind == "eos_eager":
+            model = eager_model(model)
+        elif kind == "tie_flat":
+            model = flat_model(model)
+        # A scaled prompt pushes the state off the text prior, so decodes
+        # run long instead of ending at an early EOS.
+        prompt = SoftPrompt(P=scale * init_prompt(m, model.d, seed=model_seed).P, m=m)
+        ctxs = [
+            tuple(int(t) for t in np.random.default_rng(seed).integers(0, VOCAB_SIZE, n))
+            for n, seed in contexts
+        ]
+        ctxs += ctxs[:duplicates]
+        want = [greedy_decode(model, prompt, c, max_len) for c in ctxs]
+        assert greedy_decode_batch(model, prompt, ctxs, max_len) == want
+
+    def test_long_decodes_are_covered(self):
+        model = create_toy_lm(seed=2)
+        prompt = SoftPrompt(P=8.0 * init_prompt(3, model.d, seed=2).P, m=3)
+        out = greedy_decode_batch(model, prompt, [encode_context("a" * 500, "fi")], 300)
+        assert len(out[0]) > 100
+
+    def test_empty_batch(self):
+        model = create_toy_lm(seed=0)
+        assert greedy_decode_batch(model, init_prompt(2, model.d, seed=0), [], 5) == []
+
+    def test_negative_max_len_rejected(self):
+        model = create_toy_lm(seed=0)
+        with pytest.raises(TunerError):
+            greedy_decode_batch(model, init_prompt(2, model.d, seed=0), [], -1)
+
+    def test_token_outside_vocabulary_rejected(self):
+        model = create_toy_lm(seed=0)
+        with pytest.raises(TunerError):
+            greedy_decode_batch(
+                model, init_prompt(2, model.d, seed=0), [(1, VOCAB_SIZE)], 5
+            )
 
 
 class TestTune:
