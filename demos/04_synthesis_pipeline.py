@@ -17,6 +17,7 @@ from qasynth.synthesis import (
     assemble,
     filter_extractive,
     filter_roundtrip,
+    filter_run,
     merge_reports,
     size_sweep,
     synth_mt,
@@ -91,8 +92,10 @@ def main():
     pt_run = synth_pt(
         {"fi": finnish_passages(4)}, backend=backend, scenario="english_only"
     )
+    pt_filtered = filter_run(pt_run)
     print(f"\ntuned-prompt synthesis: {len(pt_run.raw['fi'])} raw, "
-          f"{len(pt_run.filtered['fi'])} after extractive filtering")
+          f"{len(pt_filtered.filtered['fi'])} after extractive filtering")
+    show_report("filter_run", pt_filtered.reports["fi"])
 
     combined = assemble(gold, {"fi": final}, name="demo-train")
     print(f"\nassembled training set: {len(combined)} examples "

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .backends import (
@@ -43,18 +43,18 @@ from .corpus import (
     read_jsonl,
     sample_unlabeled,
     subsample_fewshot,
+    write_json,
+    write_passages,
     write_jsonl,
 )
 from .metrics import evaluate, render_eval_table
 from .promptkit import Exemplar, ExemplarSet, build_exemplars_en_only, build_exemplars_fewshot
 from .synthesis import (
-    FilterReport,
     SynthesisError,
     assemble,
     config_hash,
-    filter_extractive,
-    filter_roundtrip,
-    merge_reports,
+    filter_run,
+    load_run,
     save_run,
     size_sweep,
     synth_mt,
@@ -276,10 +276,7 @@ def write_manifest(
         "outputs": sorted(outputs),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(outdir / "manifest.json", manifest)
 
 
 def _outdir(args, config: RunConfig) -> Path:
@@ -291,15 +288,8 @@ def _outdir(args, config: RunConfig) -> Path:
     return path
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
 def save_exemplars(exemplars: ExemplarSet, path: Path) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "language": exemplars.language,
@@ -310,12 +300,17 @@ def save_exemplars(exemplars: ExemplarSet, path: Path) -> None:
 
 
 def load_exemplars(path: Path) -> ExemplarSet:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return ExemplarSet(
-        language=doc["language"],
-        exemplars=tuple(Exemplar(**e) for e in doc["exemplars"]),
-        scenario=doc["scenario"],
-    )
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        return ExemplarSet(
+            language=doc["language"],
+            exemplars=tuple(Exemplar(**e) for e in doc["exemplars"]),
+            scenario=doc["scenario"],
+        )
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing key {e}") from e
+    except (json.JSONDecodeError, TypeError) as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------- commands
@@ -327,7 +322,7 @@ def cmd_ingest(args, config: RunConfig) -> int:
     outdir = _outdir(args, config)
     gold_path = outdir / f"{args.language}.gold.jsonl"
     write_jsonl(dataset, gold_path)
-    _write_json(outdir / "ingest_report.json", dataclasses.asdict(report))
+    write_json(outdir / "ingest_report.json", dataclasses.asdict(report))
     write_manifest(
         outdir, "ingest", config, 0,
         {"input": args.input, "name": args.name, "language": args.language},
@@ -345,10 +340,7 @@ def cmd_sample(args, config: RunConfig) -> int:
     )
     outdir = _outdir(args, config)
     out_path = outdir / f"{args.language}.passages.jsonl"
-    with out_path.open("w", encoding="utf-8") as fh:
-        for p in picked:
-            fh.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False))
-            fh.write("\n")
+    write_passages(picked, out_path)
     write_manifest(
         outdir, "sample", config, seed,
         {"passages": args.passages, "language": args.language, "n": str(args.n)},
@@ -410,7 +402,7 @@ def cmd_tune(args, config: RunConfig) -> int:
     prompt_path = outdir / f"{args.language}.prompt.bin"
     save_prompt(trace.best_prompt, prompt_path, seed, config.config_hash)
     trace_path = outdir / f"{args.language}.trace.json"
-    _write_json(
+    write_json(
         trace_path,
         {
             "language": args.language,
@@ -510,10 +502,7 @@ def cmd_synth(args, config: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown method {args.method!r}")
     outdir = _outdir(args, config)
-    save_run(run, outdir, config.to_dict())
-    outputs = ["report.json", "config.json"]
-    for lang in run.languages:
-        outputs += [f"{lang}/raw.jsonl", f"{lang}/filtered.jsonl"]
+    outputs = save_run(run, outdir, config.to_dict())
     write_manifest(
         outdir, "synth", config, seed,
         {
@@ -531,12 +520,9 @@ def cmd_synth(args, config: RunConfig) -> int:
 
 
 def cmd_filter(args, config: RunConfig) -> int:
-    run_dir = Path(args.run)
-    report_doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
-    method = report_doc["method"]
-    languages = report_doc["languages"]
+    run = load_run(args.run)
     roundtrip = (
-        method == "pe" and config.filters.get("roundtrip", "on") == "on"
+        run.method == "pe" and config.filters.get("roundtrip", "on") == "on"
     )
     if roundtrip and not args.exemplars_dir:
         raise ConfigError(
@@ -544,93 +530,51 @@ def cmd_filter(args, config: RunConfig) -> int:
             "filters.roundtrip to 'off')"
         )
     seed = config.seed("synth")
-    backend = make_generator(config, seed) if roundtrip else contextlib.nullcontext()
-    outdir = _outdir(args, config)
-    reports = {}
-    outputs = ["report.json", "config.json"]
-    with backend:
-        for lang in languages:
-            raw = read_jsonl(run_dir / lang / "raw.jsonl", name=f"{method}-{lang}")
-            prior = FilterReport(
-                input_count=report_doc["reports"][lang]["input_count"],
-                kept_count=report_doc["reports"][lang]["kept_count"],
-                dropped=report_doc["reports"][lang]["dropped"],
-                notes=tuple(report_doc["reports"][lang].get("notes", ())),
-            )
-            filtered, extractive_report = filter_extractive(raw)
-            merged = merge_reports(prior, extractive_report)
-            if roundtrip:
-                exemplars = load_exemplars(
-                    Path(args.exemplars_dir) / f"{lang}.exemplars.json"
-                )
-                filtered, rt_report = filter_roundtrip(
-                    filtered,
-                    backend,
-                    exemplars,
-                    mode=config.filters.get("roundtrip_mode", "normalized"),
-                    parallelism=config.backend.parallelism,
-                )
-                merged = merge_reports(merged, rt_report)
-            reports[lang] = merged
-            lang_dir = outdir / lang
-            lang_dir.mkdir(parents=True, exist_ok=True)
-            write_jsonl(raw, lang_dir / "raw.jsonl")
-            write_jsonl(filtered, lang_dir / "filtered.jsonl")
-            outputs += [f"{lang}/raw.jsonl", f"{lang}/filtered.jsonl"]
-    _write_json(
-        outdir / "report.json",
-        {
-            "method": method,
-            "scenario": report_doc["scenario"],
-            "languages": languages,
-            "config_hash": config.config_hash,
-            "reports": {lang: reports[lang].to_dict() for lang in languages},
-            "counts": {
-                lang: {
-                    "raw": reports[lang].input_count,
-                    "filtered": reports[lang].kept_count,
-                }
-                for lang in languages
-            },
-        },
+    exemplars = (
+        {lang: load_exemplars(Path(args.exemplars_dir) / f"{lang}.exemplars.json")
+         for lang in run.languages}
+        if roundtrip
+        else {}
     )
-    _write_json(outdir / "config.json", config.to_dict())
+    outdir = _outdir(args, config)
+    with make_generator(config, seed) if roundtrip else contextlib.nullcontext() as backend:
+        run = filter_run(
+            run,
+            backend,
+            exemplars,
+            mode=config.filters.get("roundtrip_mode", "normalized"),
+            parallelism=config.backend.parallelism,
+        )
+    run = dataclasses.replace(run, config_hash=config.config_hash)
+    outputs = save_run(run, outdir, config.to_dict())
     write_manifest(
         outdir, "filter", config, seed,
         {"run": args.run, "exemplars_dir": args.exemplars_dir or ""},
         outputs,
     )
-    kept = sum(r.kept_count for r in reports.values())
-    print(f"filtered run {run_dir} -> {outdir} ({kept} kept)")
+    kept = sum(len(run.filtered[lang]) for lang in run.languages)
+    print(f"filtered run {Path(args.run)} -> {outdir} ({kept} kept)")
     return EXIT_OK
 
 
 def cmd_assemble(args, config: RunConfig) -> int:
     d_en = read_jsonl(Path(args.gold))
-    synthetic: Dict[str, List] = {}
-    for run_arg in args.runs:
-        run_dir = Path(run_arg)
-        report_doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
-        for lang in report_doc["languages"]:
-            ds = read_jsonl(
-                run_dir / lang / "filtered.jsonl",
-                name=f"{report_doc['method']}-{lang}",
-            )
+    synthetic: Dict[str, Dataset] = {}
+    for run_dir in args.runs:
+        run = load_run(run_dir)
+        for lang in run.languages:
+            ds = run.filtered[lang]
             if lang in synthetic:
                 merged = synthetic[lang].examples + ds.examples
-                synthetic[lang] = Dataset(
-                    name=f"multi-{lang}", examples=merged
-                )
+                synthetic[lang] = Dataset(name=f"multi-{lang}", examples=merged)
             else:
                 synthetic[lang] = ds
     assembled = assemble(d_en, synthetic, name=args.name)
     outdir = _outdir(args, config)
     out_path = outdir / "assembled.jsonl"
     write_jsonl(assembled, out_path)
-    counts = {
-        lang: len(ds.examples) for lang, ds in sorted(synthetic.items())
-    }
-    _write_json(
+    counts = {lang: len(ds) for lang, ds in sorted(synthetic.items())}
+    write_json(
         outdir / "counts.json",
         {"english": len(d_en), "synthetic": counts, "total": len(assembled)},
     )
@@ -658,7 +602,7 @@ def cmd_eval(args, config: RunConfig) -> int:
         raise ConfigError("predictions must be a JSON object of id -> answer")
     report = evaluate(predictions, gold)
     outdir = _outdir(args, config)
-    _write_json(outdir / "eval.json", report.to_dict())
+    write_json(outdir / "eval.json", report.to_dict())
     table = render_eval_table(report)
     (outdir / "eval.txt").write_text(table + "\n", encoding="utf-8")
     write_manifest(
@@ -681,7 +625,7 @@ def cmd_taxonomy(args, config: RunConfig) -> int:
             parallelism=config.backend.parallelism,
         )
     outdir = _outdir(args, config)
-    _write_json(outdir / "taxonomy.json", report.to_dict())
+    write_json(outdir / "taxonomy.json", report.to_dict())
     (outdir / "categories.csv").write_text(
         ring_csv(report.pooled, "category"), encoding="utf-8"
     )
@@ -726,7 +670,7 @@ def cmd_stats(args, config: RunConfig) -> int:
         dataset = read_jsonl(path)
         payload = {"format": "jsonl", **dataset_stats(dataset).to_dict()}
     outdir = _outdir(args, config)
-    _write_json(outdir / "stats.json", payload)
+    write_json(outdir / "stats.json", payload)
     write_manifest(
         outdir, "stats", config, 0,
         {"input": args.input, "format": fmt},

@@ -46,8 +46,8 @@ class Passage:
     def __post_init__(self):
         if not self.id:
             raise CorpusError("passage id must be non-empty")
-        if not self.text:
-            raise CorpusError(f"passage {self.id!r}: text must be non-empty")
+        if not isinstance(self.text, str) or not self.text:
+            raise CorpusError(f"passage {self.id!r}: text must be a non-empty string")
         if not self.language:
             raise CorpusError(f"passage {self.id!r}: language must be non-empty")
 
@@ -77,25 +77,25 @@ class QAExample:
     extra_answers: Tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if not self.id:
-            raise CorpusError("example id must be non-empty")
-        if not self.context:
-            raise CorpusError(f"example {self.id!r}: context must be non-empty")
-        if not self.question:
-            raise CorpusError(f"example {self.id!r}: question must be non-empty")
-        if not self.answer:
-            raise CorpusError(f"example {self.id!r}: answer must be non-empty")
-        if not self.language:
-            raise CorpusError(f"example {self.id!r}: language must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise CorpusError(f"example id must be a non-empty string, got {self.id!r}")
+        for name in ("context", "question", "answer", "language"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise CorpusError(
+                    f"example {self.id!r}: {name} must be a non-empty string, got {value!r}"
+                )
         if self.provenance not in PROVENANCES:
             raise CorpusError(
                 f"example {self.id!r}: provenance {self.provenance!r} not one of "
                 f"{PROVENANCES}"
             )
         if self.answer_start is not None:
-            if self.answer_start < 0:
+            start = self.answer_start
+            if isinstance(start, bool) or not isinstance(start, int) or start < 0:
                 raise CorpusError(
-                    f"example {self.id!r}: answer_start must be >= 0"
+                    f"example {self.id!r}: answer_start must be null or an "
+                    f"integer >= 0, got {start!r}"
                 )
             end = self.answer_start + len(self.answer)
             if self.context[self.answer_start : end] != self.answer:
@@ -267,6 +267,18 @@ def parse_squad_json(
     return dataset, report
 
 
+def _json_lines(path: Path) -> Iterable[Tuple[int, object]]:
+    """(1-based line number, parsed value) for each non-blank line of a file."""
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise CorpusError(f"{path}:{lineno}: malformed JSON: {e.msg}")
+                yield lineno, obj
+
+
 def load_passage_pool(
     path: Union[str, Path],
     language: str,
@@ -280,34 +292,27 @@ def load_passage_pool(
     path = Path(path)
     passages: List[Passage] = []
     seen = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path.name}:{lineno}: malformed JSON: {e.msg}")
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise CorpusError(
-                    f"{path.name}:{lineno}: expected an object with 'id' and 'text'"
-                )
-            pid = str(obj["id"])
-            if pid in seen:
-                raise CorpusError(f"{path.name}:{lineno}: duplicate passage id {pid!r}")
-            seen.add(pid)
-            try:
-                passages.append(
-                    Passage(
-                        id=pid,
-                        text=obj["text"],
-                        language=language,
-                        source=source or path.name,
-                    )
-                )
-            except CorpusError as e:
-                raise CorpusError(f"{path.name}:{lineno}: {e}")
+    for lineno, obj in _json_lines(path):
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise CorpusError(f"{path}:{lineno}: expected an object with 'id' and 'text'")
+        pid = str(obj["id"])
+        if pid in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate passage id {pid!r}")
+        seen.add(pid)
+        try:
+            passages.append(
+                Passage(id=pid, text=obj["text"], language=language, source=source or path.name)
+            )
+        except CorpusError as e:
+            raise CorpusError(f"{path}:{lineno}: {e}")
     return tuple(passages)
+
+
+def write_passages(passages: Iterable[Passage], path: Union[str, Path]) -> None:
+    """Write an NDJSON passage pool that load_passage_pool reads back."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for p in passages:
+            fh.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False) + "\n")
 
 
 def sample_unlabeled(
@@ -384,6 +389,14 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
     )
 
 
+def write_json(path: Union[str, Path], payload) -> None:
+    """Write one JSON artifact: UTF-8, no ASCII escaping, sorted keys, indent 2."""
+    Path(path).write_text(
+        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
+    )
+
+
 def write_jsonl(dataset: Dataset, path: Union[str, Path]) -> None:
     """Write one JSON object per example, fixed field set, UTF-8, no ASCII escaping."""
     path = Path(path)
@@ -405,23 +418,17 @@ def read_jsonl(
     """
     path = Path(path)
     examples: List[QAExample] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path.name}:{lineno}: malformed JSON: {e.msg}")
-            if set(obj) != set(JSONL_FIELDS):
-                raise CorpusError(
-                    f"{path.name}:{lineno}: expected fields {set(JSONL_FIELDS)}, "
-                    f"got {set(obj)}"
-                )
-            try:
-                examples.append(QAExample(**obj))
-            except CorpusError as e:
-                raise CorpusError(f"{path.name}:{lineno}: {e}")
+    for lineno, obj in _json_lines(path):
+        if not isinstance(obj, dict) or set(obj) != set(JSONL_FIELDS):
+            got = sorted(obj) if isinstance(obj, dict) else repr(obj)
+            raise CorpusError(
+                f"{path}:{lineno}: expected an object with fields "
+                f"{sorted(JSONL_FIELDS)}, got {got}"
+            )
+        try:
+            examples.append(QAExample(**obj))
+        except CorpusError as e:
+            raise CorpusError(f"{path}:{lineno}: {e}")
     return Dataset(
         name=name or path.stem,
         examples=tuple(examples),

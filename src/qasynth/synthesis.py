@@ -28,7 +28,7 @@ from .backends import (
     TranslationRequest,
     run_requests,
 )
-from .corpus import Dataset, Passage, QAExample, write_jsonl
+from .corpus import Dataset, Passage, QAExample, read_jsonl, write_json, write_jsonl
 from .metrics import normalize_answer
 from .promptkit import (
     ExemplarSet,
@@ -134,10 +134,6 @@ class SynthesisRun:
                     )
 
 
-def _no_drop_report(n: int) -> FilterReport:
-    return FilterReport(input_count=n, kept_count=n, dropped={})
-
-
 def synth_mt(
     d_en: Dataset,
     translator: TranslationBackend,
@@ -203,7 +199,7 @@ def synth_mt(
         languages=tuple(targets),
         raw=raw,
         filtered=dict(raw),
-        reports={lang: _no_drop_report(len(raw[lang])) for lang in targets},
+        reports={lang: FilterReport(len(raw[lang]), len(raw[lang]), {}) for lang in targets},
         config_hash=config_hash,
     )
 
@@ -318,46 +314,11 @@ def synth_pe(
         parallelism,
     )
 
-    examples: Dict[str, List[QAExample]] = {lang: [] for lang in languages}
-    notes: Dict[str, List[str]] = {lang: [] for lang in languages}
-    for passage, answer, question in zip(passages, answers, questions):
-        if isinstance(question, Exception):
-            notes[passage.language].append(f"{passage.id}: {question}")
-            continue
-        examples[passage.language].append(
-            QAExample(
-                id=f"pe-{passage.language}-{passage.id}",
-                context=passage.text,
-                question=question,
-                answer=answer,
-                answer_start=None,
-                language=passage.language,
-                provenance="pe",
-                source_dataset=passage.source or "unlabeled",
-            )
-        )
-    raw = {
-        lang: Dataset(name=f"pe-{lang}", examples=tuple(examples[lang]))
-        for lang in languages
-    }
-    reports = {
-        lang: FilterReport(
-            input_count=len(passages_by_language[lang]),
-            kept_count=len(examples[lang]),
-            dropped={"empty_generation": len(notes[lang])} if notes[lang] else {},
-            notes=tuple(notes[lang]),
-        )
-        for lang in languages
-    }
-    return SynthesisRun(
-        method="pe",
-        scenario=scenario,
-        languages=tuple(languages),
-        raw=raw,
-        filtered=dict(raw),
-        reports=reports,
-        config_hash=config_hash,
-    )
+    outcomes = [
+        question if isinstance(question, Exception) else (answer, question)
+        for answer, question in zip(answers, questions)
+    ]
+    return _fold("pe", scenario, passages_by_language, outcomes, config_hash)
 
 
 def synth_pt(
@@ -395,75 +356,90 @@ def synth_pt(
         for lang in languages:
             if lang not in prompts_by_language:
                 raise SynthesisError(f"no tuned prompt for language {lang!r}")
-        decodes = iter(
-            [
-                tokens
-                for lang in languages
-                for tokens in greedy_decode_batch(
-                    model,
-                    prompts_by_language[lang],
-                    [encode_context(p.text, lang) for p in passages_by_language[lang]],
-                    max_tokens,
-                )
-            ]
-        )
+        outcomes = [
+            split_decoded(tokens)
+            for lang in languages
+            for tokens in greedy_decode_batch(
+                model,
+                prompts_by_language[lang],
+                [encode_context(p.text, lang) for p in passages_by_language[lang]],
+                max_tokens,
+            )
+        ]
     else:
         reqs = [
             GenerationRequest(prompt=f"[{lang}] {p.text}", max_tokens=max_tokens)
             for lang in languages
             for p in passages_by_language[lang]
         ]
-        completions = iter(run_requests(backend, reqs, parallelism))
+        outcomes = [
+            _split_completion(response, error)
+            for response, error in run_requests(backend, reqs, parallelism)
+        ]
+    return _fold("pt", scenario, passages_by_language, outcomes, config_hash)
+
+
+def _split_completion(response, error):
+    """A remote pt completion as an (answer, question) pair, None or a BackendError."""
+    if isinstance(error, BackendError):
+        return error
+    if error is not None:
+        raise error
+    if "\n" not in response.text:
+        return None
+    answer, question = response.text.split("\n", 1)
+    return answer.strip(), question.strip().split("\n")[0]
+
+
+def _fold(
+    method: str,
+    scenario: str,
+    passages_by_language: Mapping[str, Sequence[Passage]],
+    outcomes: Sequence[Union[Tuple[str, str], Exception, None]],
+    config_hash: str,
+) -> SynthesisRun:
+    """Turn one generation outcome per passage into a raw SynthesisRun.
+
+    outcomes follow sorted-language, then passage order. An (answer,
+    question) pair with both sides non-empty becomes an example; anything
+    else is dropped as empty_generation, and an exception also leaves the
+    note "<passage id>: <error>".
+    """
+    languages = sorted(passages_by_language)
+    outcomes = iter(outcomes)
     raw: Dict[str, Dataset] = {}
     reports: Dict[str, FilterReport] = {}
     for lang in languages:
-        passages = list(passages_by_language[lang])
         examples: List[QAExample] = []
         notes: List[str] = []
-        failed = 0
-        for passage in passages:
-            pair: Optional[Tuple[str, str]]
-            if toy:
-                pair = split_decoded(next(decodes))
-            else:
-                response, error = next(completions)
-                if isinstance(error, BackendError):
-                    notes.append(f"{passage.id}: {error}")
-                    failed += 1
-                    continue
-                if error is not None:
-                    raise error
-                text = response.text
-                if "\n" in text:
-                    answer, question = text.split("\n", 1)
-                    pair = (answer.strip(), question.strip().split("\n")[0])
-                else:
-                    pair = None
-            if pair is None or not pair[0] or not pair[1]:
-                failed += 1
+        for passage in passages_by_language[lang]:
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                notes.append(f"{passage.id}: {outcome}")
+            if not isinstance(outcome, tuple) or not all(outcome):
                 continue
             examples.append(
                 QAExample(
-                    id=f"pt-{lang}-{passage.id}",
+                    id=f"{method}-{lang}-{passage.id}",
                     context=passage.text,
-                    question=pair[1],
-                    answer=pair[0],
+                    question=outcome[1],
+                    answer=outcome[0],
                     answer_start=None,
                     language=lang,
-                    provenance="pt",
+                    provenance=method,
                     source_dataset=passage.source or "unlabeled",
                 )
             )
-        raw[lang] = Dataset(name=f"pt-{lang}", examples=tuple(examples))
-        dropped = {"empty_generation": failed} if failed else {}
+        raw[lang] = Dataset(name=f"{method}-{lang}", examples=tuple(examples))
+        failed = len(passages_by_language[lang]) - len(examples)
         reports[lang] = FilterReport(
-            input_count=len(passages),
+            input_count=len(passages_by_language[lang]),
             kept_count=len(examples),
-            dropped=dropped,
+            dropped={"empty_generation": failed} if failed else {},
             notes=tuple(notes),
         )
     return SynthesisRun(
-        method="pt",
+        method=method,
         scenario=scenario,
         languages=tuple(languages),
         raw=raw,
@@ -639,15 +615,56 @@ def size_sweep(
     return tuple(out)
 
 
-def save_run(run: SynthesisRun, outdir: Union[str, Path], config: dict) -> None:
-    """Persist a run: per-language raw/filtered JSONL plus report and config."""
+def filter_run(
+    run: SynthesisRun,
+    qa_backend: Optional[GenerationBackend] = None,
+    exemplars_by_language: Optional[Mapping[str, ExemplarSet]] = None,
+    mode: str = "normalized",
+    parallelism: int = 1,
+) -> SynthesisRun:
+    """Filter each language's raw examples; raw itself is kept as it is.
+
+    filter_extractive always runs; filter_roundtrip follows when qa_backend
+    is given, with that language's exemplars. Each pass is chained onto the
+    run's report with merge_reports, so a report still accounts for every
+    input passage.
+    """
+    if qa_backend is not None:
+        for lang in run.languages:
+            if lang not in (exemplars_by_language or {}):
+                raise SynthesisError(f"no exemplars for language {lang!r}")
+    filtered: Dict[str, Dataset] = {}
+    reports: Dict[str, FilterReport] = {}
+    for lang in run.languages:
+        kept, report = filter_extractive(run.raw[lang])
+        reports[lang] = merge_reports(run.reports[lang], report)
+        if qa_backend is not None:
+            kept, report = filter_roundtrip(
+                kept,
+                qa_backend,
+                exemplars_by_language[lang],
+                mode=mode,
+                parallelism=parallelism,
+            )
+            reports[lang] = merge_reports(reports[lang], report)
+        filtered[lang] = kept
+    return dataclasses.replace(run, filtered=filtered, reports=reports)
+
+
+def save_run(run: SynthesisRun, outdir: Union[str, Path], config: dict) -> List[str]:
+    """Persist a run: per-language raw/filtered JSONL plus report and config.
+
+    report.json's counts are the line counts of the JSONL files beside it.
+    Returns the paths written, relative to outdir.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    written = []
     for lang in run.languages:
-        lang_dir = outdir / lang
-        lang_dir.mkdir(exist_ok=True)
-        write_jsonl(run.raw[lang], lang_dir / "raw.jsonl")
-        write_jsonl(run.filtered[lang], lang_dir / "filtered.jsonl")
+        (outdir / lang).mkdir(exist_ok=True)
+        for part, dataset in (("raw", run.raw[lang]), ("filtered", run.filtered[lang])):
+            write_jsonl(dataset, outdir / lang / f"{part}.jsonl")
+            written.append(f"{lang}/{part}.jsonl")
     report = {
         "method": run.method,
         "scenario": run.scenario,
@@ -662,14 +679,47 @@ def save_run(run: SynthesisRun, outdir: Union[str, Path], config: dict) -> None:
             for lang in run.languages
         },
     }
-    (outdir / "report.json").write_text(
-        json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    (outdir / "config.json").write_text(
-        json.dumps(config, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(outdir / "report.json", report)
+    write_json(outdir / "config.json", config)
+    return written + ["report.json", "config.json"]
+
+
+def load_run(run_dir: Union[str, Path]) -> SynthesisRun:
+    """Read a run directory written by save_run.
+
+    A report.json that is not the object save_run writes raises
+    SynthesisError naming the file; a bad JSONL line raises CorpusError
+    naming the file and line.
+    """
+    run_dir = Path(run_dir)
+    path = run_dir / "report.json"
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        method, languages = doc["method"], tuple(doc["languages"])
+        report_docs = {lang: doc["reports"][lang] for lang in languages}
+
+        def read(part: str) -> Dict[str, Dataset]:
+            return {
+                lang: read_jsonl(run_dir / lang / f"{part}.jsonl", name=f"{method}-{lang}")
+                for lang in languages
+            }
+
+        return SynthesisRun(
+            method=method,
+            scenario=doc["scenario"],
+            languages=languages,
+            raw=read("raw"),
+            filtered=read("filtered"),
+            reports={
+                lang: FilterReport(**{**r, "notes": tuple(r.get("notes", ()))})
+                for lang, r in report_docs.items()
+            },
+            config_hash=doc["config_hash"],
+        )
+    except KeyError as e:
+        raise SynthesisError(f"{path}: missing key {e}") from e
+    except (json.JSONDecodeError, TypeError, AttributeError, SynthesisError) as e:
+        raise SynthesisError(f"{path}: {e}") from e
 
 
 def config_hash(config: dict) -> str:

@@ -410,8 +410,8 @@ def optimizer_step(
     return SoftPrompt(P=new_p, m=prompt.m), new_state
 
 
-def init_prompt(m: int, d: int, seed: int) -> SoftPrompt:
-    """Seeded uniform(-0.5, 0.5) initialization."""
+def init_prompt(m: int, d: int, seed: Union[int, np.random.Generator]) -> SoftPrompt:
+    """Seeded uniform(-0.5, 0.5) initialization; a Generator is drawn from as is."""
     rng = np.random.default_rng(seed)
     return SoftPrompt(P=rng.uniform(-0.5, 0.5, (m, d)), m=m)
 
@@ -600,9 +600,7 @@ def tune(
     dev_encoded = [encode_example(ex) for ex in dev.examples]
 
     rng = np.random.default_rng(config.seed)
-    prompt = SoftPrompt(
-        P=rng.uniform(-0.5, 0.5, (config.m, model.d)), m=config.m
-    )
+    prompt = init_prompt(config.m, model.d, rng)
     state = AdafactorState.zeros(config.m, model.d)
     initial_train_loss = _full_loss(model, prompt, train_encoded)
 

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasynth import __version__
 from qasynth.cli import (
@@ -16,10 +18,12 @@ from qasynth.cli import (
     RunConfig,
     load_config,
     main,
+    save_exemplars,
 )
 from qasynth.corpus import Dataset, write_jsonl
 
 from conftest import make_example
+from test_synthesis import fi_exemplars
 
 
 def write_config(tmp_path: Path, doc: dict) -> str:
@@ -636,3 +640,173 @@ class TestHttpSessionsClosed:
                     if issubclass(w.category, ResourceWarning)
                     and "unclosed" in str(w.message)]
         assert unclosed == []
+
+
+def write_passage_file(directory: Path, lang: str, texts) -> None:
+    directory.mkdir(parents=True, exist_ok=True)
+    with (directory / f"{lang}.passages.jsonl").open("w", encoding="utf-8") as fh:
+        for i, text in enumerate(texts):
+            fh.write(json.dumps({"id": f"p{i}", "text": text}) + "\n")
+
+
+def line_count(path: Path) -> int:
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
+class TestRunDirectory:
+    def test_filter_counts_match_jsonl_after_empty_generation(self, tmp_path):
+        # A blank passage gets a blank answer completion: synth drops it as
+        # empty_generation, so raw.jsonl has one line, and the filter's
+        # report.json must say so too.
+        write_passage_file(tmp_path / "passages", "fi", ["Silta valmistui 1956.", "   "])
+        save_exemplars(fi_exemplars(), tmp_path / "fi.exemplars.json")
+        config = write_config(
+            tmp_path, {"languages": ["en", "fi"], "filters": {"roundtrip": "off"}}
+        )
+        assert main(["synth", "--config", config, "--method", "pe",
+                     "--passages-dir", str(tmp_path / "passages"),
+                     "--exemplars-dir", str(tmp_path),
+                     "--out", str(tmp_path / "pe")]) == EXIT_OK
+        synth = json.loads((tmp_path / "pe" / "report.json").read_text(encoding="utf-8"))
+        assert synth["counts"]["fi"]["raw"] == 1
+        assert synth["reports"]["fi"]["dropped"] == {"empty_generation": 1}
+        assert main(["filter", "--config", config, "--run", str(tmp_path / "pe"),
+                     "--out", str(tmp_path / "f")]) == EXIT_OK
+        report = json.loads((tmp_path / "f" / "report.json").read_text(encoding="utf-8"))
+        assert report["counts"]["fi"]["raw"] == line_count(tmp_path / "f" / "fi" / "raw.jsonl") == 1
+        assert report["counts"]["fi"]["filtered"] == line_count(
+            tmp_path / "f" / "fi" / "filtered.jsonl"
+        )
+        assert sorted(read_manifest(tmp_path / "f")["outputs"]) == [
+            "config.json", "fi/filtered.jsonl", "fi/raw.jsonl", "report.json",
+        ]
+
+
+GOOD_RECORD = {
+    "id": "x-1", "context": "Paris is big.", "question": "What is big?",
+    "answer": "Paris", "answer_start": 0, "language": "en",
+    "provenance": "gold", "source_dataset": "t",
+}
+
+
+def _run_without_method(tmp_path: Path) -> Path:
+    run_dir = tmp_path / "run"
+    write_jsonl(Dataset(name="d", examples=()), tmp_path / "empty.jsonl")
+    assert main(["synth", "--config", write_config(tmp_path, {"languages": ["en", "fi"]}),
+                 "--method", "mt", "--gold", str(tmp_path / "empty.jsonl"),
+                 "--out", str(run_dir)]) == EXIT_OK
+    path = run_dir / "report.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["method"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _filter_without_method(tmp_path):
+    path = _run_without_method(tmp_path)
+    return ["filter", "--run", str(path.parent), "--out", str(tmp_path / "o")], str(path)
+
+
+def _assemble_without_method(tmp_path):
+    path = _run_without_method(tmp_path)
+    return (["assemble", "--gold", str(tmp_path / "empty.jsonl"),
+             "--runs", str(path.parent), "--out", str(tmp_path / "o")], str(path))
+
+
+def _exemplars_without_scenario(tmp_path):
+    write_passage_file(tmp_path / "passages", "fi", ["Silta valmistui 1956."])
+    path = tmp_path / "fi.exemplars.json"
+    save_exemplars(fi_exemplars(), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["scenario"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    config = write_config(tmp_path, {"languages": ["en", "fi"]})
+    return (["synth", "--config", config, "--method", "pe",
+             "--passages-dir", str(tmp_path / "passages"),
+             "--exemplars-dir", str(tmp_path), "--out", str(tmp_path / "o")], str(path))
+
+
+def _jsonl_with_line(line: str):
+    def setup(tmp_path):
+        path = tmp_path / "gold.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n", encoding="utf-8")
+        return (["stats", "--input", str(path), "--out", str(tmp_path / "o")],
+                f"{path}:2:")
+    return setup
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            _filter_without_method,
+            _assemble_without_method,
+            _exemplars_without_scenario,
+            _jsonl_with_line("5"),
+            _jsonl_with_line("[1, 2]"),
+            _jsonl_with_line(json.dumps({**GOOD_RECORD, "id": "x-2", "answer_start": "2"})),
+            _jsonl_with_line(json.dumps({**GOOD_RECORD, "id": "x-2", "answer_start": True})),
+            _jsonl_with_line(json.dumps({**GOOD_RECORD, "id": "x-2", "question": 7})),
+        ],
+        ids=["report-no-method-filter", "report-no-method-assemble",
+             "exemplars-no-scenario", "jsonl-number", "jsonl-list",
+             "answer-start-string", "answer-start-bool", "question-number"],
+    )
+    def test_one_error_line_and_exit_1(self, tmp_path, capsys, setup):
+        argv, where = setup(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {where}")
+        assert "Traceback" not in err
+
+
+@given(
+    texts=st.lists(
+        st.sampled_from([
+            "Silta valmistui vuonna 1956 ja se ylittaa joen.",
+            "Kaupungissa asuu 45000 ihmista talvella.",
+            "Vuori kohoaa 1324 metrin korkeuteen.",
+            "Juna kulkee reitin Helsinki kautta.",
+            "   ",
+        ]),
+        min_size=1,
+        max_size=6,
+    ),
+    noise=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    seed=st.integers(0, 3),
+    roundtrip=st.sampled_from(["on", "off"]),
+)
+@settings(max_examples=15, deadline=None)
+def test_synth_filter_counts_conserve(tmp_path_factory, texts, noise, seed, roundtrip):
+    tmp = tmp_path_factory.mktemp("chain")
+    write_passage_file(tmp / "passages", "fi", texts)
+    save_exemplars(fi_exemplars(), tmp / "fi.exemplars.json")
+    config = write_config(tmp, {
+        "languages": ["en", "fi"],
+        "seeds": {"synth": seed},
+        "backend": {"kind": "mock", "noise_rate": noise},
+        "filters": {"roundtrip": roundtrip},
+    })
+    assert main(["synth", "--config", config, "--method", "pe",
+                 "--passages-dir", str(tmp / "passages"), "--exemplars-dir", str(tmp),
+                 "--out", str(tmp / "pe")]) == EXIT_OK
+    assert main(["filter", "--config", config, "--run", str(tmp / "pe"),
+                 "--exemplars-dir", str(tmp), "--out", str(tmp / "f")]) == EXIT_OK
+    reports = []
+    for stage in ("pe", "f"):
+        doc = json.loads((tmp / stage / "report.json").read_text(encoding="utf-8"))
+        report, counts = doc["reports"]["fi"], doc["counts"]["fi"]
+        assert report["input_count"] == len(texts)
+        assert report["kept_count"] + sum(report["dropped"].values()) == len(texts)
+        assert counts["raw"] == line_count(tmp / stage / "fi" / "raw.jsonl")
+        assert counts["filtered"] == line_count(tmp / stage / "fi" / "filtered.jsonl")
+        assert counts["filtered"] == report["kept_count"]
+        reports.append(report)
+    synth, filtered = reports
+    assert synth["dropped"].get("empty_generation", 0) == texts.count("   ")
+    assert filtered["dropped"].get("empty_generation", 0) == texts.count("   ")
+    assert filtered["notes"][: len(synth["notes"])] == synth["notes"]
+    if roundtrip == "off":
+        assert "roundtrip_mismatch" not in filtered["dropped"]

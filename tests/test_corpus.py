@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +305,33 @@ class TestStatsAndSerialization:
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=":1:"):
             read_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("answer_start", "0"), ("answer_start", True), ("answer_start", 0.0),
+         ("context", 5), ("question", ["q"]), ("id", 7), ("language", None)],
+    )
+    def test_read_rejects_wrong_field_type(self, tmp_path, field, value):
+        path = tmp_path / "bad.jsonl"
+        row = qa(0).to_json_dict()
+        row[field] = value
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}:1: .*{field}"):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("line", ["5", "[1]", '"text"', "null"])
+    def test_read_rejects_non_object_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(qa(0).to_json_dict()) + "\n" + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}:2: expected an object"):
+            read_jsonl(path)
+
+    def test_pool_rejects_non_string_text(self, tmp_path):
+        path = tmp_path / "pool.ndjson"
+        path.write_text(json.dumps({"id": "a", "text": 5}) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}:1: .*text"):
+            load_passage_pool(path, "fi")
 
     def test_null_offset_round_trips(self, tmp_path):
         ds = Dataset(name="d", examples=(qa(0, start=None),))

@@ -1,0 +1,26 @@
+"""Every demo runs to the end in-process, and demo 04 reports real filter counts."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_synthesis_demo_prints_filtered_pt_count(capsys):
+    path = next(p for p in DEMOS if p.name.startswith("04_"))
+    runpy.run_path(str(path), run_name="__main__")
+    out = capsys.readouterr().out
+    # the mock's 4 tuned-prompt pairs all fail the extractive filter
+    assert "4 raw, 0 after extractive filtering" in out

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasynth.backends import (
     BackendError,
@@ -18,10 +20,13 @@ from qasynth.promptkit import Exemplar, ExemplarSet
 from qasynth.synthesis import (
     FilterReport,
     SynthesisError,
+    SynthesisRun,
     assemble,
     config_hash,
     filter_extractive,
     filter_roundtrip,
+    filter_run,
+    load_run,
     merge_reports,
     save_run,
     size_sweep,
@@ -202,6 +207,13 @@ class TestSynthPT:
         report = run.reports["fi"]
         assert report.input_count == 3
         assert report.dropped == {"empty_generation": 2}
+
+    def test_remote_backend_failure_leaves_a_note(self):
+        backend = StaticGenerationBackend(["vastaus\nkysymys?", "no separator"])
+        run = synth_pt({"fi": fi_passages(3)}, backend=backend)
+        report = run.reports["fi"]
+        assert report.dropped == {"empty_generation": 2}
+        assert report.notes == ("fi-p2: static backend exhausted",)
 
     def test_toy_path_drops_or_keeps(self, tune_corpus):
         # an untuned prompt decodes common bytes; whatever happens must obey
@@ -485,6 +497,163 @@ class TestSaveRun:
         assert report["counts"]["fi"]["filtered"] == 5
         config = json.loads((tmp_path / "run" / "config.json").read_text())
         assert config == {"method": "mt", "seed": 0}
+
+
+    def test_returns_the_paths_it_wrote(self, tmp_path, gold_en, tagging_translator):
+        run = synth_mt(gold_en, tagging_translator, ["fi", "ar"])
+        written = save_run(run, tmp_path / "run", {})
+        on_disk = {
+            p.relative_to(tmp_path / "run").as_posix()
+            for p in (tmp_path / "run").rglob("*")
+            if p.is_file()
+        }
+        assert sorted(written) == sorted(on_disk)
+        assert len(written) == len(on_disk) == 6
+
+
+run_text = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12
+)
+
+
+@st.composite
+def synthesis_runs(draw):
+    """Runs with several languages, unicode text, drops, notes, and filtered
+    subsets of raw, as synthesis followed by filtering produces them."""
+    method = draw(st.sampled_from(["mt", "pe", "pt"]))
+    languages = draw(
+        st.lists(st.sampled_from(["ar", "fi", "ja", "sw"]), min_size=1, max_size=3,
+                 unique=True)
+    )
+    raw, filtered, reports = {}, {}, {}
+    for lang in languages:
+        rows = draw(st.lists(
+            st.tuples(run_text, run_text, run_text, run_text, st.booleans(), st.booleans()),
+            max_size=4,
+        ))
+        examples = [
+            QAExample(
+                id=f"{method}-{lang}-{i}",
+                context=prefix + answer,
+                question=question,
+                answer=answer,
+                answer_start=len(prefix) if aligned else None,
+                language=lang,
+                provenance=method,
+                source_dataset=source,
+            )
+            for i, (prefix, question, answer, source, aligned, _) in enumerate(rows)
+        ]
+        kept = [ex for ex, row in zip(examples, rows) if row[-1]]
+        empty = draw(st.integers(0, 3))
+        dropped = {
+            "empty_generation": empty,
+            "not_substring_of_context": len(examples) - len(kept),
+        }
+        raw[lang] = Dataset(name=f"{method}-{lang}", examples=tuple(examples))
+        filtered[lang] = Dataset(name=f"{method}-{lang}", examples=tuple(kept))
+        reports[lang] = FilterReport(
+            input_count=len(examples) + empty,
+            kept_count=len(kept),
+            dropped={k: v for k, v in dropped.items() if v},
+            notes=tuple(draw(st.lists(run_text, max_size=empty))),
+        )
+    return SynthesisRun(
+        method=method,
+        scenario=draw(st.sampled_from(["english_only", "few_shot"])),
+        languages=tuple(languages),
+        raw=raw,
+        filtered=filtered,
+        reports=reports,
+        config_hash=draw(st.text(alphabet="0123456789abcdef", max_size=12)),
+    )
+
+
+@given(synthesis_runs(), st.dictionaries(run_text, run_text, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_load_run_inverts_save_run(tmp_path_factory, run, config):
+    run_dir = tmp_path_factory.mktemp("run")
+    save_run(run, run_dir, config)
+    assert load_run(run_dir) == run
+    assert json.loads((run_dir / "config.json").read_text(encoding="utf-8")) == config
+
+
+class TestLoadRun:
+    def _saved(self, tmp_path, gold_en, tagging_translator):
+        run_dir = tmp_path / "run"
+        save_run(synth_mt(gold_en, tagging_translator, ["fi"]), run_dir, {})
+        return run_dir
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("method"), "missing key 'method'"),
+            (lambda doc: doc["reports"].pop("fi"), "missing key 'fi'"),
+            (lambda doc: doc["reports"]["fi"].update(kept_count=4), "do not conserve"),
+            (lambda doc: doc["reports"]["fi"]["dropped"].update(odd=0), "unknown drop reason"),
+            (lambda doc: doc.update(method="xx"), "unknown method"),
+        ],
+    )
+    def test_bad_report_names_the_file(self, tmp_path, gold_en, tagging_translator,
+                                       edit, message):
+        run_dir = self._saved(tmp_path, gold_en, tagging_translator)
+        path = run_dir / "report.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SynthesisError, match=message) as exc:
+            load_run(run_dir)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("text", ["[]", "5", "{nope"])
+    def test_report_that_is_not_an_object(self, tmp_path, gold_en, tagging_translator,
+                                          text):
+        run_dir = self._saved(tmp_path, gold_en, tagging_translator)
+        (run_dir / "report.json").write_text(text, encoding="utf-8")
+        with pytest.raises(SynthesisError, match="report.json: "):
+            load_run(run_dir)
+
+    def test_notes_may_be_absent(self, tmp_path, gold_en, tagging_translator):
+        run_dir = self._saved(tmp_path, gold_en, tagging_translator)
+        path = run_dir / "report.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["reports"]["fi"]["notes"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_run(run_dir).reports["fi"].notes == ()
+
+
+class TestFilterRun:
+    def _pe_run(self, n=30):
+        backend = MockQABackend(noise_rate=0.3, seed=11)
+        return synth_pe({"fi": fi_exemplars()}, {"fi": fi_passages(n)}, backend), backend
+
+    def test_extractive_only_without_backend(self):
+        run, _ = self._pe_run()
+        out = filter_run(run)
+        kept, report = filter_extractive(run.raw["fi"])
+        assert out.raw == run.raw
+        assert out.filtered["fi"] == kept
+        assert out.reports["fi"] == merge_reports(run.reports["fi"], report)
+
+    def test_roundtrip_chained_after_extractive(self):
+        run, backend = self._pe_run()
+        out = filter_run(run, backend, {"fi": fi_exemplars()}, mode="raw")
+        kept, e_report = filter_extractive(run.raw["fi"])
+        final, r_report = filter_roundtrip(kept, backend, fi_exemplars(), mode="raw")
+        assert out.filtered["fi"] == final
+        assert out.reports["fi"] == merge_reports(
+            merge_reports(run.reports["fi"], e_report), r_report
+        )
+        assert (out.method, out.scenario, out.config_hash) == (
+            run.method, run.scenario, run.config_hash
+        )
+
+    def test_missing_exemplars_fail_before_any_call(self):
+        run, _ = self._pe_run(3)
+        backend = StaticGenerationBackend([])
+        with pytest.raises(SynthesisError, match="no exemplars"):
+            filter_run(run, backend, {})
+        assert backend._calls == 0
 
 
 class TestConfigHash:

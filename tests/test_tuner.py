@@ -400,6 +400,16 @@ class TestChecksumAndSerialization:
         assert (a.P >= -0.5).all() and (a.P < 0.5).all()
         assert a.P.shape == (6, 8)
 
+    def test_init_prompt_draws_from_a_given_generator(self):
+        # tune() passes its own Generator so the minibatch permutations
+        # continue the same stream after the prompt draw
+        rng = np.random.default_rng(9)
+        a = init_prompt(6, 8, rng)
+        assert np.array_equal(a.P, init_prompt(6, 8, seed=9).P)
+        reference = np.random.default_rng(9)
+        reference.uniform(-0.5, 0.5, (6, 8))
+        assert np.array_equal(rng.permutation(10), reference.permutation(10))
+
     def test_prompt_file_round_trip(self, tmp_path):
         prompt = init_prompt(5, 8, seed=2)
         path = tmp_path / "p.bin"
