@@ -536,15 +536,18 @@ def cmd_filter(args, config: RunConfig) -> int:
         if roundtrip
         else {}
     )
-    outdir = _outdir(args, config)
     with make_generator(config, seed) if roundtrip else contextlib.nullcontext() as backend:
-        run = filter_run(
-            run,
-            backend,
-            exemplars,
-            mode=config.filters.get("roundtrip_mode", "normalized"),
-            parallelism=config.backend.parallelism,
-        )
+        try:
+            run = filter_run(
+                run,
+                backend,
+                exemplars,
+                mode=config.filters.get("roundtrip_mode", "normalized"),
+                parallelism=config.backend.parallelism,
+            )
+        except SynthesisError as e:
+            raise SynthesisError(f"{Path(args.run) / 'report.json'}: {e}") from e
+    outdir = _outdir(args, config)
     run = dataclasses.replace(run, config_hash=config.config_hash)
     outputs = save_run(run, outdir, config.to_dict())
     write_manifest(

@@ -17,7 +17,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 PROVENANCES = ("gold", "mt", "pe", "pt")
 SCENARIOS = ("english_only", "few_shot")
 
-# Exact field set (and order) of one JSONL record.
+# Exact field set (and order) of one JSONL record; OPTIONAL_FIELD follows
+# them only when the example has alternative gold answers.
 JSONL_FIELDS = (
     "id",
     "context",
@@ -28,6 +29,7 @@ JSONL_FIELDS = (
     "provenance",
     "source_dataset",
 )
+OPTIONAL_FIELD = "extra_answers"
 
 
 class CorpusError(ValueError):
@@ -62,8 +64,9 @@ class QAExample:
     must equal answer exactly.
 
     extra_answers holds alternative gold answers used only for max-over-golds
-    evaluation; it is excluded from equality so a serialize/parse round trip
-    (which keeps just the first answer) compares equal.
+    evaluation. It is written to JSONL only when non-empty, and it is
+    excluded from equality: two records of one example compare equal
+    whatever alternatives they carry.
     """
 
     id: str
@@ -103,13 +106,24 @@ class QAExample:
                     f"example {self.id!r}: context[{self.answer_start}:{end}] "
                     f"does not equal the answer"
                 )
+        extras = self.extra_answers
+        if not isinstance(extras, tuple) or not all(
+            isinstance(a, str) and a for a in extras
+        ):
+            raise CorpusError(
+                f"example {self.id!r}: extra_answers must be a list of non-empty "
+                f"strings, got {extras!r}"
+            )
 
     def gold_answers(self) -> Tuple[str, ...]:
         """The training answer followed by any alternative gold answers."""
         return (self.answer,) + self.extra_answers
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in JSONL_FIELDS}
+        record = {name: getattr(self, name) for name in JSONL_FIELDS}
+        if self.extra_answers:
+            record[OPTIONAL_FIELD] = list(self.extra_answers)
+        return record
 
 
 @dataclass(frozen=True)
@@ -398,7 +412,11 @@ def write_json(path: Union[str, Path], payload) -> None:
 
 
 def write_jsonl(dataset: Dataset, path: Union[str, Path]) -> None:
-    """Write one JSON object per example, fixed field set, UTF-8, no ASCII escaping."""
+    """Write one JSON object per example, UTF-8, no ASCII escaping.
+
+    Each record has the JSONL_FIELDS, plus extra_answers when the example
+    has alternative gold answers.
+    """
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for ex in dataset.examples:
@@ -413,18 +431,21 @@ def read_jsonl(
 ) -> Dataset:
     """Read a JSONL dataset written by write_jsonl.
 
-    Every record must carry exactly the canonical fields; extras or missing
-    fields raise with the 1-based line number.
+    Every record must carry exactly the canonical fields, and may carry
+    extra_answers; unknown or missing fields raise with the 1-based line
+    number.
     """
     path = Path(path)
     examples: List[QAExample] = []
     for lineno, obj in _json_lines(path):
-        if not isinstance(obj, dict) or set(obj) != set(JSONL_FIELDS):
+        if not isinstance(obj, dict) or set(obj) - {OPTIONAL_FIELD} != set(JSONL_FIELDS):
             got = sorted(obj) if isinstance(obj, dict) else repr(obj)
             raise CorpusError(
                 f"{path}:{lineno}: expected an object with fields "
-                f"{sorted(JSONL_FIELDS)}, got {got}"
+                f"{sorted(JSONL_FIELDS)} and optionally {OPTIONAL_FIELD!r}, got {got}"
             )
+        extras = obj.get(OPTIONAL_FIELD, [])
+        obj[OPTIONAL_FIELD] = tuple(extras) if isinstance(extras, list) else extras
         try:
             examples.append(QAExample(**obj))
         except CorpusError as e:

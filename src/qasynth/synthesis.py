@@ -622,13 +622,17 @@ def filter_run(
     mode: str = "normalized",
     parallelism: int = 1,
 ) -> SynthesisRun:
-    """Filter each language's raw examples; raw itself is kept as it is.
+    """Filter each language's filtered examples again; raw is kept as it is.
 
-    filter_extractive always runs; filter_roundtrip follows when qa_backend
-    is given, with that language's exemplars. Each pass is chained onto the
-    run's report with merge_reports, so a report still accounts for every
-    input passage.
+    A fresh run's filtered examples are its raw ones, and a run that was
+    already filtered is filtered further. filter_extractive always runs;
+    filter_roundtrip follows when qa_backend is given, with that language's
+    exemplars. Each pass is chained onto the run's report with
+    merge_reports, so a report still accounts for every input passage.
+    Translated (mt) runs are never filtered, so they raise SynthesisError.
     """
+    if run.method == "mt":
+        raise SynthesisError("translated (mt) runs are never filtered")
     if qa_backend is not None:
         for lang in run.languages:
             if lang not in (exemplars_by_language or {}):
@@ -636,7 +640,7 @@ def filter_run(
     filtered: Dict[str, Dataset] = {}
     reports: Dict[str, FilterReport] = {}
     for lang in run.languages:
-        kept, report = filter_extractive(run.raw[lang])
+        kept, report = filter_extractive(run.filtered[lang])
         reports[lang] = merge_reports(run.reports[lang], report)
         if qa_backend is not None:
             kept, report = filter_roundtrip(

@@ -285,8 +285,8 @@ def _batch_nll(
     T = m + max(body_lens)
 
     # Time-major layout: step t reads and writes the contiguous (B, .) block
-    # [t]. Inputs are gathered per step from the embedding table extended by
-    # the prompt rows and one zero row for padding.
+    # [t]. Inputs come from the embedding table extended by the prompt rows
+    # and one zero row for padding.
     V = model.vocab_size
     table = np.vstack([model.E, prompt.P, np.zeros((1, model.d))])
     ids = np.full((T, B), V + m, dtype=np.intp)
@@ -300,44 +300,65 @@ def _batch_nll(
         loss_mask[b, base : base + len(tgt)] = True
         targets[b, base : base + len(tgt)] = tgt
 
+    # The step loops are bound by per-call dispatch, so every step works in
+    # place on preallocated blocks. The operand order of each sum is fixed,
+    # s_t = tanh((W_x x_t + W_s s_{t-1}) + b_s), and each product goes through
+    # the same BLAS call per (B, .) block as a one-step-at-a-time loop, so the
+    # loss and dP do not depend on the loop layout. The input projection is
+    # one stacked matmul over the T blocks; b_s is tiled to (B, h) because a
+    # same-shape add dispatches faster than a broadcast one.
+    X = table[ids] @ model.W_x.T
     S = np.empty((T, B, model.h))
+    W_sT = model.W_s.T
+    b_s = np.tile(model.b_s, (B, 1))
     prev = np.zeros((B, model.h))
-    for t in range(T):
-        prev = np.tanh(
-            table[ids[t]] @ model.W_x.T + prev @ model.W_s.T + model.b_s, out=S[t]
-        )
+    for x, s in zip(X, S):
+        np.dot(prev, W_sT, out=s)
+        np.add(x, s, out=s)
+        np.add(s, b_s, out=s)
+        np.tanh(s, out=s)
+        prev = s
+    # X is not read again: its buffer becomes dS, or is freed before the loss.
+    if need_grad:
+        dS = X
+        dS.fill(0.0)
+    del X
 
-    # Loss positions in example-major order, through a (B, T, h) view.
+    # Loss positions in example-major order, through a (B, T, h) view. One
+    # (n, V) buffer holds the logits, then the shifted logits, then exp().
     flat_states = S.transpose(1, 0, 2)[loss_mask]
     flat_targets = targets[loss_mask]
     n = flat_targets.shape[0]
-    logits = flat_states @ model.W_o.T + model.b_o
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    nll_sum = float((logsumexp - logits[np.arange(n), flat_targets]).sum())
+    rows = np.arange(n)
+    logits = flat_states @ model.W_o.T
+    logits += model.b_o
+    picked = logits[rows, flat_targets]
+    top = logits.max(axis=1)
+    logits -= top[:, None]
+    probs = np.exp(logits, out=logits)
+    sums = probs.sum(axis=1)
+    nll_sum = float((np.log(sums) + top - picked).sum())
 
     if not need_grad:
         return nll_sum, n, None
 
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= sums[:, None]
     dlogits = probs
-    dlogits[np.arange(n), flat_targets] -= 1.0
+    dlogits[rows, flat_targets] -= 1.0
     dlogits /= n
-
-    dS = np.zeros((T, B, model.h))
     dS.transpose(1, 0, 2)[loss_mask] = dlogits @ model.W_o
 
-    # S is not read again, so it becomes the tanh derivative in place.
+    # S is not read again, so it becomes the tanh derivative in place; each
+    # dS[t] becomes dz_t in place, and the prompt rows' dz_t give dP.
     S *= S
     np.subtract(1.0, S, out=S)
-    dP = np.zeros((m, model.d))
+    W_s = model.W_s
     carry = np.zeros((B, model.h))
-    for t in range(T - 1, -1, -1):
-        dz = (dS[t] + carry) * S[t]
-        if t < m:
-            dP[t] = (dz @ model.W_x).sum(axis=0)
-        carry = dz @ model.W_s
+    for dz, s in zip(dS[::-1], S[::-1]):
+        dz += carry
+        dz *= s
+        np.dot(dz, W_s, out=carry)
+    dP = (dS[:m] @ model.W_x).sum(axis=1)
     return nll_sum, n, dP
 
 

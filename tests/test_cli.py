@@ -23,7 +23,7 @@ from qasynth.cli import (
 from qasynth.corpus import Dataset, write_jsonl
 
 from conftest import make_example
-from test_synthesis import fi_exemplars
+from test_synthesis import fi_exemplars, fi_passages
 
 
 def write_config(tmp_path: Path, doc: dict) -> str:
@@ -680,6 +680,73 @@ class TestRunDirectory:
         assert sorted(read_manifest(tmp_path / "f")["outputs"]) == [
             "config.json", "fi/filtered.jsonl", "fi/raw.jsonl", "report.json",
         ]
+
+
+class TestFilterCommand:
+    def _pe_run(self, tmp_path) -> str:
+        write_passage_file(tmp_path / "passages", "fi",
+                           [p.text for p in fi_passages(12)])
+        save_exemplars(fi_exemplars(), tmp_path / "fi.exemplars.json")
+        config = write_config(tmp_path, {
+            "languages": ["en", "fi"],
+            "backend": {"kind": "mock", "noise_rate": 0.5},
+            "filters": {"roundtrip": "off"},
+        })
+        assert main(["synth", "--config", config, "--method", "pe",
+                     "--passages-dir", str(tmp_path / "passages"),
+                     "--exemplars-dir", str(tmp_path),
+                     "--out", str(tmp_path / "pe")]) == EXIT_OK
+        return config
+
+    def test_filter_output_can_be_filtered_again(self, tmp_path):
+        config = self._pe_run(tmp_path)
+        assert main(["filter", "--config", config, "--run", str(tmp_path / "pe"),
+                     "--out", str(tmp_path / "f1")]) == EXIT_OK
+        assert main(["filter", "--config", config, "--run", str(tmp_path / "f1"),
+                     "--out", str(tmp_path / "f2")]) == EXIT_OK
+        once = json.loads((tmp_path / "f1" / "report.json").read_text(encoding="utf-8"))
+        assert once["counts"]["fi"]["filtered"] > 0
+        for name in ("report.json", "fi/raw.jsonl", "fi/filtered.jsonl"):
+            assert (tmp_path / "f2" / name).read_bytes() == (tmp_path / "f1" / name).read_bytes()
+        report = once["reports"]["fi"]
+        assert report["input_count"] == 12
+        assert report["kept_count"] + sum(report["dropped"].values()) == 12
+        assert once["counts"]["fi"]["filtered"] == report["kept_count"]
+
+    def test_mt_run_is_rejected(self, tmp_path, gold_en_path, capsys):
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        assert main(["synth", "--config", config, "--method", "mt",
+                     "--gold", gold_en_path, "--out", str(tmp_path / "mt")]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["filter", "--config", config, "--run", str(tmp_path / "mt"),
+                     "--out", str(tmp_path / "f")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'mt' / 'report.json'}: ")
+        assert "never filtered" in err
+        assert not (tmp_path / "f").exists()
+
+
+class TestAlternativeAnswers:
+    def test_ingest_then_eval_scores_every_gold(self, tmp_path):
+        context = "The fort has stood since 1812."
+        doc = {"data": [{"paragraphs": [{"context": context, "qas": [{
+            "id": "q1", "question": "How long has the fort stood?",
+            "answers": [
+                {"text": "1812", "answer_start": context.index("1812")},
+                {"text": "since 1812", "answer_start": context.index("since 1812")},
+            ],
+        }]}]}]}
+        (tmp_path / "squad.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ingest", "--input", str(tmp_path / "squad.json"), "--name", "toy",
+                     "--language", "en", "--out", str(tmp_path / "gold")]) == EXIT_OK
+        (tmp_path / "pred.json").write_text(json.dumps({"q1": "since 1812"}),
+                                            encoding="utf-8")
+        assert main(["eval", "--gold", str(tmp_path / "gold" / "en.gold.jsonl"),
+                     "--predictions", str(tmp_path / "pred.json"),
+                     "--out", str(tmp_path / "eval")]) == EXIT_OK
+        doc = json.loads((tmp_path / "eval" / "eval.json").read_text(encoding="utf-8"))
+        assert doc["per_language"]["en"]["em"] == 100.0
 
 
 GOOD_RECORD = {

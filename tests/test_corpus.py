@@ -289,6 +289,11 @@ class TestStatsAndSerialization:
         back = read_jsonl(path, name=ds.name, scenario=ds.scenario)
         assert back.examples == ds.examples
         assert back.name == ds.name
+        # equality ignores the alternatives, so compare them on their own
+        assert [ex.extra_answers for ex in back.examples] == [
+            ex.extra_answers for ex in ds.examples
+        ]
+        assert ("tower",) in [ex.extra_answers for ex in back.examples]
 
     def test_read_rejects_missing_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -309,7 +314,9 @@ class TestStatsAndSerialization:
     @pytest.mark.parametrize(
         "field, value",
         [("answer_start", "0"), ("answer_start", True), ("answer_start", 0.0),
-         ("context", 5), ("question", ["q"]), ("id", 7), ("language", None)],
+         ("context", 5), ("question", ["q"]), ("id", 7), ("language", None),
+         ("extra_answers", "abc"), ("extra_answers", [1]), ("extra_answers", [""]),
+         ("extra_answers", None)],
     )
     def test_read_rejects_wrong_field_type(self, tmp_path, field, value):
         path = tmp_path / "bad.jsonl"
@@ -338,6 +345,15 @@ class TestStatsAndSerialization:
         path = tmp_path / "out.jsonl"
         write_jsonl(ds, path)
         assert read_jsonl(path, name="d").examples[0].answer_start is None
+
+    def test_record_without_alternatives_keeps_its_bytes(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_jsonl(Dataset(name="d", examples=(qa(0),)), path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"id": "x-0", "context": "abc def", "question": "what?", '
+            '"answer": "abc", "answer_start": 0, "language": "fi", '
+            '"provenance": "gold", "source_dataset": "t"}\n'
+        )
 
     def test_strip_alignment(self):
         ex = qa(0)

@@ -655,6 +655,25 @@ class TestFilterRun:
             filter_run(run, backend, {})
         assert backend._calls == 0
 
+    def test_mt_runs_are_never_filtered(self, gold_en, tagging_translator):
+        run = synth_mt(gold_en, tagging_translator, ["fi"])
+        with pytest.raises(SynthesisError, match="never filtered"):
+            filter_run(run)
+
+    def test_filtering_twice_equals_filtering_once(self):
+        run, _ = self._pe_run()
+        once = filter_run(run)
+        twice = filter_run(once)
+        assert len(once.filtered["fi"]) > 0
+        assert twice.raw == run.raw
+        assert twice.filtered == once.filtered
+        assert twice.reports == once.reports
+        report = twice.reports["fi"]
+        assert report.input_count == len(run.raw["fi"]) + sum(
+            run.reports["fi"].dropped.values()
+        )
+        assert report.kept_count + sum(report.dropped.values()) == report.input_count
+
 
 class TestConfigHash:
     def test_stable_under_key_order(self):

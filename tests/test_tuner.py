@@ -21,6 +21,8 @@ from qasynth.tuner import (
     ToyLM,
     TuneConfig,
     TunerError,
+    _batch_nll,
+    _full_loss,
     create_toy_lm,
     decode_bytes,
     encode_context,
@@ -71,6 +73,77 @@ def oracle_loss(model: ToyLM, prompt: SoftPrompt, batch) -> float:
             total += lse - logits[want]
             count += 1
     return total / count
+
+
+def reference_batch_nll(model: ToyLM, prompt: SoftPrompt, batch, need_grad: bool):
+    """The one-step-at-a-time _batch_nll that the in-place loops replaced.
+
+    Kept as the bit-level reference: the library function must return the
+    same floats, not merely close ones, so tuned prompts stay byte-identical.
+    """
+    m = prompt.m
+    B = len(batch)
+    body_lens = [len(inp) + len(tgt) - 1 for inp, tgt in batch]
+    T = m + max(body_lens)
+    V = model.vocab_size
+    table = np.vstack([model.E, prompt.P, np.zeros((1, model.d))])
+    ids = np.full((T, B), V + m, dtype=np.intp)
+    ids[:m] = V + np.arange(m)[:, None]
+    loss_mask = np.zeros((B, T), dtype=bool)
+    targets = np.zeros((B, T), dtype=np.int64)
+    for b, (inp, tgt) in enumerate(batch):
+        ids[m : m + len(inp), b] = inp
+        ids[m + len(inp) : m + len(inp) + len(tgt) - 1, b] = tgt[:-1]
+        base = m + len(inp) - 1
+        loss_mask[b, base : base + len(tgt)] = True
+        targets[b, base : base + len(tgt)] = tgt
+
+    S = np.empty((T, B, model.h))
+    prev = np.zeros((B, model.h))
+    for t in range(T):
+        prev = np.tanh(
+            table[ids[t]] @ model.W_x.T + prev @ model.W_s.T + model.b_s, out=S[t]
+        )
+
+    flat_states = S.transpose(1, 0, 2)[loss_mask]
+    flat_targets = targets[loss_mask]
+    n = flat_targets.shape[0]
+    logits = flat_states @ model.W_o.T + model.b_o
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    nll_sum = float((logsumexp - logits[np.arange(n), flat_targets]).sum())
+    if not need_grad:
+        return nll_sum, n, None
+
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    dlogits = probs
+    dlogits[np.arange(n), flat_targets] -= 1.0
+    dlogits /= n
+    dS = np.zeros((T, B, model.h))
+    dS.transpose(1, 0, 2)[loss_mask] = dlogits @ model.W_o
+    S *= S
+    np.subtract(1.0, S, out=S)
+    dP = np.zeros((m, model.d))
+    carry = np.zeros((B, model.h))
+    for t in range(T - 1, -1, -1):
+        dz = (dS[t] + carry) * S[t]
+        if t < m:
+            dP[t] = (dz @ model.W_x).sum(axis=0)
+        carry = dz @ model.W_s
+    return nll_sum, n, dP
+
+
+def random_batch(rng: np.random.Generator, lengths):
+    """(input, target) pairs of the given lengths with random token ids."""
+    return [
+        (
+            tuple(int(t) for t in rng.integers(0, BOS + 1, n_in)),
+            tuple(int(t) for t in rng.integers(0, VOCAB_SIZE, n_tgt)),
+        )
+        for n_in, n_tgt in lengths
+    ]
+
 
 
 class TestEncoding:
@@ -170,6 +243,68 @@ class TestGradient:
                 - loss(model, SoftPrompt(P=down, m=3), batch)
             ) / (2 * eps)
             assert abs(g[i, j] - fd) / max(abs(fd), 1e-12) < 1e-4
+
+
+class TestBatchNllLayout:
+    """_batch_nll against the one-step-at-a-time reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(8, 16), (4, 8), (16, 32)]),
+        model_seed=st.integers(0, 50),
+        bias=st.booleans(),
+        m=st.integers(1, 11),
+        scale=st.sampled_from([0.3, 1.0, 4.0]),
+        lengths=st.lists(
+            st.tuples(st.integers(1, 80), st.integers(1, 40)), min_size=1, max_size=20
+        ),
+        data_seed=st.integers(0, 2**16),
+        need_grad=st.booleans(),
+    )
+    @example(shape=(8, 16), model_seed=0, bias=False, m=1, scale=1.0,
+             lengths=[(1, 1)], data_seed=0, need_grad=True)
+    @example(shape=(8, 16), model_seed=1, bias=True, m=11, scale=4.0,
+             lengths=[(80, 1), (1, 40), (5, 5)], data_seed=1, need_grad=True)
+    @example(shape=(4, 8), model_seed=2, bias=False, m=3, scale=0.3,
+             lengths=[(60, 30)] * 16 + [(2, 1)] * 4, data_seed=2, need_grad=False)
+    def test_equals_reference(
+        self, shape, model_seed, bias, m, scale, lengths, data_seed, need_grad
+    ):
+        d, h = shape
+        model = create_toy_lm(d=d, h=h, seed=model_seed)
+        rng = np.random.default_rng(data_seed)
+        if bias:
+            # create_toy_lm starts b_s at 0; the add must keep its place.
+            model = ToyLM(
+                d=d, h=h, E=model.E.copy(), W_x=model.W_x.copy(),
+                W_s=model.W_s.copy(), W_o=model.W_o.copy(),
+                b_s=rng.normal(0.0, 0.3, h), b_o=model.b_o.copy(), seed=model_seed,
+            )
+        prompt = SoftPrompt(P=rng.normal(0.0, scale, (m, d)), m=m)
+        batch = random_batch(rng, lengths)
+        nll, n, dP = _batch_nll(model, prompt, batch, need_grad)
+        want_nll, want_n, want_dP = reference_batch_nll(model, prompt, batch, need_grad)
+        assert (nll, n) == (want_nll, want_n)
+        if need_grad:
+            assert np.array_equal(dP, want_dP)
+        else:
+            assert dP is None and want_dP is None
+
+    def test_full_loss_over_several_chunks(self):
+        model = create_toy_lm(seed=4)
+        prompt = init_prompt(5, model.d, seed=4)
+        rng = np.random.default_rng(4)
+        encoded = random_batch(
+            rng, [(int(a), int(b)) for a, b in zip(rng.integers(1, 90, 11),
+                                                    rng.integers(1, 30, 11))]
+        )
+        total = 0.0
+        count = 0
+        for i in range(0, len(encoded), 4):
+            nll, n, _ = reference_batch_nll(model, prompt, encoded[i : i + 4], False)
+            total += nll
+            count += n
+        assert _full_loss(model, prompt, encoded, chunk=4) == total / count
 
 
 class TestOptimizer:
