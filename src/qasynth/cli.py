@@ -18,11 +18,12 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .backends import (
@@ -42,6 +43,7 @@ from .corpus import (
     parse_squad_json,
     read_jsonl,
     sample_unlabeled,
+    squad_language_counts,
     subsample_fewshot,
     write_json,
     write_passages,
@@ -92,22 +94,31 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _check_int(obj, section: str, name: str, minimum: int) -> None:
-    value = getattr(obj, name)
+def _check_int(key: str, value, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(
-            f"{section}.{name} must be an integer >= {minimum}, got {value!r}"
-        )
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_number(obj, section: str, name: str) -> None:
-    value = getattr(obj, name)
+def _check_number(key: str, value) -> None:
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not math.isfinite(value)
     ):
-        raise ConfigError(f"{section}.{name} must be a number, got {value!r}")
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _check_object(key: str, value, known: Optional[Iterable[str]] = None) -> None:
+    """A JSON object; with known given, one that has no other keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(known) if known is not None else set()
+    if unknown:
+        raise ConfigError(f"{key} has unknown keys {sorted(unknown)}")
+
+
+def _field_names(cls) -> List[str]:
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 @dataclass(frozen=True)
@@ -121,11 +132,13 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("http", "mock"):
             raise ConfigError(f"backend.kind must be 'http' or 'mock', got {self.kind!r}")
-        _check_int(self, "backend", "parallelism", 1)
-        _check_number(self, "backend", "timeout")
+        if self.url is not None and not isinstance(self.url, str):
+            raise ConfigError(f"backend.url must be a string, got {self.url!r}")
+        _check_int("backend.parallelism", self.parallelism, 1)
+        _check_number("backend.timeout", self.timeout)
         if self.timeout <= 0:
             raise ConfigError("backend.timeout must be > 0")
-        _check_number(self, "backend", "noise_rate")
+        _check_number("backend.noise_rate", self.noise_rate)
 
 
 @dataclass(frozen=True)
@@ -145,9 +158,9 @@ class TunerSettings:
 
     def __post_init__(self):
         for name in ("m", "d", "h", "warmup_steps", "batch_size", "max_steps", "eval_every"):
-            _check_int(self, "tuner", name, 1)
-        _check_int(self, "tuner", "model_seed", 0)
-        _check_number(self, "tuner", "learning_rate")
+            _check_int(f"tuner.{name}", getattr(self, name), 1)
+        _check_int("tuner.model_seed", self.model_seed, 0)
+        _check_number("tuner.learning_rate", self.learning_rate)
         if self.learning_rate <= 0:
             raise ConfigError("tuner.learning_rate must be > 0")
         if self.early_stop_metric not in ("bleu", "dev_loss"):
@@ -171,16 +184,30 @@ class RunConfig:
     )
 
     def __post_init__(self):
+        if not isinstance(self.languages, (list, tuple)) or not all(
+            isinstance(lang, str) and lang for lang in self.languages
+        ):
+            raise ConfigError(
+                f"languages must be a list of language codes, got {self.languages!r}"
+            )
+        object.__setattr__(self, "languages", tuple(self.languages))
         if self.scenario not in ("english_only", "few_shot"):
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.scenario == "few_shot" and self.n_shot < 1:
-            raise ConfigError("few_shot scenario requires n_shot >= 1")
+            raise ConfigError(
+                f"scenario must be 'english_only' or 'few_shot', got {self.scenario!r}"
+            )
+        _check_int("n_shot", self.n_shot, 1 if self.scenario == "few_shot" else 0)
+        _check_object("paths", self.paths)
+        for name, value in self.paths.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"paths.{name} must be a string, got {value!r}")
+        _check_object("seeds", self.seeds, DEFAULT_SEEDS)
+        for stage, value in self.seeds.items():
+            _check_int(f"seeds.{stage}", value, 0)
+        _check_object("filters", self.filters, ("roundtrip", "roundtrip_mode"))
         if self.filters.get("roundtrip", "on") not in ("on", "off"):
             raise ConfigError("filters.roundtrip must be 'on' or 'off'")
         if self.filters.get("roundtrip_mode", "normalized") not in ("normalized", "raw"):
             raise ConfigError("filters.roundtrip_mode must be 'normalized' or 'raw'")
-        import os
-
         if self.backend.kind == "http" and not (
             self.backend.url or os.environ.get("QAM_BACKEND_URL")
         ):
@@ -190,7 +217,7 @@ class RunConfig:
             )
 
     def seed(self, stage: str) -> int:
-        return int(self.seeds.get(stage, DEFAULT_SEEDS.get(stage, 0)))
+        return self.seeds.get(stage, DEFAULT_SEEDS[stage])
 
     def to_dict(self) -> dict:
         return {
@@ -218,33 +245,21 @@ def load_config(path: Optional[str]) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: malformed JSON: {e.msg}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    known = {
-        "languages", "scenario", "n_shot", "backend", "paths",
-        "seeds", "tuner", "filters",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs: dict = {}
-    if "languages" in doc:
-        kwargs["languages"] = tuple(doc["languages"])
-    for key in ("scenario", "n_shot", "paths", "filters"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "seeds" in doc:
-        seeds = dict(DEFAULT_SEEDS)
-        seeds.update({k: int(v) for k, v in doc["seeds"].items()})
-        kwargs["seeds"] = seeds
     try:
+        _check_object("config", doc, _field_names(RunConfig))
+        kwargs = dict(doc)
+        if "seeds" in doc:
+            _check_object("seeds", doc["seeds"], DEFAULT_SEEDS)
+            kwargs["seeds"] = {**DEFAULT_SEEDS, **doc["seeds"]}
         if "backend" in doc:
+            _check_object("backend", doc["backend"], _field_names(BackendConfig))
             kwargs["backend"] = BackendConfig(**doc["backend"])
         if "tuner" in doc:
+            _check_object("tuner", doc["tuner"], _field_names(TunerSettings))
             kwargs["tuner"] = TunerSettings(**doc["tuner"])
         return RunConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{path}: {e}")
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def make_translator(config: RunConfig) -> TranslationBackend:
@@ -318,7 +333,10 @@ def load_exemplars(path: Path) -> ExemplarSet:
 
 def cmd_ingest(args, config: RunConfig) -> int:
     raw = Path(args.input).read_text(encoding="utf-8")
-    dataset, report = parse_squad_json(raw, args.name, args.language)
+    try:
+        dataset, report = parse_squad_json(raw, args.name, args.language)
+    except CorpusError as e:
+        raise CorpusError(f"{args.input}: {e}") from e
     outdir = _outdir(args, config)
     gold_path = outdir / f"{args.language}.gold.jsonl"
     write_jsonl(dataset, gold_path)
@@ -584,7 +602,10 @@ def cmd_assemble(args, config: RunConfig) -> int:
     outputs = [out_path.name, "counts.json"]
     seed = config.seed("sweep")
     if args.sizes:
-        sizes = [int(s) for s in args.sizes.split(",")]
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"--sizes must be integers, got {args.sizes!r}") from e
         for subset in size_sweep(assembled, sizes, seed):
             subset_path = outdir / f"{subset.name}.jsonl"
             write_jsonl(subset, subset_path)
@@ -600,10 +621,14 @@ def cmd_assemble(args, config: RunConfig) -> int:
 
 def cmd_eval(args, config: RunConfig) -> int:
     gold = read_jsonl(Path(args.gold))
-    predictions = json.loads(Path(args.predictions).read_text(encoding="utf-8"))
-    if not isinstance(predictions, dict):
-        raise ConfigError("predictions must be a JSON object of id -> answer")
-    report = evaluate(predictions, gold)
+    path = Path(args.predictions)
+    try:
+        predictions = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(predictions, dict):
+            raise ValueError("predictions must be a JSON object of id -> answer")
+        report = evaluate(predictions, gold)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
     outdir = _outdir(args, config)
     write_json(outdir / "eval.json", report.to_dict())
     table = render_eval_table(report)
@@ -644,26 +669,16 @@ def cmd_taxonomy(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _squad_language_counts(raw: str) -> Dict[str, int]:
-    """Per-language qa counts for a SQuAD-format file whose qa ids begin
-    with a language name ("finnish-273...-1" style)."""
-    doc = json.loads(raw)
-    counts: Dict[str, int] = {}
-    for article in doc.get("data", []):
-        for para in article.get("paragraphs", []):
-            for qa in para.get("qas", []):
-                lang = str(qa.get("id", "")).split("-", 1)[0].lower() or "unknown"
-                counts[lang] = counts.get(lang, 0) + 1
-    return counts
-
-
 def cmd_stats(args, config: RunConfig) -> int:
     path = Path(args.input)
     fmt = args.format
     if fmt == "auto":
         fmt = "squad" if path.suffix == ".json" else "jsonl"
     if fmt == "squad":
-        counts = _squad_language_counts(path.read_text(encoding="utf-8"))
+        try:
+            counts = squad_language_counts(json.loads(path.read_text(encoding="utf-8")))
+        except (json.JSONDecodeError, CorpusError) as e:
+            raise CorpusError(f"{path}: {e}") from e
         payload = {
             "format": "squad",
             "per_language": dict(sorted(counts.items())),

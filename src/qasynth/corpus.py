@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 PROVENANCES = ("gold", "mt", "pe", "pt")
 SCENARIOS = ("english_only", "few_shot")
@@ -192,6 +193,30 @@ class DatasetStats:
         }
 
 
+def _objects(value, key: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise CorpusError(f"{key!r} must be a list of objects")
+    return value
+
+
+def _squad_qas(doc) -> Iterator[Tuple[dict, dict]]:
+    """(paragraph, qa) for every qa of a parsed SQuAD-format document, in order."""
+    if not isinstance(doc, dict) or "data" not in doc:
+        raise CorpusError("top level must be an object with a 'data' list")
+    for article in _objects(doc["data"], "data"):
+        for para in _objects(article.get("paragraphs", []), "paragraphs"):
+            for qa in _objects(para.get("qas", []), "qas"):
+                yield para, qa
+
+
+def squad_language_counts(doc) -> Dict[str, int]:
+    """Per-language qa counts of a parsed SQuAD-format document whose qa ids
+    begin with a language name ("finnish-273...-1" style)."""
+    return Counter(
+        str(qa.get("id", "")).split("-", 1)[0].lower() or "unknown" for _, qa in _squad_qas(doc)
+    )
+
+
 def parse_squad_json(
     raw: Union[str, bytes],
     dataset_name: str,
@@ -220,56 +245,51 @@ def parse_squad_json(
             f"malformed JSON at byte offset {byte_offset}: {e.msg}"
         ) from e
 
-    if not isinstance(doc, dict) or "data" not in doc:
-        raise CorpusError("top-level object must contain a 'data' list")
-
     examples: List[QAExample] = []
     errors: List[str] = []
     total = 0
-    for article in doc["data"]:
-        for para in article.get("paragraphs", []):
-            context = para.get("context", "")
-            for qa in para.get("qas", []):
-                total += 1
-                qa_id = qa.get("id", f"<unnamed #{total}>")
-                answers = qa.get("answers", [])
-                if not answers:
-                    errors.append(f"{qa_id}: no answers; skipped")
-                    continue
-                first = answers[0]
-                a_text = first.get("text", "")
-                a_start = first.get("answer_start")
-                if a_start is None:
-                    errors.append(f"{qa_id}: answer has no answer_start; skipped")
-                    continue
-                span = context[a_start : a_start + len(a_text)]
-                if span != a_text:
-                    errors.append(
-                        f"{qa_id}: answer_start {a_start} does not point at the "
-                        f"answer text; skipped"
-                    )
-                    continue
-                extras = []
-                for alt in answers[1:]:
-                    alt_text = alt.get("text", "")
-                    if alt_text and alt_text != a_text and alt_text not in extras:
-                        extras.append(alt_text)
-                try:
-                    examples.append(
-                        QAExample(
-                            id=qa_id,
-                            context=context,
-                            question=qa.get("question", ""),
-                            answer=a_text,
-                            answer_start=a_start,
-                            language=language,
-                            provenance="gold",
-                            source_dataset=dataset_name,
-                            extra_answers=tuple(extras),
-                        )
-                    )
-                except CorpusError as e:
-                    errors.append(f"{qa_id}: {e}; skipped")
+    for para, qa in _squad_qas(doc):
+        context = para.get("context", "")
+        total += 1
+        qa_id = qa.get("id", f"<unnamed #{total}>")
+        answers = qa.get("answers", [])
+        if not answers:
+            errors.append(f"{qa_id}: no answers; skipped")
+            continue
+        first = answers[0]
+        a_text = first.get("text", "")
+        a_start = first.get("answer_start")
+        if a_start is None:
+            errors.append(f"{qa_id}: answer has no answer_start; skipped")
+            continue
+        span = context[a_start : a_start + len(a_text)]
+        if span != a_text:
+            errors.append(
+                f"{qa_id}: answer_start {a_start} does not point at the "
+                f"answer text; skipped"
+            )
+            continue
+        extras = []
+        for alt in answers[1:]:
+            alt_text = alt.get("text", "")
+            if alt_text and alt_text != a_text and alt_text not in extras:
+                extras.append(alt_text)
+        try:
+            examples.append(
+                QAExample(
+                    id=qa_id,
+                    context=context,
+                    question=qa.get("question", ""),
+                    answer=a_text,
+                    answer_start=a_start,
+                    language=language,
+                    provenance="gold",
+                    source_dataset=dataset_name,
+                    extra_answers=tuple(extras),
+                )
+            )
+        except CorpusError as e:
+            errors.append(f"{qa_id}: {e}; skipped")
 
     dataset = Dataset(name=dataset_name, examples=tuple(examples))
     report = IngestReport(
@@ -455,8 +475,3 @@ def read_jsonl(
         examples=tuple(examples),
         scenario=scenario,
     )
-
-
-def strip_alignment(example: QAExample) -> QAExample:
-    """Return a copy with answer_start dropped (alignment unknown)."""
-    return replace(example, answer_start=None)

@@ -13,7 +13,6 @@ and on raw byte values (the form the prompt tuner uses for early stopping).
 
 from __future__ import annotations
 
-import json
 import math
 import unicodedata
 from collections import Counter
@@ -108,9 +107,6 @@ class EvalReport:
             "macro_f1_excl_en": self.macro_f1_excl_en,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True, indent=2)
-
 
 def evaluate(predictions: Mapping[str, str], gold: Dataset) -> EvalReport:
     """Score predictions (example id -> answer string) against a gold dataset.
@@ -127,6 +123,8 @@ def evaluate(predictions: Mapping[str, str], gold: Dataset) -> EvalReport:
     for ex in gold.examples:
         golds = ex.gold_answers()
         pred = predictions[ex.id]
+        if not isinstance(pred, str):
+            raise ValueError(f"prediction for {ex.id!r} must be a string, got {pred!r}")
         acc = sums.setdefault(ex.language, [0.0, 0.0, 0])
         acc[0] += em(pred, golds, ex.language)
         acc[1] += f1(pred, golds, ex.language)

@@ -11,10 +11,10 @@ mock backends and golden tests can match it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .backends import BackendError, TranslationBackend, TranslationRequest, run_requests
-from .corpus import Dataset, Passage
+from .corpus import Dataset, Passage, QAExample
 
 ANSWER_INSTRUCTION = "I will write potential answers\nfor the following passages."
 QUESTION_INSTRUCTION = "I will write questions and answers\nfor the following passages."
@@ -81,36 +81,44 @@ class RenderedPrompt:
     target_language: str
 
 
-def _translate_all(
+def translate_fields(
     translator: TranslationBackend,
-    rows: Sequence[Tuple[str, str, str]],
+    examples: Sequence[QAExample],
+    names: Sequence[str],
     source: str,
-    target: str,
+    targets: Sequence[str],
     parallelism: int,
-) -> List[str]:
-    """Translate (example id, field name, text) rows in one run_requests call.
+) -> List[List[Dict[str, str]]]:
+    """Translate the named fields of every example from source into each target.
 
-    The first failure in row order is raised, naming its field and example.
+    Returns, for each target, one {field: translation} per example, in order.
+    Every translation goes through one run_requests call bounded by
+    parallelism. The first failure in (target, example, field) order is
+    raised: a BackendError keeps its type, anything else becomes a PromptError.
     """
-    def failure(row: Tuple[str, str, str], e: Exception) -> str:
-        example_id, field_name, _ = row
-        return f"translation of {field_name!r} failed for example {example_id!r}: {e}"
+    rows = [(target, ex, name) for target in targets for ex in examples for name in names]
+
+    def failure(row: Tuple[str, QAExample, str], e: Exception) -> Exception:
+        target, ex, name = row
+        message = f"translation of {name!r} failed for example {ex.id!r} ({target}): {e}"
+        # keep the type: callers route backend faults to a distinct exit code
+        if isinstance(e, BackendError):
+            return BackendError(message, retryable=e.retryable)
+        return PromptError(message)
 
     reqs = []
-    for row in rows:
+    for target, ex, name in rows:
         try:
-            reqs.append(TranslationRequest(text=row[2], source=source, target=target))
+            reqs.append(TranslationRequest(text=getattr(ex, name), source=source, target=target))
         except BackendError as e:
-            raise BackendError(failure(row, e), retryable=e.retryable) from e
-    out: List[str] = []
+            raise failure((target, ex, name), e) from e
+    texts = []
     for row, (response, error) in zip(rows, run_requests(translator, reqs, parallelism)):
-        # keep the type: callers route backend faults to a distinct exit code
-        if isinstance(error, BackendError):
-            raise BackendError(failure(row, error), retryable=error.retryable) from error
         if error is not None:
-            raise PromptError(failure(row, error)) from error
-        out.append(response.text)
-    return out
+            raise failure(row, error) from error
+        texts.append(response.text)
+    it = iter(texts)
+    return [[{name: next(it) for name in names} for _ in examples] for _ in targets]
 
 
 def build_exemplars_en_only(
@@ -130,29 +138,20 @@ def build_exemplars_en_only(
             raise PromptError(
                 f"example {ex.id!r} is {ex.language!r}; expected an English dataset"
             )
-    translated = iter(
-        _translate_all(
-            translator,
-            [
-                (ex.id, name, getattr(ex, name))
-                for ex in d_en_n.examples
-                for name in ("context", "question", "answer")
-            ],
-            "en",
-            target_language,
-            parallelism,
-        )
+    (translated,) = translate_fields(
+        translator, d_en_n.examples, ("context", "question", "answer"), "en",
+        [target_language], parallelism,
     )
     exemplars = tuple(
         Exemplar(
-            context_l=next(translated),
+            context_l=fields["context"],
             question_en=ex.question,
             answer_en=ex.answer,
-            question_l=next(translated),
-            answer_l=next(translated),
+            question_l=fields["question"],
+            answer_l=fields["answer"],
             language=target_language,
         )
-        for ex in d_en_n.examples
+        for ex, fields in zip(d_en_n.examples, translated)
     )
     return ExemplarSet(
         language=target_language,
@@ -180,29 +179,19 @@ def build_exemplars_fewshot(
     (language,) = languages
     if language == "en":
         raise PromptError("few-shot exemplars are for non-English languages")
-    translated = iter(
-        _translate_all(
-            translator,
-            [
-                (ex.id, name, getattr(ex, name))
-                for ex in d_l_n.examples
-                for name in ("question", "answer")
-            ],
-            language,
-            "en",
-            parallelism,
-        )
+    (translated,) = translate_fields(
+        translator, d_l_n.examples, ("question", "answer"), language, ["en"], parallelism
     )
     exemplars = tuple(
         Exemplar(
             context_l=ex.context,
-            question_en=next(translated),
-            answer_en=next(translated),
+            question_en=fields["question"],
+            answer_en=fields["answer"],
             question_l=ex.question,
             answer_l=ex.answer,
             language=language,
         )
-        for ex in d_l_n.examples
+        for ex, fields in zip(d_l_n.examples, translated)
     )
     return ExemplarSet(
         language=language,

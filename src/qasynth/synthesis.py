@@ -16,16 +16,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .backends import (
     BackendError,
     GenerationBackend,
     GenerationRequest,
     TranslationBackend,
-    TranslationRequest,
     run_requests,
 )
 from .corpus import Dataset, Passage, QAExample, read_jsonl, write_json, write_jsonl
@@ -37,6 +36,7 @@ from .promptkit import (
     render_answer_prompt,
     render_question_prompt,
     render_roundtrip_prompt,
+    translate_fields,
 )
 from .tuner import (
     SoftPrompt,
@@ -147,8 +147,8 @@ def synth_mt(
     translated answer generally is not a substring of the translated context;
     answer_start is therefore dropped. No filtering is applied to translated
     data. Target languages exclude English. Every translation of every
-    language goes through one run_requests call; the first failure in
-    (language, example, field) order aborts the run.
+    language goes through one run_requests call (promptkit.translate_fields);
+    the first failure in (language, example, field) order aborts the run.
     """
     for ex in d_en.examples:
         if ex.language != "en":
@@ -156,43 +156,26 @@ def synth_mt(
                 f"example {ex.id!r} is {ex.language!r}; synth_mt needs English input"
             )
     targets = sorted(l for l in languages if l != "en")
-    names = ("context", "question", "answer")
-    reqs = [
-        TranslationRequest(text=getattr(ex, name), source="en", target=lang)
-        for lang in targets
-        for ex in d_en.examples
-        for name in names
-    ]
-    results = iter(run_requests(translator, reqs, parallelism))
-    raw: Dict[str, Dataset] = {}
-    for lang in targets:
-        examples: List[QAExample] = []
-        for ex in d_en.examples:
-            fields = {}
-            for name in names:
-                response, error = next(results)
-                if isinstance(error, BackendError):
-                    raise BackendError(
-                        f"translation of {name!r} failed for example {ex.id!r} "
-                        f"({lang}): {error}",
-                        retryable=error.retryable,
-                    ) from error
-                if error is not None:
-                    raise error
-                fields[name] = response.text
-            examples.append(
+    translated = translate_fields(
+        translator, d_en.examples, ("context", "question", "answer"), "en", targets, parallelism
+    )
+    raw = {
+        lang: Dataset(
+            name=f"mt-{lang}",
+            examples=tuple(
                 QAExample(
                     id=f"mt-{lang}-{ex.id}",
-                    context=fields["context"],
-                    question=fields["question"],
-                    answer=fields["answer"],
                     answer_start=None,
                     language=lang,
                     provenance="mt",
                     source_dataset=d_en.name,
+                    **fields,
                 )
-            )
-        raw[lang] = Dataset(name=f"mt-{lang}", examples=tuple(examples))
+                for ex, fields in zip(d_en.examples, per_example)
+            ),
+        )
+        for lang, per_example in zip(targets, translated)
+    }
     return SynthesisRun(
         method="mt",
         scenario="english_only",
@@ -590,6 +573,8 @@ def size_sweep(
     """
     if list(sizes) != sorted(sizes):
         raise SynthesisError("sizes must be nondecreasing")
+    if sizes and sizes[0] < 0:
+        raise SynthesisError(f"sizes must be >= 0, got {sizes[0]}")
     english = [ex for ex in assembled.examples if ex.language == "en"]
     synthetic = [ex for ex in assembled.examples if ex.language != "en"]
     if sizes and sizes[-1] > len(synthetic):

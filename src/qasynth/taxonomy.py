@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import unicodedata
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -106,9 +105,6 @@ class TaxonomyReport:
             "translation_failures": self.translation_failures,
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True, indent=2)
 
 
 def _build_view(

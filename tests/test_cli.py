@@ -159,6 +159,36 @@ class TestConfigValidation:
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"n_shot": "5"}, "n_shot"),
+            ({"n_shot": True}, "n_shot"),
+            ({"filters": 5}, "filters"),
+            ({"seeds": [1]}, "seeds"),
+            ({"filters": {"roundtripp": "off"}}, "filters"),
+            ({"seeds": {"synthh": 1}}, "seeds"),
+            ({"languages": "fi"}, "languages"),
+        ],
+    )
+    def test_bad_structure_names_path_and_key(self, tmp_path, capsys, doc, key):
+        path = write_config(tmp_path, doc)
+        code = main(["exemplars", "--config", path, "--gold", "x.jsonl",
+                     "--language", "fi", "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {key} ") and err.count("\n") == 1
+
+    def test_valid_config_hash_is_unchanged(self, tmp_path):
+        full = {
+            "languages": ["en", "fi", "ar"], "scenario": "few_shot", "n_shot": 3,
+            "backend": {"kind": "mock", "parallelism": 2, "timeout": 5, "noise_rate": 0.25},
+            "paths": {"output": "out"}, "seeds": {"synth": 7, "sample": 2},
+            "tuner": {"m": 4, "learning_rate": 1}, "filters": {"roundtrip": "off"},
+        }
+        assert load_config(write_config(tmp_path, full)).config_hash == "48d21ef6662d"
+        assert load_config(write_config(tmp_path, {})).config_hash == "6c2865a4add5"
+
     def test_integer_valued_settings_accepted(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -509,6 +539,29 @@ class TestEval:
         assert "JSON object" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "case, detail",
+        [("number", "must be a string"), ("malformed", "Expecting property name"),
+         ("list", "JSON object")],
+    )
+    def test_bad_predictions_name_the_file(self, tmp_path, gold_multi, capsys, case, detail):
+        gold_path = tmp_path / "gold.jsonl"
+        write_jsonl(gold_multi, gold_path)
+        predictions = {ex.id: ex.answer for ex in gold_multi.examples}
+        predictions[gold_multi.examples[0].id] = 5
+        text = {"number": json.dumps(predictions), "malformed": "{nope", "list": "[1, 2]"}
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(text[case], encoding="utf-8")
+        code = main(
+            ["eval", "--gold", str(gold_path), "--predictions", str(pred_path),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred_path}: ") and err.count("\n") == 1
+        assert detail in err
+
+
 class TestTaxonomyCommand:
     def test_writes_report_and_rings(self, tmp_path, gold_multi):
         data_path = tmp_path / "data.jsonl"
@@ -563,6 +616,48 @@ class TestStats:
         payload = json.loads((out / "stats.json").read_text(encoding="utf-8"))
         assert payload["format"] == "jsonl"
         assert payload["total"] == 6
+
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("[1]", "'data' list"),
+            ('{"data": [1]}', "'data' must be a list of objects"),
+            ('{"data": [{"paragraphs": [{"qas": 5}]}]}', "'qas' must be a list of objects"),
+            ("{", "Expecting property name"),
+        ],
+        ids=["top-level-list", "article-number", "qas-number", "malformed-json"],
+    )
+    def test_malformed_squad_names_the_file(self, tmp_path, capsys, text, detail):
+        src = tmp_path / "dev.json"
+        src.write_text(text, encoding="utf-8")
+        code = main(["stats", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ") and err.count("\n") == 1
+        assert detail in err
+
+
+class TestAssemble:
+    @pytest.mark.parametrize(
+        "sizes, detail",
+        [("1,x", "--sizes"), ("-1", "sizes must be >= 0")],
+        ids=["not-an-integer", "negative"],
+    )
+    def test_bad_sizes_exit_validation(self, tmp_path, gold_en, capsys, sizes, detail):
+        write_jsonl(gold_en, tmp_path / "en.gold.jsonl")
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        assert main(["synth", "--config", config, "--method", "mt",
+                     "--gold", str(tmp_path / "en.gold.jsonl"),
+                     "--out", str(tmp_path / "mt")]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["assemble", "--gold", str(tmp_path / "en.gold.jsonl"),
+                     "--runs", str(tmp_path / "mt"), "--sizes", sizes,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert detail in err
 
 
 class TestBackendFailures:

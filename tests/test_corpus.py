@@ -19,7 +19,6 @@ from qasynth.corpus import (
     parse_squad_json,
     read_jsonl,
     sample_unlabeled,
-    strip_alignment,
     subsample_fewshot,
     write_jsonl,
 )
@@ -354,12 +353,6 @@ class TestStatsAndSerialization:
             '"answer": "abc", "answer_start": 0, "language": "fi", '
             '"provenance": "gold", "source_dataset": "t"}\n'
         )
-
-    def test_strip_alignment(self):
-        ex = qa(0)
-        bare = strip_alignment(ex)
-        assert bare.answer_start is None
-        assert bare.answer == ex.answer and bare.id == ex.id
 
 
 simple_text = st.text(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qasynth.corpus import Dataset, QAExample
+from qasynth.corpus import Dataset, QAExample, write_json
 from qasynth.metrics import (
     BleuScore,
     EvalReport,
@@ -209,10 +209,12 @@ def test_evaluate_macro_ignores_sample_sizes(gold_multi):
     )
 
 
-def test_eval_report_json_round_trip(gold_multi):
+def test_eval_report_json_round_trip(gold_multi, tmp_path):
     predictions = {ex.id: ex.answer for ex in gold_multi.examples}
     report = evaluate(predictions, gold_multi)
-    payload = json.loads(report.to_json())
+    write_json(tmp_path / "eval.json", report.to_dict())
+    payload = json.loads((tmp_path / "eval.json").read_text(encoding="utf-8"))
+    assert payload == report.to_dict()
     assert payload["per_language"]["fi"]["n"] == 3
     assert payload["macro_em_excl_en"] == pytest.approx(100.0)
 

@@ -157,7 +157,7 @@ class TestFailureSemantics:
                                         parallelism=parallelism)
             messages.add(str(err.value))
         assert messages == {
-            f"translation of 'context' failed for example 'en-2': "
+            f"translation of 'context' failed for example 'en-2' (fi): "
             f"cannot translate {gold_en.examples[2].context!r}"
         }
 
@@ -166,8 +166,20 @@ class TestFailureSemantics:
             def translate(self, request):
                 raise RuntimeError("boom")
 
-        with pytest.raises(PromptError, match="'context' failed for example 'en-0': boom"):
+        with pytest.raises(PromptError, match=r"'context' failed for example 'en-0' \(fi\): boom"):
             build_exemplars_en_only(gold_en, Broken(), "fi", parallelism=4)
+
+    def test_synth_mt_non_backend_failure_is_a_prompt_error(self, gold_en):
+        class BrokenOnQuestion(CountingTranslator):
+            def translate(self, request):
+                if request.text == gold_en.examples[1].question:
+                    raise RuntimeError("boom")
+                return super().translate(request)
+
+        with pytest.raises(
+            PromptError, match=r"^translation of 'question' failed for example 'en-1' \(ar\): boom$"
+        ):
+            synth_mt(gold_en, BrokenOnQuestion(), ["fi", "ar"], parallelism=4)
 
     def test_filter_roundtrip_one_note_per_failed_item(self):
         examples = Dataset(

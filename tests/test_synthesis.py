@@ -483,6 +483,11 @@ class TestAssembleAndSweep:
         with pytest.raises(SynthesisError):
             size_sweep(ds, [5, 2], seed=0)
 
+    def test_sweep_rejects_negative_sizes(self, gold_en, tagging_translator):
+        ds = self._assembled(gold_en, tagging_translator)
+        with pytest.raises(SynthesisError, match="sizes must be >= 0"):
+            size_sweep(ds, [-1], seed=0)
+
 
 class TestSaveRun:
     def test_layout_and_counts(self, tmp_path, gold_en, tagging_translator):

@@ -12,7 +12,7 @@ from qasynth.backends import (
     TranslationBackend,
     TranslationResponse,
 )
-from qasynth.corpus import Dataset
+from qasynth.corpus import Dataset, write_json
 from qasynth.taxonomy import (
     OTHER,
     TaxonomyError,
@@ -225,10 +225,13 @@ class TestDistribution:
         second = distribution(ds, translator).to_dict()
         assert first == second
 
-    def test_json_matches_dict(self):
+    def test_json_matches_dict(self, tmp_path):
         ds = questions_dataset([("en", "What is this?"), ("en", "Why not?")])
         report = distribution(ds, DictTranslator({}), other_threshold=0.0)
-        assert json.loads(report.to_json()) == report.to_dict()
+        write_json(tmp_path / "taxonomy.json", report.to_dict())
+        assert json.loads((tmp_path / "taxonomy.json").read_text(encoding="utf-8")) == (
+            report.to_dict()
+        )
 
 
 class TestRingCsv:
