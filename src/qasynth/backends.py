@@ -9,12 +9,14 @@ the first stop sequence when one occurs.
 Wire format of the HTTP backend:
     POST {base_url}/v1/generate   {"prompt", "max_tokens", "temperature": 0, "stop": [...]}  -> {"text"}
     POST {base_url}/v1/translate  {"text", "source", "target"}                               -> {"text"}
-The base URL comes from the constructor or the QAM_BACKEND_URL environment
-variable; an optional bearer token from the constructor or QAM_BACKEND_TOKEN.
-Transport failures, 5xx and 429 responses are retried up to 3 attempts with
-jittered exponential backoff; a 429 with a delta-seconds Retry-After waits
-that long instead (capped at the timeout). Other 4xx and malformed payloads
-fail immediately.
+The base URL, http(s)://host[:port][/path], comes from the constructor or the
+QAM_BACKEND_URL environment variable; an optional bearer token from the
+constructor or QAM_BACKEND_TOKEN. Each thread sends over one keep-alive
+connection; a keep-alive connection the server dropped is reopened and the
+request resent once, without using an attempt. Transport failures, 5xx and
+429 responses are retried up to 3 attempts with jittered exponential backoff;
+a 429 with a delta-seconds Retry-After waits that long instead (capped at the
+timeout). Other 4xx and malformed payloads fail immediately.
 
 run_requests is the one way stages fan requests out: it sends each distinct
 request once, over a bounded thread pool, and returns results in input order.
@@ -22,17 +24,24 @@ request once, over a bounded thread pool, and returns results in input order.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
+import json
 import os
 import random
 import re
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import requests
+# Only perfbench's tracer seam (it patches requests.Session) until ROADMAP item 1 moves it.
+import requests  # noqa: F401
 
 DEFAULT_TIMEOUT = 60.0
 MAX_ATTEMPTS = 3
@@ -126,13 +135,67 @@ class TranslationBackend(Backend):
         raise NotImplementedError
 
 
+def split_backend_url(url: str) -> urllib.parse.SplitResult:
+    """Split a base URL of the form http(s)://host[:port][/path].
+
+    Raises ValueError for anything else: no scheme or another scheme, no
+    host, a bad port, user info, a query, a fragment, or a character that is
+    not printable ASCII.
+    """
+    parts = urllib.parse.urlsplit(url)
+    try:
+        parts.port  # raises ValueError for a port that is not a number
+    except ValueError:
+        pass
+    else:
+        if (
+            parts.scheme in ("http", "https")
+            and parts.hostname
+            and "@" not in parts.netloc
+            and not parts.query
+            and not parts.fragment
+            and not re.search(r"[^!-~]", url)
+        ):
+            return parts
+    raise ValueError(f"must have the form http(s)://host[:port][/path], got {url!r}")
+
+
+def _proxy_for(parts: urllib.parse.SplitResult) -> Optional[urllib.parse.SplitResult]:
+    """The proxy the environment (or the system settings urllib reads) sets
+    for this URL; None if there is none or the host bypasses it."""
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc):
+        return None
+    proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        proxy_parts.port
+    except ValueError as e:
+        raise BackendError(f"bad {parts.scheme} proxy {proxy!r}: {e}") from None
+    if not proxy_parts.hostname:
+        raise BackendError(f"bad {parts.scheme} proxy {proxy!r}: no host")
+    return proxy_parts
+
+
+def _proxy_auth(proxy: urllib.parse.SplitResult) -> Dict[str, str]:
+    """Basic proxy authorization from the proxy URL's user info, if any."""
+    if proxy.username is None:
+        return {}
+    credentials = (
+        f"{urllib.parse.unquote(proxy.username)}:{urllib.parse.unquote(proxy.password or '')}"
+    )
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode()).decode()}
+
+
 class HttpBackend(GenerationBackend, TranslationBackend):
     """Client for the documented JSON-over-HTTP backend protocol.
 
     retry_base_delay exists so tests can shrink the backoff; production
     callers keep the default (about 0.5s, then 1s, between the three
-    attempts). Safe to call from several threads at once. close(), or a
-    with block, closes the sessions it opened.
+    attempts). Safe to call from several threads at once: each thread keeps
+    its own keep-alive connection. A connection given to the constructor is
+    used by every thread instead, so its owner keeps the backend to one
+    thread at a time. close(), or a with block, closes the connections the
+    backend opened.
     """
 
     def __init__(
@@ -141,7 +204,7 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         timeout: float = DEFAULT_TIMEOUT,
         token: Optional[str] = None,
         retry_base_delay: float = 0.5,
-        session: Optional[requests.Session] = None,
+        connection: Optional[http.client.HTTPConnection] = None,
     ):
         url = base_url or os.environ.get("QAM_BACKEND_URL")
         if not url:
@@ -149,13 +212,38 @@ class HttpBackend(GenerationBackend, TranslationBackend):
                 "no backend URL: pass base_url or set QAM_BACKEND_URL"
             )
         self.base_url = url.rstrip("/")
+        try:
+            parts = split_backend_url(self.base_url)
+        except ValueError as e:
+            raise BackendError(f"backend URL {e}") from None
         self.timeout = timeout
         self.token = token or os.environ.get("QAM_BACKEND_TOKEN")
         self.retry_base_delay = retry_base_delay
-        self._shared_session = session
+        self._headers = {"Content-Type": "application/json"}
+        if self.token:
+            self._headers["Authorization"] = f"Bearer {self.token}"
+        self._https = parts.scheme == "https"
+        # Without a proxy, connect to the host and send the path. Through a
+        # proxy, an http request names the absolute URI, and https tunnels
+        # to the host with CONNECT. The proxy settings are read once, here.
+        self._address = (parts.hostname, parts.port)
+        self._target = parts.path
+        self._tunnel = None
+        proxy = _proxy_for(parts)
+        if proxy is not None:
+            self._address = (proxy.hostname, proxy.port or 80)
+            if self._https:
+                self._tunnel = (parts.hostname, parts.port, _proxy_auth(proxy))
+            else:
+                self._target = self.base_url
+                self._headers.update(_proxy_auth(proxy))
+        # One TLS context for every connection: building one reads the
+        # system trust store.
+        self._tls = ssl.create_default_context() if self._https else None
+        self._shared_connection = connection
         self._local = threading.local()
-        self._sessions: List[requests.Session] = []
-        self._sessions_lock = threading.Lock()
+        self._connections: List[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
         # Private, so backoff jitter never draws from (or moves) the global RNG.
         self._jitter = random.Random()
 
@@ -164,43 +252,78 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         return f"http:{self.base_url}"
 
     @property
-    def _session(self) -> requests.Session:
-        """The caller's session if one was given, else one per thread:
-        requests does not promise that a Session is thread-safe."""
-        if self._shared_session is not None:
-            return self._shared_session
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-            with self._sessions_lock:
-                self._sessions.append(session)
-        return session
+    def _connection(self) -> http.client.HTTPConnection:
+        """The caller's connection if one was given, else one per thread:
+        an HTTPConnection carries one request at a time."""
+        if self._shared_connection is not None:
+            return self._shared_connection
+        conn = getattr(self._local, "connection", None)
+        if conn is None:
+            if self._https:
+                conn = http.client.HTTPSConnection(
+                    *self._address, timeout=self.timeout, context=self._tls
+                )
+                if self._tunnel is not None:
+                    conn.set_tunnel(*self._tunnel)
+            else:
+                conn = http.client.HTTPConnection(*self._address, timeout=self.timeout)
+            self._local.connection = conn
+            with self._connections_lock:
+                self._connections.append(conn)
+        return conn
 
     def close(self) -> None:
-        """Close every session this backend opened. A session given to the
-        constructor belongs to the caller and stays open."""
-        with self._sessions_lock:
-            sessions, self._sessions = self._sessions, []
-            # A later call opens (and tracks) a fresh session.
+        """Close every connection this backend opened. A connection given to
+        the constructor belongs to the caller and stays open."""
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+            # A later call opens (and tracks) a fresh connection.
             self._local = threading.local()
-        for session in sessions:
-            session.close()
+        for conn in connections:
+            conn.close()
 
     def _backoff(self, attempt: int) -> float:
         """Exponential delay before retry number attempt (1-based), +-50% jitter."""
         return self.retry_base_delay * (2 ** (attempt - 1)) * self._jitter.uniform(0.5, 1.5)
 
-    def _retry_after(self, resp: requests.Response) -> Optional[float]:
+    def _retry_after(self, value: Optional[str]) -> Optional[float]:
         """A delta-seconds Retry-After, capped at the timeout; None if absent."""
-        value = resp.headers.get("Retry-After", "").strip()
+        value = (value or "").strip()
         if not value.isdigit():
             return None
         return min(float(value), self.timeout)
 
+    def _send(self, path: str, body: bytes) -> Tuple[int, Optional[str], bytes]:
+        """One POST; returns (status, Retry-After header, body).
+
+        A server may close an idle keep-alive connection just as a request
+        goes out. That shows as a reset, a broken pipe or RemoteDisconnected
+        (a ConnectionResetError); the request is then sent again at once on a
+        fresh connection, and only a second failure counts. Resending is safe
+        because decoding is greedy: a repeated request gets the same reply.
+        """
+        conn = self._connection
+        target = self._target + path
+
+        def exchange() -> Tuple[int, Optional[str], bytes]:
+            conn.request("POST", target, body, self._headers)
+            resp = conn.getresponse()
+            return resp.status, resp.getheader("Retry-After"), resp.read()
+
+        try:
+            try:
+                return exchange()
+            except (BrokenPipeError, ConnectionResetError):
+                conn.close()
+                return exchange()
+        except BaseException:
+            # A failed exchange leaves the connection mid-request; the next
+            # one must start on a fresh socket.
+            conn.close()
+            raise
+
     def _post(self, path: str, payload: dict) -> dict:
-        headers = {}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
         last_error: Optional[BackendError] = None
         delay: Optional[float] = None
         for attempt in range(MAX_ATTEMPTS):
@@ -208,33 +331,28 @@ class HttpBackend(GenerationBackend, TranslationBackend):
                 time.sleep(self._backoff(attempt) if delay is None else delay)
             delay = None
             try:
-                resp = self._session.post(
-                    f"{self.base_url}{path}",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as e:
+                status, retry_after, raw = self._send(path, data)
+            except (OSError, http.client.HTTPException) as e:
                 last_error = BackendError(f"transport failure: {e}", retryable=True)
                 continue
-            if 500 <= resp.status_code < 600:
+            if 500 <= status < 600:
                 last_error = BackendError(
-                    f"server error {resp.status_code} from {path}", retryable=True
+                    f"server error {status} from {path}", retryable=True
                 )
                 continue
-            if resp.status_code == 429:
+            if status == 429:
                 last_error = BackendError(
                     f"rate limited (status 429) by {path}", retryable=True
                 )
-                delay = self._retry_after(resp)
+                delay = self._retry_after(retry_after)
                 continue
-            if resp.status_code != 200:
+            if status != 200:
                 raise BackendError(
-                    f"unexpected status {resp.status_code} from {path}",
+                    f"unexpected status {status} from {path}",
                     retryable=False,
                 )
             try:
-                body = resp.json()
+                body = json.loads(raw)
             except ValueError as e:
                 raise BackendError(
                     f"malformed JSON from {path}: {e}", retryable=False

@@ -33,6 +33,7 @@ from .backends import (
     MockQABackend,
     TaggingTranslator,
     TranslationBackend,
+    split_backend_url,
 )
 from .corpus import (
     CorpusError,
@@ -132,8 +133,13 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("http", "mock"):
             raise ConfigError(f"backend.kind must be 'http' or 'mock', got {self.kind!r}")
-        if self.url is not None and not isinstance(self.url, str):
-            raise ConfigError(f"backend.url must be a string, got {self.url!r}")
+        if self.url is not None:
+            if not isinstance(self.url, str):
+                raise ConfigError(f"backend.url must be a string, got {self.url!r}")
+            try:
+                split_backend_url(self.url)
+            except ValueError as e:
+                raise ConfigError(f"backend.url {e}") from None
         _check_int("backend.parallelism", self.parallelism, 1)
         _check_number("backend.timeout", self.timeout)
         if self.timeout <= 0:
@@ -501,6 +507,11 @@ def cmd_synth(args, config: RunConfig) -> int:
                 if not prompt_path.exists():
                     raise ConfigError(f"no tuned prompt for {lang!r}: {prompt_path}")
                 prompts[lang], _ = load_prompt(prompt_path)
+                if prompts[lang].d != t.d:
+                    raise ConfigError(
+                        f"{prompt_path}: prompt width d={prompts[lang].d} "
+                        f"differs from tuner.d={t.d}"
+                    )
             run = synth_pt(
                 passages,
                 model=model,

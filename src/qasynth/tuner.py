@@ -700,16 +700,32 @@ def save_prompt(
 
 
 def load_prompt(path: Union[str, Path]) -> Tuple[SoftPrompt, Dict]:
-    """Read a prompt written by save_prompt; returns (prompt, header)."""
+    """Read a prompt written by save_prompt; returns (prompt, header).
+
+    A malformed file raises TunerError naming the path.
+    """
     blob = Path(path).read_bytes()
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl].decode("utf-8"))
-    m, d = int(header["m"]), int(header["d"])
-    payload = blob[nl + 1 :]
+    header_line, nl, payload = blob.partition(b"\n")
+    if not nl:
+        raise TunerError(f"{path}: no header line")
+    try:
+        header = json.loads(header_line)
+    except ValueError as e:
+        raise TunerError(f"{path}: header is not JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise TunerError(f"{path}: header must be a JSON object, got {header!r}")
+    for key in ("m", "d"):
+        value = header.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise TunerError(f"{path}: header {key} must be an integer >= 1, got {value!r}")
+    m, d = header["m"], header["d"]
     expected = m * d * 8
     if len(payload) != expected:
         raise TunerError(
-            f"prompt payload is {len(payload)} bytes; expected {expected}"
+            f"{path}: prompt payload is {len(payload)} bytes; expected {expected}"
         )
     P = np.frombuffer(payload, dtype="<f8").reshape(m, d).copy()
-    return SoftPrompt(P=P, m=m), header
+    try:
+        return SoftPrompt(P=P, m=m), header
+    except TunerError as e:
+        raise TunerError(f"{path}: {e}") from None

@@ -192,23 +192,21 @@ def squad_raw() -> bytes:
 
 
 @pytest.fixture
-def recorded_sessions(monkeypatch) -> list:
-    """Every requests.Session created during the test, in creation order;
-    each one records whether close() was called."""
-    import requests
+def recorded_connections(monkeypatch) -> list:
+    """Every http.client.HTTPConnection created during the test, in creation
+    order; each one's closed property is true while it holds no socket."""
+    import http.client
 
     made = []
 
-    class RecordingSession(requests.Session):
-        closed = False
-
-        def __init__(self):
-            super().__init__()
+    class RecordingConnection(http.client.HTTPConnection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             made.append(self)
 
-        def close(self):
-            self.closed = True
-            super().close()
+        @property
+        def closed(self) -> bool:
+            return self.sock is None
 
-    monkeypatch.setattr(requests, "Session", RecordingSession)
+    monkeypatch.setattr(http.client, "HTTPConnection", RecordingConnection)
     return made

@@ -21,6 +21,7 @@ from qasynth.cli import (
     save_exemplars,
 )
 from qasynth.corpus import Dataset, write_jsonl
+from qasynth.tuner import init_prompt, save_prompt
 
 from conftest import make_example
 from test_synthesis import fi_exemplars, fi_passages
@@ -169,6 +170,9 @@ class TestConfigValidation:
             ({"filters": {"roundtripp": "off"}}, "filters"),
             ({"seeds": {"synthh": 1}}, "seeds"),
             ({"languages": "fi"}, "languages"),
+            ({"backend": {"url": "localhost:8080"}}, "backend.url"),
+            ({"backend": {"kind": "http", "url": "ftp://x/y"}}, "backend.url"),
+            ({"backend": {"kind": "http", "url": "http://"}}, "backend.url"),
         ],
     )
     def test_bad_structure_names_path_and_key(self, tmp_path, capsys, doc, key):
@@ -688,10 +692,22 @@ class TestBackendFailures:
         assert code == EXIT_BACKEND
         assert "backend error" in capsys.readouterr().err
 
+    def test_malformed_env_url_fails_without_a_call(
+        self, tmp_path, gold_en_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("QAM_BACKEND_URL", "localhost:8080")
+        config = write_config(tmp_path, {"backend": {"kind": "http"}})
+        code = main(["exemplars", "--config", config, "--gold", gold_en_path,
+                     "--language", "fi", "--out", str(tmp_path / "o")])
+        assert code == EXIT_BACKEND
+        err = capsys.readouterr().err
+        assert err.startswith("backend error: backend URL must have the form")
+        assert err.count("\n") == 1
+
 
 class TestHttpSessionsClosed:
     def test_http_command_leaves_no_unclosed_socket(
-        self, tmp_path, gold_en_path, recorded_sessions
+        self, tmp_path, gold_en_path, recorded_connections
     ):
         import gc
         import threading
@@ -701,8 +717,8 @@ class TestHttpSessionsClosed:
         from test_backends import RecordingHandler
 
         class KeepAliveHandler(RecordingHandler):
-            # HTTP/1.1 keeps each client connection open in its session's
-            # pool, so a session that is never closed leaves a socket open.
+            # HTTP/1.1 keeps each client connection open, so a connection
+            # that is never closed leaves a socket open.
             protocol_version = "HTTP/1.1"
             script = []
             requests_seen = []
@@ -730,7 +746,7 @@ class TestHttpSessionsClosed:
             gc.collect()
         assert code == EXIT_OK
         assert KeepAliveHandler.requests_seen
-        assert recorded_sessions and all(s.closed for s in recorded_sessions)
+        assert recorded_connections and all(c.closed for c in recorded_connections)
         unclosed = [str(w.message) for w in caught
                     if issubclass(w.category, ResourceWarning)
                     and "unclosed" in str(w.message)]
@@ -888,6 +904,21 @@ def _exemplars_without_scenario(tmp_path):
              "--exemplars-dir", str(tmp_path), "--out", str(tmp_path / "o")], str(path))
 
 
+def _prompt_file(write):
+    """synth --method pt on one fi passage, with fi.prompt.bin made by write."""
+    def setup(tmp_path):
+        write_passage_file(tmp_path / "passages", "fi", ["Silta valmistui 1956."])
+        path = tmp_path / "prompts" / "fi.prompt.bin"
+        path.parent.mkdir()
+        write(path)
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        return (["synth", "--config", config, "--method", "pt",
+                 "--passages-dir", str(tmp_path / "passages"),
+                 "--prompts-dir", str(path.parent), "--out", str(tmp_path / "o")],
+                f"{path}: ")
+    return setup
+
+
 def _jsonl_with_line(line: str):
     def setup(tmp_path):
         path = tmp_path / "gold.jsonl"
@@ -909,10 +940,16 @@ class TestMalformedInputs:
             _jsonl_with_line(json.dumps({**GOOD_RECORD, "id": "x-2", "answer_start": "2"})),
             _jsonl_with_line(json.dumps({**GOOD_RECORD, "id": "x-2", "answer_start": True})),
             _jsonl_with_line(json.dumps({**GOOD_RECORD, "id": "x-2", "question": 7})),
+            _prompt_file(lambda p: p.write_bytes(b"{}\n")),
+            _prompt_file(lambda p: p.write_bytes(b"not json\n" + bytes(128))),
+            _prompt_file(lambda p: p.write_bytes(b'{"m": 2, "d": 8}')),
+            _prompt_file(lambda p: save_prompt(init_prompt(2, 3, seed=0), p, 0, "x")),
         ],
         ids=["report-no-method-filter", "report-no-method-assemble",
              "exemplars-no-scenario", "jsonl-number", "jsonl-list",
-             "answer-start-string", "answer-start-bool", "question-number"],
+             "answer-start-string", "answer-start-bool", "question-number",
+             "prompt-empty-header", "prompt-header-not-json", "prompt-no-newline",
+             "prompt-d-differs-from-tuner-d"],
     )
     def test_one_error_line_and_exit_1(self, tmp_path, capsys, setup):
         argv, where = setup(tmp_path)
