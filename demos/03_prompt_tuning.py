@@ -52,9 +52,8 @@ def main():
         max_steps=500,
         eval_every=100,
         early_stop_metric="dev_loss",
-        seed=7,
     )
-    trace = tune(model, train, dev, config)
+    trace = tune(model, train, dev, config, seed=7)
 
     print(f"\ninitial train loss {trace.initial_train_loss:.4f}")
     for record in trace.records:

@@ -192,10 +192,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
     retry_base_delay exists so tests can shrink the backoff; production
     callers keep the default (about 0.5s, then 1s, between the three
     attempts). Safe to call from several threads at once: each thread keeps
-    its own keep-alive connection. A connection given to the constructor is
-    used by every thread instead, so its owner keeps the backend to one
-    thread at a time. close(), or a with block, closes the connections the
-    backend opened.
+    its own keep-alive connection. close(), or a with block, closes the
+    connections the backend opened.
     """
 
     def __init__(
@@ -204,7 +202,6 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         timeout: float = DEFAULT_TIMEOUT,
         token: Optional[str] = None,
         retry_base_delay: float = 0.5,
-        connection: Optional[http.client.HTTPConnection] = None,
     ):
         url = base_url or os.environ.get("QAM_BACKEND_URL")
         if not url:
@@ -240,7 +237,6 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         # One TLS context for every connection: building one reads the
         # system trust store.
         self._tls = ssl.create_default_context() if self._https else None
-        self._shared_connection = connection
         self._local = threading.local()
         self._connections: List[http.client.HTTPConnection] = []
         self._connections_lock = threading.Lock()
@@ -253,10 +249,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
 
     @property
     def _connection(self) -> http.client.HTTPConnection:
-        """The caller's connection if one was given, else one per thread:
-        an HTTPConnection carries one request at a time."""
-        if self._shared_connection is not None:
-            return self._shared_connection
+        """This thread's connection: an HTTPConnection carries one request
+        at a time."""
         conn = getattr(self._local, "connection", None)
         if conn is None:
             if self._https:
@@ -273,8 +267,7 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         return conn
 
     def close(self) -> None:
-        """Close every connection this backend opened. A connection given to
-        the constructor belongs to the caller and stays open."""
+        """Close every connection this backend opened."""
         with self._connections_lock:
             connections, self._connections = self._connections, []
             # A later call opens (and tracks) a fresh connection.

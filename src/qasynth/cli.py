@@ -145,35 +145,8 @@ class BackendConfig:
         if self.timeout <= 0:
             raise ConfigError("backend.timeout must be > 0")
         _check_number("backend.noise_rate", self.noise_rate)
-
-
-@dataclass(frozen=True)
-class TunerSettings:
-    """Tuner hyperparameters plus the frozen-model geometry to rebuild it."""
-
-    m: int = 8
-    d: int = 8
-    h: int = 16
-    model_seed: int = 0
-    learning_rate: float = 0.3
-    warmup_steps: int = 200
-    batch_size: int = 16
-    max_steps: int = 1000
-    eval_every: int = 50
-    early_stop_metric: str = "bleu"
-
-    def __post_init__(self):
-        for name in ("m", "d", "h", "warmup_steps", "batch_size", "max_steps", "eval_every"):
-            _check_int(f"tuner.{name}", getattr(self, name), 1)
-        _check_int("tuner.model_seed", self.model_seed, 0)
-        _check_number("tuner.learning_rate", self.learning_rate)
-        if self.learning_rate <= 0:
-            raise ConfigError("tuner.learning_rate must be > 0")
-        if self.early_stop_metric not in ("bleu", "dev_loss"):
-            raise ConfigError(
-                f"tuner.early_stop_metric must be 'bleu' or 'dev_loss', "
-                f"got {self.early_stop_metric!r}"
-            )
+        if not 0 <= self.noise_rate <= 1:
+            raise ConfigError("backend.noise_rate must be within [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -184,7 +157,7 @@ class RunConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
     paths: Dict[str, str] = field(default_factory=dict)
     seeds: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SEEDS))
-    tuner: TunerSettings = field(default_factory=TunerSettings)
+    tuner: TuneConfig = field(default_factory=TuneConfig)
     filters: Dict[str, str] = field(
         default_factory=lambda: {"roundtrip": "on", "roundtrip_mode": "normalized"}
     )
@@ -196,6 +169,8 @@ class RunConfig:
             raise ConfigError(
                 f"languages must be a list of language codes, got {self.languages!r}"
             )
+        if len(set(self.languages)) != len(self.languages):
+            raise ConfigError(f"languages must be distinct, got {list(self.languages)!r}")
         object.__setattr__(self, "languages", tuple(self.languages))
         if self.scenario not in ("english_only", "few_shot"):
             raise ConfigError(
@@ -261,8 +236,11 @@ def load_config(path: Optional[str]) -> RunConfig:
             _check_object("backend", doc["backend"], _field_names(BackendConfig))
             kwargs["backend"] = BackendConfig(**doc["backend"])
         if "tuner" in doc:
-            _check_object("tuner", doc["tuner"], _field_names(TunerSettings))
-            kwargs["tuner"] = TunerSettings(**doc["tuner"])
+            _check_object("tuner", doc["tuner"], _field_names(TuneConfig))
+            try:
+                kwargs["tuner"] = TuneConfig(**doc["tuner"])
+            except TunerError as e:
+                raise ConfigError(f"tuner.{e}") from e
         return RunConfig(**kwargs)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
@@ -320,18 +298,25 @@ def save_exemplars(exemplars: ExemplarSet, path: Path) -> None:
     )
 
 
-def load_exemplars(path: Path) -> ExemplarSet:
+def load_exemplars(path: Path, language: str) -> ExemplarSet:
+    """Read a file save_exemplars wrote for language; every error names it."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        return ExemplarSet(
+        exemplars = ExemplarSet(
             language=doc["language"],
             exemplars=tuple(Exemplar(**e) for e in doc["exemplars"]),
             scenario=doc["scenario"],
         )
     except KeyError as e:
         raise ConfigError(f"{path}: missing key {e}") from e
-    except (json.JSONDecodeError, TypeError) as e:
+    except (TypeError, ValueError) as e:  # bad JSON or UTF-8, or a PromptError
         raise ConfigError(f"{path}: {e}") from e
+    if exemplars.language != language:
+        raise ConfigError(
+            f"{path}: exemplar set language {exemplars.language!r} "
+            f"differs from {language!r}"
+        )
+    return exemplars
 
 
 # ---------------------------------------------------------------- commands
@@ -411,17 +396,7 @@ def cmd_tune(args, config: RunConfig) -> int:
     t = config.tuner
     model = create_toy_lm(d=t.d, h=t.h, seed=t.model_seed)
     seed = config.seed("tune")
-    tune_config = TuneConfig(
-        m=t.m,
-        learning_rate=t.learning_rate,
-        warmup_steps=t.warmup_steps,
-        batch_size=t.batch_size,
-        max_steps=t.max_steps,
-        eval_every=t.eval_every,
-        early_stop_metric=t.early_stop_metric,
-        seed=seed,
-    )
-    trace = tune(model, train, dev, tune_config)
+    trace = tune(model, train, dev, t, seed=seed)
     outdir = _outdir(args, config)
     prompt_path = outdir / f"{args.language}.prompt.bin"
     save_prompt(trace.best_prompt, prompt_path, seed, config.config_hash)
@@ -483,7 +458,7 @@ def cmd_synth(args, config: RunConfig) -> int:
             raise ConfigError("--method pe requires --passages-dir and --exemplars-dir")
         passages = _load_passages_dir(args.passages_dir, targets)
         exemplars = {
-            lang: load_exemplars(Path(args.exemplars_dir) / f"{lang}.exemplars.json")
+            lang: load_exemplars(Path(args.exemplars_dir) / f"{lang}.exemplars.json", lang)
             for lang in targets
         }
         with make_generator(config, seed) as generator:
@@ -560,7 +535,7 @@ def cmd_filter(args, config: RunConfig) -> int:
         )
     seed = config.seed("synth")
     exemplars = (
-        {lang: load_exemplars(Path(args.exemplars_dir) / f"{lang}.exemplars.json")
+        {lang: load_exemplars(Path(args.exemplars_dir) / f"{lang}.exemplars.json", lang)
          for lang in run.languages}
         if roundtrip
         else {}

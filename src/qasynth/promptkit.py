@@ -48,8 +48,11 @@ class Exemplar:
 
     def __post_init__(self):
         for name in ("context_l", "question_en", "answer_en", "question_l", "answer_l", "language"):
-            if not getattr(self, name):
-                raise PromptError(f"exemplar field {name!r} must be non-empty")
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise PromptError(
+                    f"exemplar field {name!r} must be a non-empty string, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)

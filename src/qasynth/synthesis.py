@@ -234,6 +234,20 @@ def _complete(
     return out
 
 
+def _check_exemplars(
+    exemplars_by_language: Mapping[str, ExemplarSet], languages: Sequence[str]
+) -> None:
+    """Raise SynthesisError unless each language has a set in that language."""
+    for lang in languages:
+        if lang not in exemplars_by_language:
+            raise SynthesisError(f"no exemplars for language {lang!r}")
+        if exemplars_by_language[lang].language != lang:
+            raise SynthesisError(
+                f"exemplar set for {lang!r} has language "
+                f"{exemplars_by_language[lang].language!r}"
+            )
+
+
 def synth_pe(
     exemplars_by_language: Mapping[str, ExemplarSet],
     passages_by_language: Mapping[str, Sequence[Passage]],
@@ -255,14 +269,8 @@ def synth_pe(
     if parallelism < 1:
         raise SynthesisError("parallelism must be >= 1")
     languages = sorted(passages_by_language)
+    _check_exemplars(exemplars_by_language, languages)
     for lang in languages:
-        if lang not in exemplars_by_language:
-            raise SynthesisError(f"no exemplars for language {lang!r}")
-        if exemplars_by_language[lang].language != lang:
-            raise SynthesisError(
-                f"exemplar set for {lang!r} has language "
-                f"{exemplars_by_language[lang].language!r}"
-            )
         for p in passages_by_language[lang]:
             if p.language != lang:
                 raise SynthesisError(
@@ -612,16 +620,16 @@ def filter_run(
     A fresh run's filtered examples are its raw ones, and a run that was
     already filtered is filtered further. filter_extractive always runs;
     filter_roundtrip follows when qa_backend is given, with that language's
-    exemplars. Each pass is chained onto the run's report with
-    merge_reports, so a report still accounts for every input passage.
-    Translated (mt) runs are never filtered, so they raise SynthesisError.
+    exemplars; a missing set, or one in another language, raises
+    SynthesisError before any call. Each pass is chained onto the run's
+    report with merge_reports, so a report still accounts for every input
+    passage. Translated (mt) runs are never filtered, so they raise
+    SynthesisError.
     """
     if run.method == "mt":
         raise SynthesisError("translated (mt) runs are never filtered")
     if qa_backend is not None:
-        for lang in run.languages:
-            if lang not in (exemplars_by_language or {}):
-                raise SynthesisError(f"no exemplars for language {lang!r}")
+        _check_exemplars(exemplars_by_language or {}, run.languages)
     filtered: Dict[str, Dataset] = {}
     reports: Dict[str, FilterReport] = {}
     for lang in run.languages:

@@ -179,21 +179,38 @@ class SoftPrompt:
 
 @dataclass(frozen=True)
 class TuneConfig:
-    m: int
+    """Tuner hyperparameters plus the frozen-model geometry to rebuild it.
+
+    This is the run config's `tuner` section; the tuning seed is `tune`'s
+    argument, taken from the run config's `seeds.tune`.
+    """
+
+    m: int = 8
+    d: int = 8
+    h: int = 16
+    model_seed: int = 0
     learning_rate: float = 0.3
     warmup_steps: int = 200
     batch_size: int = 16
     max_steps: int = 1000
     eval_every: int = 50
     early_stop_metric: str = "bleu"
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("m", "warmup_steps", "batch_size", "max_steps", "eval_every"):
-            if getattr(self, name) < 1:
-                raise TunerError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise TunerError("learning_rate must be > 0")
+        for name in ("m", "d", "h", "model_seed", "warmup_steps", "batch_size",
+                     "max_steps", "eval_every"):
+            value = getattr(self, name)
+            minimum = 0 if name == "model_seed" else 1
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise TunerError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        lr = self.learning_rate
+        if (
+            isinstance(lr, bool)
+            or not isinstance(lr, (int, float))
+            or not math.isfinite(lr)
+            or lr <= 0
+        ):
+            raise TunerError(f"learning_rate must be a finite number > 0, got {lr!r}")
         if self.early_stop_metric not in ("bleu", "dev_loss"):
             raise TunerError(
                 f"early_stop_metric must be 'bleu' or 'dev_loss', "
@@ -596,15 +613,16 @@ def tune(
     train: Dataset,
     dev: Dataset,
     config: TuneConfig,
+    seed: int = 0,
 ) -> TuneTrace:
     """Tune one soft prompt on a monolingual corpus with early-stop tracking.
 
-    The prompt starts from a seeded uniform(-0.5, 0.5) draw; minibatches
-    follow a seeded per-epoch shuffle; the dev metric is computed every
-    eval_every steps and at the final step; the returned best prompt is the
-    one from the eval with the best dev metric (highest bleu / lowest
-    dev_loss, earliest step on ties). Recorded train_loss values are means
-    of the batch losses since the previous eval.
+    The prompt starts from a uniform(-0.5, 0.5) draw and minibatches follow
+    a per-epoch shuffle, both from one generator seeded with seed; the dev
+    metric is computed every eval_every steps and at the final step; the
+    returned best prompt is the one from the eval with the best dev metric
+    (highest bleu / lowest dev_loss, earliest step on ties). Recorded
+    train_loss values are means of the batch losses since the previous eval.
     """
     if not train.examples:
         raise TunerError("train dataset must be non-empty")
@@ -620,7 +638,7 @@ def tune(
     train_encoded = [encode_example(ex) for ex in train.examples]
     dev_encoded = [encode_example(ex) for ex in dev.examples]
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     prompt = init_prompt(config.m, model.d, rng)
     state = AdafactorState.zeros(config.m, model.d)
     initial_train_loss = _full_loss(model, prompt, train_encoded)

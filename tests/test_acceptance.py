@@ -287,8 +287,8 @@ def test_tuner_numerics():
             max_steps=500,
             eval_every=100,
             early_stop_metric="dev_loss",
-            seed=7,
         ),
+        seed=7,
     )
     if model_checksum(model) != checksum_before:
         problems.append("frozen parameters changed during 500 training steps")

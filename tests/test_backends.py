@@ -240,19 +240,6 @@ class TestSessions:
         assert backend._connection is backend._connection
         assert seen[0] is not backend._connection
 
-    def test_given_session_is_shared(self, server):
-        url, handler = server
-        handler.script.append((200, {"text": "ok"}))
-        connection = http.client.HTTPConnection("127.0.0.1", int(url.rsplit(":", 1)[1]))
-        backend = HttpBackend(base_url=url, connection=connection)
-        seen = []
-        worker = threading.Thread(target=lambda: seen.append(backend._connection))
-        worker.start()
-        worker.join(timeout=5)
-        assert seen == [connection]
-        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "ok"
-        connection.close()
-
 
 class EchoHandler(BaseHTTPRequestHandler):
     """Translates by reversing the text, so every reply names its request."""
@@ -305,15 +292,6 @@ class TestClose:
             backend.translate(TranslationRequest(text="a", source="en", target="fi"))
             assert not recorded_connections[0].closed
         assert len(recorded_connections) == 1 and recorded_connections[0].closed
-
-    def test_given_session_stays_open(self, keepalive_url, recorded_connections):
-        connection = http.client.HTTPConnection(
-            "127.0.0.1", int(keepalive_url.rsplit(":", 1)[1])
-        )
-        with HttpBackend(base_url=keepalive_url, connection=connection) as backend:
-            backend.translate(TranslationRequest(text="a", source="en", target="fi"))
-        assert recorded_connections == [connection] and not connection.closed
-        connection.close()
 
 
 class OneReplyPerConnection(EchoHandler):

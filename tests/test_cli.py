@@ -150,6 +150,7 @@ class TestConfigValidation:
             ({"backend": {"parallelism": "4"}}, "backend.parallelism"),
             ({"backend": {"parallelism": 0}}, "backend.parallelism"),
             ({"backend": {"timeout": "60"}}, "backend.timeout"),
+            ({"backend": {"noise_rate": 5}}, "backend.noise_rate"),
         ],
     )
     def test_bad_value_exits_validation(self, tmp_path, capsys, doc, key):
@@ -173,6 +174,7 @@ class TestConfigValidation:
             ({"backend": {"url": "localhost:8080"}}, "backend.url"),
             ({"backend": {"kind": "http", "url": "ftp://x/y"}}, "backend.url"),
             ({"backend": {"kind": "http", "url": "http://"}}, "backend.url"),
+            ({"languages": ["en", "fi", "fi"]}, "languages"),
         ],
     )
     def test_bad_structure_names_path_and_key(self, tmp_path, capsys, doc, key):
@@ -891,17 +893,33 @@ def _assemble_without_method(tmp_path):
              "--runs", str(path.parent), "--out", str(tmp_path / "o")], str(path))
 
 
-def _exemplars_without_scenario(tmp_path):
-    write_passage_file(tmp_path / "passages", "fi", ["Silta valmistui 1956."])
-    path = tmp_path / "fi.exemplars.json"
-    save_exemplars(fi_exemplars(), path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    del doc["scenario"]
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    config = write_config(tmp_path, {"languages": ["en", "fi"]})
-    return (["synth", "--config", config, "--method", "pe",
-             "--passages-dir", str(tmp_path / "passages"),
-             "--exemplars-dir", str(tmp_path), "--out", str(tmp_path / "o")], str(path))
+def _exemplars_edited(edit, command="synth"):
+    """synth --method pe on one fi passage, or filter of that run, with
+    fi.exemplars.json changed by edit."""
+    def setup(tmp_path):
+        write_passage_file(tmp_path / "passages", "fi", ["Silta valmistui 1956."])
+        path = tmp_path / "fi.exemplars.json"
+        save_exemplars(fi_exemplars(), path)
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        synth = ["synth", "--config", config, "--method", "pe",
+                 "--passages-dir", str(tmp_path / "passages"),
+                 "--exemplars-dir", str(tmp_path), "--out", str(tmp_path / "pe")]
+        argv = synth
+        if command == "filter":
+            assert main(synth) == EXIT_OK
+            argv = ["filter", "--config", config, "--run", str(tmp_path / "pe"),
+                    "--exemplars-dir", str(tmp_path), "--out", str(tmp_path / "f")]
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return argv, f"{path}: "
+    return setup
+
+
+def _in_arabic(doc):
+    doc["language"] = "ar"
+    for e in doc["exemplars"]:
+        e["language"] = "ar"
 
 
 def _prompt_file(write):
@@ -934,7 +952,11 @@ class TestMalformedInputs:
         [
             _filter_without_method,
             _assemble_without_method,
-            _exemplars_without_scenario,
+            _exemplars_edited(lambda doc: doc.pop("scenario")),
+            _exemplars_edited(_in_arabic),
+            _exemplars_edited(_in_arabic, "filter"),
+            _exemplars_edited(lambda doc: doc["exemplars"][0].update(language="ar")),
+            _exemplars_edited(lambda doc: doc["exemplars"][0].update(context_l=7)),
             _jsonl_with_line("5"),
             _jsonl_with_line("[1, 2]"),
             _jsonl_with_line(json.dumps({**GOOD_RECORD, "id": "x-2", "answer_start": "2"})),
@@ -946,7 +968,9 @@ class TestMalformedInputs:
             _prompt_file(lambda p: save_prompt(init_prompt(2, 3, seed=0), p, 0, "x")),
         ],
         ids=["report-no-method-filter", "report-no-method-assemble",
-             "exemplars-no-scenario", "jsonl-number", "jsonl-list",
+             "exemplars-no-scenario", "exemplars-set-language-differs-synth",
+             "exemplars-set-language-differs-filter", "exemplar-language-differs-from-set",
+             "exemplar-field-number", "jsonl-number", "jsonl-list",
              "answer-start-string", "answer-start-bool", "question-number",
              "prompt-empty-header", "prompt-header-not-json", "prompt-no-newline",
              "prompt-d-differs-from-tuner-d"],

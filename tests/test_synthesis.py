@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -658,6 +659,16 @@ class TestFilterRun:
         backend = StaticGenerationBackend([])
         with pytest.raises(SynthesisError, match="no exemplars"):
             filter_run(run, backend, {})
+        assert backend._calls == 0
+
+    def test_exemplars_in_another_language_fail_before_any_call(self):
+        run, _ = self._pe_run(3)
+        backend = StaticGenerationBackend([])
+        ar = fi_exemplars()
+        ar = dataclasses.replace(ar, language="ar", exemplars=tuple(
+            dataclasses.replace(e, language="ar") for e in ar.exemplars))
+        with pytest.raises(SynthesisError, match="has language 'ar'"):
+            filter_run(run, backend, {"fi": ar})
         assert backend._calls == 0
 
     def test_mt_runs_are_never_filtered(self, gold_en, tagging_translator):

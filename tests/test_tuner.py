@@ -307,11 +307,29 @@ class TestBatchNllLayout:
         assert _full_loss(model, prompt, encoded, chunk=4) == total / count
 
 
+class TestTuneConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"m": True}, "m"),
+            ({"m": "5"}, "m"),
+            ({"h": 0}, "h"),
+            ({"model_seed": -1}, "model_seed"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
+            ({"learning_rate": True}, "learning_rate"),
+        ],
+    )
+    def test_bad_value_raises_tuner_error_naming_field(self, kwargs, field):
+        with pytest.raises(TunerError, match=f"^{field} must be "):
+            TuneConfig(**kwargs)
+
+
 class TestOptimizer:
     def test_rank_one_reconstruction_exact(self):
         G = np.array([[1.0, 2.0], [2.0, 4.0]])
         state = AdafactorState.zeros(2, 2)
-        cfg = TuneConfig(m=2, learning_rate=0.5, warmup_steps=1, batch_size=1, seed=0)
+        cfg = TuneConfig(m=2, learning_rate=0.5, warmup_steps=1, batch_size=1)
         prompt = SoftPrompt(P=np.zeros((2, 2)), m=2)
         stepped, state = optimizer_step(state, prompt, G, 1, cfg)
         vhat = np.outer(state.R, state.C) / state.R.mean()
@@ -322,7 +340,7 @@ class TestOptimizer:
     def test_zero_gradient_is_a_no_op(self):
         state = AdafactorState.zeros(2, 3)
         prompt = SoftPrompt(P=np.arange(6.0).reshape(2, 3), m=2)
-        cfg = TuneConfig(m=2, learning_rate=0.5, warmup_steps=1, batch_size=1, seed=0)
+        cfg = TuneConfig(m=2, learning_rate=0.5, warmup_steps=1, batch_size=1)
         stepped, _ = optimizer_step(state, prompt, np.zeros((2, 3)), 1, cfg)
         assert np.array_equal(stepped.P, prompt.P)
 
@@ -331,7 +349,7 @@ class TestOptimizer:
         # moments follow the closed form
         G = np.array([[2.0]])
         state = AdafactorState.zeros(1, 1)
-        cfg = TuneConfig(m=1, learning_rate=0.1, warmup_steps=1, batch_size=1, seed=0)
+        cfg = TuneConfig(m=1, learning_rate=0.1, warmup_steps=1, batch_size=1)
         prompt = SoftPrompt(P=np.zeros((1, 1)), m=1)
         prompt, state = optimizer_step(state, prompt, G, 1, cfg)
         assert state.R[0] == pytest.approx(4.0)
@@ -459,10 +477,10 @@ class TestTune:
     def test_identical_seeds_identical_traces(self, tune_corpus):
         train, dev = tune_corpus
         model = create_toy_lm(seed=7)
-        cfg = TuneConfig(m=4, max_steps=20, eval_every=10, seed=3,
+        cfg = TuneConfig(m=4, max_steps=20, eval_every=10,
                          learning_rate=0.1, warmup_steps=5)
-        a = tune(model, train, dev, cfg)
-        b = tune(model, train, dev, cfg)
+        a = tune(model, train, dev, cfg, seed=3)
+        b = tune(model, train, dev, cfg, seed=3)
         assert np.array_equal(a.best_prompt.P, b.best_prompt.P)
         assert [(r.step, r.train_loss, r.dev_metric) for r in a.records] == [
             (r.step, r.train_loss, r.dev_metric) for r in b.records
@@ -471,7 +489,7 @@ class TestTune:
     def test_single_eval_when_steps_below_eval_every(self, tune_corpus):
         train, dev = tune_corpus
         model = create_toy_lm(seed=7)
-        cfg = TuneConfig(m=4, max_steps=7, eval_every=50, seed=0,
+        cfg = TuneConfig(m=4, max_steps=7, eval_every=50,
                          learning_rate=0.1, warmup_steps=5)
         trace = tune(model, train, dev, cfg)
         assert [r.step for r in trace.records] == [7]
@@ -481,14 +499,14 @@ class TestTune:
         train, dev = tune_corpus
         model = create_toy_lm(seed=7)
         before = model_checksum(model)
-        tune(model, train, dev, TuneConfig(m=4, max_steps=15, eval_every=5, seed=0))
+        tune(model, train, dev, TuneConfig(m=4, max_steps=15, eval_every=5))
         assert model_checksum(model) == before
 
     def test_mixed_language_train_rejected(self, gold_multi, tune_corpus):
         _, dev = tune_corpus
         model = create_toy_lm(seed=0)
         with pytest.raises(TunerError):
-            tune(model, gold_multi, dev, TuneConfig(m=4, max_steps=5, seed=0))
+            tune(model, gold_multi, dev, TuneConfig(m=4, max_steps=5))
 
     def test_dev_language_must_match(self, tune_corpus):
         train, _ = tune_corpus
@@ -498,12 +516,12 @@ class TestTune:
             examples=(make_example(0, "ctx", "q?", "c", language="ar"),),
         )
         with pytest.raises(TunerError):
-            tune(model, train, other, TuneConfig(m=4, max_steps=5, seed=0))
+            tune(model, train, other, TuneConfig(m=4, max_steps=5))
 
     def test_dev_loss_metric_picks_minimum(self, tune_corpus):
         train, dev = tune_corpus
         model = create_toy_lm(seed=7)
-        cfg = TuneConfig(m=4, max_steps=30, eval_every=10, seed=0,
+        cfg = TuneConfig(m=4, max_steps=30, eval_every=10,
                          learning_rate=0.1, warmup_steps=5,
                          early_stop_metric="dev_loss")
         trace = tune(model, train, dev, cfg)
