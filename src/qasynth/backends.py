@@ -571,23 +571,3 @@ class MockQABackend(GenerationBackend):
         raw = f"{answer}\n{question}"
         text = apply_stop_sequences(raw, request.stop_sequences)
         return GenerationResponse(text=text, backend_id=self.backend_id)
-
-
-class StaticGenerationBackend(GenerationBackend):
-    """Replays canned completions in order; for plumbing tests."""
-
-    def __init__(self, completions: Sequence[str]):
-        self._completions = list(completions)
-        self._calls = 0
-
-    backend_id = "mock:static"
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        if self._calls >= len(self._completions):
-            raise BackendError("static backend exhausted", retryable=False)
-        text = self._completions[self._calls]
-        self._calls += 1
-        return GenerationResponse(
-            text=apply_stop_sequences(text, request.stop_sequences),
-            backend_id=self.backend_id,
-        )

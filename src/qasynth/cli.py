@@ -1,11 +1,13 @@
 """Command-line pipeline: ingest, sample, exemplars, tune, synth, filter,
 assemble, eval, taxonomy, stats.
 
-Every command reads an optional JSON config (--config PATH), writes its
-artifacts into --out, and drops a manifest.json describing the invocation
-(inputs, config hash, seed, tool version). Artifacts are deterministic under
-fixed inputs, config, and seeds; the manifest's created_at timestamp is the
-only field that varies between identical reruns.
+Every command reads an optional JSON config (--config PATH) and writes its
+artifacts into --out (default: paths.output), which is checked before any
+work. After the command returns, main writes manifest.json: every flag but
+--config and --out, every file the command wrote, the config hash, seed and
+tool version. Artifacts are deterministic under fixed inputs, config, and
+seeds; the manifest's created_at timestamp is the only field that varies
+between identical reruns.
 
 Exit codes: 0 success, 1 validation/input error, 2 backend failure,
 64 usage error (unknown flag or subcommand).
@@ -258,33 +260,50 @@ def make_generator(config: RunConfig, seed: int) -> GenerationBackend:
     return HttpBackend(base_url=config.backend.url, timeout=config.backend.timeout)
 
 
-def write_manifest(
-    outdir: Path,
-    command: str,
-    config: RunConfig,
-    seed: int,
-    inputs: Dict[str, str],
-    outputs: Sequence[str],
-) -> None:
+@dataclass
+class OutputDir:
+    """A command's output directory and the names written into it.
+
+    path() hands out root / name and records name for the manifest. The
+    directory is made at the first path handed out, so a command that
+    fails before writing leaves no directory behind.
+    """
+
+    root: Path
+    written: List[str] = field(default_factory=list)
+
+    def path(self, name: str) -> Path:
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.written.append(name)
+        return self.root / name
+
+    def save_run(self, run, config: RunConfig) -> None:
+        self.written += save_run(run, self.root, config.to_dict())
+
+
+def _manifest_value(value) -> str:
+    if isinstance(value, list):
+        return ",".join(value)
+    return "" if value is None else str(value)
+
+
+def write_manifest(out: OutputDir, args, config: RunConfig, seed: int) -> None:
+    """manifest.json: every flag but --config/--out, and every file written."""
+    inputs = {
+        key: _manifest_value(value)
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "config", "out")
+    }
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "config_hash": config.config_hash,
         "seed": seed,
         "inputs": dict(sorted(inputs.items())),
-        "outputs": sorted(outputs),
+        "outputs": sorted(out.written),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    write_json(outdir / "manifest.json", manifest)
-
-
-def _outdir(args, config: RunConfig) -> Path:
-    out = args.out or config.paths.get("output")
-    if not out:
-        raise ConfigError("no output directory: pass --out or set paths.output")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    write_json(out.root / "manifest.json", manifest)
 
 
 def save_exemplars(exemplars: ExemplarSet, path: Path) -> None:
@@ -320,46 +339,37 @@ def load_exemplars(path: Path, language: str) -> ExemplarSet:
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command writes through its OutputDir and returns the seed it used;
+# main writes the manifest after it returns.
 
 
-def cmd_ingest(args, config: RunConfig) -> int:
+def cmd_ingest(args, config: RunConfig, out: OutputDir) -> int:
     raw = Path(args.input).read_text(encoding="utf-8")
     try:
         dataset, report = parse_squad_json(raw, args.name, args.language)
     except CorpusError as e:
         raise CorpusError(f"{args.input}: {e}") from e
-    outdir = _outdir(args, config)
-    gold_path = outdir / f"{args.language}.gold.jsonl"
+    gold_path = out.path(f"{args.language}.gold.jsonl")
     write_jsonl(dataset, gold_path)
-    write_json(outdir / "ingest_report.json", dataclasses.asdict(report))
-    write_manifest(
-        outdir, "ingest", config, 0,
-        {"input": args.input, "name": args.name, "language": args.language},
-        [gold_path.name, "ingest_report.json"],
-    )
+    write_json(out.path("ingest_report.json"), dataclasses.asdict(report))
     print(f"ingested {report.parsed}/{report.total_qas} examples -> {gold_path}")
-    return EXIT_OK
+    return 0
 
 
-def cmd_sample(args, config: RunConfig) -> int:
+def cmd_sample(args, config: RunConfig, out: OutputDir) -> int:
     pool = load_passage_pool(args.passages, args.language)
     seed = config.seed("sample")
     picked = sample_unlabeled(
         pool, args.n, seed, min_len=args.min_len, max_len=args.max_len
     )
-    outdir = _outdir(args, config)
-    out_path = outdir / f"{args.language}.passages.jsonl"
+    out_path = out.path(f"{args.language}.passages.jsonl")
     write_passages(picked, out_path)
-    write_manifest(
-        outdir, "sample", config, seed,
-        {"passages": args.passages, "language": args.language, "n": str(args.n)},
-        [out_path.name],
-    )
     print(f"sampled {len(picked)} passages -> {out_path}")
-    return EXIT_OK
+    return seed
 
 
-def cmd_exemplars(args, config: RunConfig) -> int:
+def cmd_exemplars(args, config: RunConfig, out: OutputDir) -> int:
     gold = read_jsonl(Path(args.gold))
     seed = config.seed("fewshot")
     if config.scenario == "english_only":
@@ -378,31 +388,24 @@ def cmd_exemplars(args, config: RunConfig) -> int:
             exemplars = build_exemplars_fewshot(
                 shots, translator, parallelism=config.backend.parallelism
             )
-    outdir = _outdir(args, config)
-    out_path = outdir / f"{args.language}.exemplars.json"
+    out_path = out.path(f"{args.language}.exemplars.json")
     save_exemplars(exemplars, out_path)
-    write_manifest(
-        outdir, "exemplars", config, seed,
-        {"gold": args.gold, "language": args.language, "scenario": config.scenario},
-        [out_path.name],
-    )
     print(f"built {len(exemplars)} exemplars ({config.scenario}) -> {out_path}")
-    return EXIT_OK
+    return seed
 
 
-def cmd_tune(args, config: RunConfig) -> int:
+def cmd_tune(args, config: RunConfig, out: OutputDir) -> int:
     train = read_jsonl(Path(args.train))
     dev = read_jsonl(Path(args.dev))
     t = config.tuner
     model = create_toy_lm(d=t.d, h=t.h, seed=t.model_seed)
     seed = config.seed("tune")
     trace = tune(model, train, dev, t, seed=seed)
-    outdir = _outdir(args, config)
-    prompt_path = outdir / f"{args.language}.prompt.bin"
-    save_prompt(trace.best_prompt, prompt_path, seed, config.config_hash)
-    trace_path = outdir / f"{args.language}.trace.json"
+    save_prompt(
+        trace.best_prompt, out.path(f"{args.language}.prompt.bin"), seed, config.config_hash
+    )
     write_json(
-        trace_path,
+        out.path(f"{args.language}.trace.json"),
         {
             "language": args.language,
             "metric": trace.metric,
@@ -412,31 +415,42 @@ def cmd_tune(args, config: RunConfig) -> int:
             "records": [dataclasses.asdict(r) for r in trace.records],
         },
     )
-    write_manifest(
-        outdir, "tune", config, seed,
-        {"train": args.train, "dev": args.dev, "language": args.language},
-        [prompt_path.name, trace_path.name],
-    )
     print(
         f"tuned {args.language}: best {trace.metric} at step {trace.best_step}, "
         f"train loss {trace.initial_train_loss:.4f} -> {trace.final_train_loss:.4f}"
     )
-    return EXIT_OK
+    return seed
+
+
+def _load_language_files(directory: str, languages: Sequence[str], suffix: str,
+                         what: str, load) -> Dict[str, object]:
+    """{lang: load(path, lang)} for each <directory>/<lang>.<suffix>."""
+    found = {}
+    for lang in languages:
+        path = Path(directory) / f"{lang}.{suffix}"
+        if not path.exists():
+            raise ConfigError(f"no {what} file for {lang!r}: {path}")
+        found[lang] = load(path, lang)
+    return found
 
 
 def _load_passages_dir(
     passages_dir: str, languages: Sequence[str]
 ) -> Dict[str, Tuple[Passage, ...]]:
-    out = {}
-    for lang in languages:
-        path = Path(passages_dir) / f"{lang}.passages.jsonl"
-        if not path.exists():
-            raise ConfigError(f"no passage file for {lang!r}: {path}")
-        out[lang] = load_passage_pool(path, lang)
-    return out
+    return _load_language_files(
+        passages_dir, languages, "passages.jsonl", "passage", load_passage_pool
+    )
 
 
-def cmd_synth(args, config: RunConfig) -> int:
+def _load_exemplars_dir(
+    exemplars_dir: str, languages: Sequence[str]
+) -> Dict[str, ExemplarSet]:
+    return _load_language_files(
+        exemplars_dir, languages, "exemplars.json", "exemplar", load_exemplars
+    )
+
+
+def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
     targets = [l for l in config.languages if l != "en"]
     if not targets:
         raise ConfigError("config.languages needs at least one non-English language")
@@ -457,10 +471,7 @@ def cmd_synth(args, config: RunConfig) -> int:
         if not args.passages_dir or not args.exemplars_dir:
             raise ConfigError("--method pe requires --passages-dir and --exemplars-dir")
         passages = _load_passages_dir(args.passages_dir, targets)
-        exemplars = {
-            lang: load_exemplars(Path(args.exemplars_dir) / f"{lang}.exemplars.json", lang)
-            for lang in targets
-        }
+        exemplars = _load_exemplars_dir(args.exemplars_dir, targets)
         with make_generator(config, seed) as generator:
             run = synth_pe(
                 exemplars,
@@ -505,25 +516,13 @@ def cmd_synth(args, config: RunConfig) -> int:
                 )
     else:
         raise ConfigError(f"unknown method {args.method!r}")
-    outdir = _outdir(args, config)
-    outputs = save_run(run, outdir, config.to_dict())
-    write_manifest(
-        outdir, "synth", config, seed,
-        {
-            "method": args.method,
-            "gold": args.gold or "",
-            "passages_dir": args.passages_dir or "",
-            "exemplars_dir": args.exemplars_dir or "",
-            "prompts_dir": args.prompts_dir or "",
-        },
-        outputs,
-    )
+    out.save_run(run, config)
     total = sum(len(run.raw[lang]) for lang in run.languages)
-    print(f"synthesized {total} raw examples ({args.method}) -> {outdir}")
-    return EXIT_OK
+    print(f"synthesized {total} raw examples ({args.method}) -> {out.root}")
+    return seed
 
 
-def cmd_filter(args, config: RunConfig) -> int:
+def cmd_filter(args, config: RunConfig, out: OutputDir) -> int:
     run = load_run(args.run)
     roundtrip = (
         run.method == "pe" and config.filters.get("roundtrip", "on") == "on"
@@ -534,12 +533,7 @@ def cmd_filter(args, config: RunConfig) -> int:
             "filters.roundtrip to 'off')"
         )
     seed = config.seed("synth")
-    exemplars = (
-        {lang: load_exemplars(Path(args.exemplars_dir) / f"{lang}.exemplars.json", lang)
-         for lang in run.languages}
-        if roundtrip
-        else {}
-    )
+    exemplars = _load_exemplars_dir(args.exemplars_dir, run.languages) if roundtrip else {}
     with make_generator(config, seed) if roundtrip else contextlib.nullcontext() as backend:
         try:
             run = filter_run(
@@ -551,20 +545,13 @@ def cmd_filter(args, config: RunConfig) -> int:
             )
         except SynthesisError as e:
             raise SynthesisError(f"{Path(args.run) / 'report.json'}: {e}") from e
-    outdir = _outdir(args, config)
-    run = dataclasses.replace(run, config_hash=config.config_hash)
-    outputs = save_run(run, outdir, config.to_dict())
-    write_manifest(
-        outdir, "filter", config, seed,
-        {"run": args.run, "exemplars_dir": args.exemplars_dir or ""},
-        outputs,
-    )
+    out.save_run(dataclasses.replace(run, config_hash=config.config_hash), config)
     kept = sum(len(run.filtered[lang]) for lang in run.languages)
-    print(f"filtered run {Path(args.run)} -> {outdir} ({kept} kept)")
-    return EXIT_OK
+    print(f"filtered run {Path(args.run)} -> {out.root} ({kept} kept)")
+    return seed
 
 
-def cmd_assemble(args, config: RunConfig) -> int:
+def cmd_assemble(args, config: RunConfig, out: OutputDir) -> int:
     d_en = read_jsonl(Path(args.gold))
     synthetic: Dict[str, Dataset] = {}
     for run_dir in args.runs:
@@ -577,35 +564,28 @@ def cmd_assemble(args, config: RunConfig) -> int:
             else:
                 synthetic[lang] = ds
     assembled = assemble(d_en, synthetic, name=args.name)
-    outdir = _outdir(args, config)
-    out_path = outdir / "assembled.jsonl"
-    write_jsonl(assembled, out_path)
-    counts = {lang: len(ds) for lang, ds in sorted(synthetic.items())}
-    write_json(
-        outdir / "counts.json",
-        {"english": len(d_en), "synthetic": counts, "total": len(assembled)},
-    )
-    outputs = [out_path.name, "counts.json"]
     seed = config.seed("sweep")
+    subsets = []
     if args.sizes:
         try:
             sizes = [int(s) for s in args.sizes.split(",")]
         except ValueError as e:
             raise ConfigError(f"--sizes must be integers, got {args.sizes!r}") from e
-        for subset in size_sweep(assembled, sizes, seed):
-            subset_path = outdir / f"{subset.name}.jsonl"
-            write_jsonl(subset, subset_path)
-            outputs.append(subset_path.name)
-    write_manifest(
-        outdir, "assemble", config, seed,
-        {"gold": args.gold, "runs": ",".join(args.runs), "sizes": args.sizes or ""},
-        outputs,
+        subsets = size_sweep(assembled, sizes, seed)
+    out_path = out.path("assembled.jsonl")
+    write_jsonl(assembled, out_path)
+    counts = {lang: len(ds) for lang, ds in sorted(synthetic.items())}
+    write_json(
+        out.path("counts.json"),
+        {"english": len(d_en), "synthetic": counts, "total": len(assembled)},
     )
+    for subset in subsets:
+        write_jsonl(subset, out.path(f"{subset.name}.jsonl"))
     print(f"assembled {len(assembled)} examples -> {out_path}")
-    return EXIT_OK
+    return seed
 
 
-def cmd_eval(args, config: RunConfig) -> int:
+def cmd_eval(args, config: RunConfig, out: OutputDir) -> int:
     gold = read_jsonl(Path(args.gold))
     path = Path(args.predictions)
     try:
@@ -615,20 +595,14 @@ def cmd_eval(args, config: RunConfig) -> int:
         report = evaluate(predictions, gold)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
-    outdir = _outdir(args, config)
-    write_json(outdir / "eval.json", report.to_dict())
+    write_json(out.path("eval.json"), report.to_dict())
     table = render_eval_table(report)
-    (outdir / "eval.txt").write_text(table + "\n", encoding="utf-8")
-    write_manifest(
-        outdir, "eval", config, 0,
-        {"gold": args.gold, "predictions": args.predictions},
-        ["eval.json", "eval.txt"],
-    )
+    out.path("eval.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
-    return EXIT_OK
+    return 0
 
 
-def cmd_taxonomy(args, config: RunConfig) -> int:
+def cmd_taxonomy(args, config: RunConfig, out: OutputDir) -> int:
     dataset = read_jsonl(Path(args.input))
     with make_translator(config) as translator:
         report = distribution(
@@ -638,24 +612,18 @@ def cmd_taxonomy(args, config: RunConfig) -> int:
             other_threshold=args.other_threshold,
             parallelism=config.backend.parallelism,
         )
-    outdir = _outdir(args, config)
-    write_json(outdir / "taxonomy.json", report.to_dict())
-    (outdir / "categories.csv").write_text(
+    write_json(out.path("taxonomy.json"), report.to_dict())
+    out.path("categories.csv").write_text(
         ring_csv(report.pooled, "category"), encoding="utf-8"
     )
-    (outdir / "subcategories.csv").write_text(
+    out.path("subcategories.csv").write_text(
         ring_csv(report.pooled, "subcategory"), encoding="utf-8"
     )
-    write_manifest(
-        outdir, "taxonomy", config, 0,
-        {"input": args.input, "other_threshold": str(args.other_threshold)},
-        ["taxonomy.json", "categories.csv", "subcategories.csv"],
-    )
-    print(f"taxonomy over {len(dataset)} questions -> {outdir}")
-    return EXIT_OK
+    print(f"taxonomy over {len(dataset)} questions -> {out.root}")
+    return 0
 
 
-def cmd_stats(args, config: RunConfig) -> int:
+def cmd_stats(args, config: RunConfig, out: OutputDir) -> int:
     path = Path(args.input)
     fmt = args.format
     if fmt == "auto":
@@ -673,15 +641,9 @@ def cmd_stats(args, config: RunConfig) -> int:
     else:
         dataset = read_jsonl(path)
         payload = {"format": "jsonl", **dataset_stats(dataset).to_dict()}
-    outdir = _outdir(args, config)
-    write_json(outdir / "stats.json", payload)
-    write_manifest(
-        outdir, "stats", config, 0,
-        {"input": args.input, "format": fmt},
-        ["stats.json"],
-    )
+    write_json(out.path("stats.json"), payload)
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
-    return EXIT_OK
+    return 0
 
 
 # ------------------------------------------------------------------ parser
@@ -786,7 +748,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         config = load_config(args.config)
-        return args.func(args, config)
+        root = args.out or config.paths.get("output")
+        if not root:
+            raise ConfigError("no output directory: pass --out or set paths.output")
+        out = OutputDir(Path(root))
+        seed = args.func(args, config, out)
+        write_manifest(out, args, config, seed)
+        return EXIT_OK
     except BackendError as e:
         print(f"backend error: {e}", file=sys.stderr)
         return EXIT_BACKEND

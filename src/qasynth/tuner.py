@@ -623,7 +623,13 @@ def tune(
     returned best prompt is the one from the eval with the best dev metric
     (highest bleu / lowest dev_loss, earliest step on ties). Recorded
     train_loss values are means of the batch losses since the previous eval.
+    The model must be the one config describes: same d, h and model_seed.
     """
+    if (model.d, model.h, model.seed) != (config.d, config.h, config.model_seed):
+        raise TunerError(
+            f"model d={model.d}, h={model.h}, seed={model.seed} differs from "
+            f"config d={config.d}, h={config.h}, model_seed={config.model_seed}"
+        )
     if not train.examples:
         raise TunerError("train dataset must be non-empty")
     if not dev.examples:

@@ -1,13 +1,23 @@
-"""Shared fixtures: tiny gold datasets, passage pools, and the tuning corpus."""
+"""Shared fixtures: tiny gold datasets, passage pools, the tuning corpus, and a
+canned-completion generation backend."""
 
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from qasynth.backends import MockQABackend, TaggingTranslator
+from qasynth.backends import (
+    BackendError,
+    GenerationBackend,
+    GenerationRequest,
+    GenerationResponse,
+    MockQABackend,
+    TaggingTranslator,
+    apply_stop_sequences,
+)
 from qasynth.corpus import Dataset, Passage, QAExample
 
 
@@ -31,6 +41,26 @@ def make_example(
         provenance=provenance,
         source_dataset=source_dataset,
     )
+
+
+class StaticGenerationBackend(GenerationBackend):
+    """Replays canned completions in order; for plumbing tests."""
+
+    def __init__(self, completions: Sequence[str]):
+        self._completions = list(completions)
+        self._calls = 0
+
+    backend_id = "mock:static"
+
+    def generate(self, request: GenerationRequest) -> GenerationResponse:
+        if self._calls >= len(self._completions):
+            raise BackendError("static backend exhausted", retryable=False)
+        text = self._completions[self._calls]
+        self._calls += 1
+        return GenerationResponse(
+            text=apply_stop_sequences(text, request.stop_sequences),
+            backend_id=self.backend_id,
+        )
 
 
 @pytest.fixture

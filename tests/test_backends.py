@@ -19,7 +19,6 @@ from qasynth.backends import (
     GenerationRequest,
     HttpBackend,
     MockQABackend,
-    StaticGenerationBackend,
     TaggingTranslator,
     TranslationRequest,
     apply_stop_sequences,
@@ -28,6 +27,7 @@ from qasynth.backends import (
 )
 from qasynth.corpus import Passage
 from qasynth.promptkit import render_answer_prompt, render_question_prompt
+from tests.conftest import StaticGenerationBackend
 from tests.test_promptkit import one_exemplar
 
 

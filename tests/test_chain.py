@@ -162,7 +162,9 @@ def test_artifacts_match_golden_digests(chain_root):
     missing = sorted(set(golden) - set(found))
     extra = sorted(set(found) - set(golden))
     differ = sorted(n for n in set(golden) & set(found) if golden[n] != found[n])
-    assert (missing, extra, differ) == ([], [], [])
+    assert not (missing or extra or differ), (
+        f"missing: {missing}; not in the digests: {extra}; changed: {differ}"
+    )
 
 
 # The flags of each subcommand, other than --config and --out, by dest name.

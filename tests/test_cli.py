@@ -265,6 +265,14 @@ class TestSample:
             == EXIT_VALIDATION
         )
 
+    def test_manifest_records_length_window(self, tmp_path):
+        pool = write_pool(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sample", "--passages", pool, "--language", "fi", "--n", "2",
+                     "--min-len", "5", "--out", str(out)]) == EXIT_OK
+        inputs = read_manifest(out)["inputs"]
+        assert (inputs["min_len"], inputs["max_len"]) == ("5", "510")
+
 
 class TestExemplars:
     def test_english_only_translates(self, tmp_path, gold_en_path):
@@ -838,6 +846,41 @@ class TestFilterCommand:
         assert err.startswith(f"error: {tmp_path / 'mt' / 'report.json'}: ")
         assert "never filtered" in err
         assert not (tmp_path / "f").exists()
+
+
+class TestOutputDirectory:
+    def test_checked_before_any_input_is_read(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        code = main(["synth", "--config", config, "--method", "pe",
+                     "--passages-dir", str(tmp_path / "missing"),
+                     "--exemplars-dir", str(tmp_path / "missing")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: no output directory: pass --out or set paths.output\n"
+        )
+
+
+class TestExemplarsDirectory:
+    @pytest.mark.parametrize("command", ["synth", "filter"])
+    def test_missing_exemplar_file_is_named(self, tmp_path, capsys, command):
+        write_passage_file(tmp_path / "passages", "fi", ["Silta valmistui 1956."])
+        save_exemplars(fi_exemplars(), tmp_path / "fi.exemplars.json")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        argv = ["synth", "--config", config, "--method", "pe",
+                "--passages-dir", str(tmp_path / "passages"),
+                "--exemplars-dir", str(empty), "--out", str(tmp_path / "o")]
+        if command == "filter":
+            assert main(argv[:-3] + [str(tmp_path), "--out", str(tmp_path / "pe")]) == EXIT_OK
+            argv = ["filter", "--config", config, "--run", str(tmp_path / "pe"),
+                    "--exemplars-dir", str(empty), "--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: no exemplar file for 'fi': {empty / 'fi.exemplars.json'}\n"
+        )
+        assert not (tmp_path / "o").exists()
 
 
 class TestAlternativeAnswers:

@@ -13,7 +13,6 @@ from qasynth.backends import (
     BackendError,
     GenerationBackend,
     MockQABackend,
-    StaticGenerationBackend,
     TaggingTranslator,
 )
 from qasynth.corpus import Dataset, Passage, QAExample
@@ -35,7 +34,7 @@ from qasynth.synthesis import (
     synth_pe,
     synth_pt,
 )
-from tests.conftest import make_example
+from tests.conftest import StaticGenerationBackend, make_example
 
 
 def fi_exemplars() -> ExemplarSet:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qasynth import tuner as tuner_module
 from qasynth.corpus import Dataset, QAExample
 from qasynth.tuner import (
     ADAFACTOR_EPS,
@@ -477,7 +478,7 @@ class TestTune:
     def test_identical_seeds_identical_traces(self, tune_corpus):
         train, dev = tune_corpus
         model = create_toy_lm(seed=7)
-        cfg = TuneConfig(m=4, max_steps=20, eval_every=10,
+        cfg = TuneConfig(m=4, model_seed=7, max_steps=20, eval_every=10,
                          learning_rate=0.1, warmup_steps=5)
         a = tune(model, train, dev, cfg, seed=3)
         b = tune(model, train, dev, cfg, seed=3)
@@ -489,7 +490,7 @@ class TestTune:
     def test_single_eval_when_steps_below_eval_every(self, tune_corpus):
         train, dev = tune_corpus
         model = create_toy_lm(seed=7)
-        cfg = TuneConfig(m=4, max_steps=7, eval_every=50,
+        cfg = TuneConfig(m=4, model_seed=7, max_steps=7, eval_every=50,
                          learning_rate=0.1, warmup_steps=5)
         trace = tune(model, train, dev, cfg)
         assert [r.step for r in trace.records] == [7]
@@ -499,7 +500,7 @@ class TestTune:
         train, dev = tune_corpus
         model = create_toy_lm(seed=7)
         before = model_checksum(model)
-        tune(model, train, dev, TuneConfig(m=4, max_steps=15, eval_every=5))
+        tune(model, train, dev, TuneConfig(m=4, model_seed=7, max_steps=15, eval_every=5))
         assert model_checksum(model) == before
 
     def test_mixed_language_train_rejected(self, gold_multi, tune_corpus):
@@ -521,12 +522,29 @@ class TestTune:
     def test_dev_loss_metric_picks_minimum(self, tune_corpus):
         train, dev = tune_corpus
         model = create_toy_lm(seed=7)
-        cfg = TuneConfig(m=4, max_steps=30, eval_every=10,
+        cfg = TuneConfig(m=4, model_seed=7, max_steps=30, eval_every=10,
                          learning_rate=0.1, warmup_steps=5,
                          early_stop_metric="dev_loss")
         trace = tune(model, train, dev, cfg)
         best = min(trace.records, key=lambda r: (r.dev_metric, r.step))
         assert trace.best_step == best.step
+
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [{"d": 4, "h": 3}, {"h": 8}, {"model_seed": 1}],
+        ids=["d-and-h", "h", "model-seed"],
+    )
+    def test_config_geometry_must_match_model(self, tune_corpus, monkeypatch, geometry):
+        train, dev = tune_corpus
+        model = create_toy_lm(d=8, h=16, seed=0)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("tune ran a step")
+
+        monkeypatch.setattr(tuner_module, "_batch_nll", no_step)
+        with pytest.raises(TunerError, match="differs from config"):
+            tune(model, train, dev, TuneConfig(m=2, max_steps=1, **geometry))
 
 
 class TestChecksumAndSerialization:
