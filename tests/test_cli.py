@@ -673,6 +673,17 @@ class TestAssemble:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert detail in err
 
+    def test_bad_sizes_write_nothing(self, tmp_path, gold_en):
+        write_jsonl(gold_en, tmp_path / "en.gold.jsonl")
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        assert main(["synth", "--config", config, "--method", "mt",
+                     "--gold", str(tmp_path / "en.gold.jsonl"),
+                     "--out", str(tmp_path / "mt")]) == EXIT_OK
+        assert main(["assemble", "--gold", str(tmp_path / "en.gold.jsonl"),
+                     "--runs", str(tmp_path / "mt"), "--sizes", "1,99",
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+
 
 class TestBackendFailures:
     def test_http_error_exits_backend_code(self, tmp_path, gold_en_path, capsys):
