@@ -40,13 +40,24 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-# Only perfbench's tracer seam (it patches requests.Session) until ROADMAP item 1 moves it.
-import requests  # noqa: F401
-
 DEFAULT_TIMEOUT = 60.0
 MAX_ATTEMPTS = 3
 
 _DIGIT_RUN = re.compile(r"\d+")
+
+
+def __getattr__(name: str):
+    """`qasynth.backends.requests` loads `requests` on first access.
+
+    Nothing here sends through `requests`; the name stays only as a seam for
+    perfbench's tracer, which patches `requests.Session`. Every command that
+    never asks for it starts without importing it.
+    """
+    if name == "requests":
+        import importlib
+
+        return importlib.import_module("requests")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BackendError(Exception):

@@ -51,6 +51,7 @@ from .corpus import (
     write_json,
     write_passages,
     write_jsonl,
+    write_text,
 )
 from .metrics import evaluate, render_eval_table
 from .promptkit import Exemplar, ExemplarSet, build_exemplars_en_only, build_exemplars_fewshot
@@ -597,7 +598,7 @@ def cmd_eval(args, config: RunConfig, out: OutputDir) -> int:
         raise ConfigError(f"{path}: {e}") from e
     write_json(out.path("eval.json"), report.to_dict())
     table = render_eval_table(report)
-    out.path("eval.txt").write_text(table + "\n", encoding="utf-8")
+    write_text(out.path("eval.txt"), table + "\n")
     print(table)
     return 0
 
@@ -613,12 +614,8 @@ def cmd_taxonomy(args, config: RunConfig, out: OutputDir) -> int:
             parallelism=config.backend.parallelism,
         )
     write_json(out.path("taxonomy.json"), report.to_dict())
-    out.path("categories.csv").write_text(
-        ring_csv(report.pooled, "category"), encoding="utf-8"
-    )
-    out.path("subcategories.csv").write_text(
-        ring_csv(report.pooled, "subcategory"), encoding="utf-8"
-    )
+    write_text(out.path("categories.csv"), ring_csv(report.pooled, "category"))
+    write_text(out.path("subcategories.csv"), ring_csv(report.pooled, "subcategory"))
     print(f"taxonomy over {len(dataset)} questions -> {out.root}")
     return 0
 

@@ -8,7 +8,9 @@ provenance tag saying how the example came to be (gold, mt, pe, pt).
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -344,7 +346,7 @@ def load_passage_pool(
 
 def write_passages(passages: Iterable[Passage], path: Union[str, Path]) -> None:
     """Write an NDJSON passage pool that load_passage_pool reads back."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for p in passages:
             fh.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False) + "\n")
 
@@ -423,12 +425,36 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
     )
 
 
+@contextlib.contextmanager
+def atomic_open(path: Union[str, Path], binary: bool = False):
+    """Open a new file beside path for writing, as UTF-8 text or as bytes.
+
+    Leaving the block without an error moves the file onto path with
+    os.replace, so a reader sees the old file or the finished new one, never
+    a partial write. An error removes the temporary file and leaves path as
+    it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with (open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def write_text(path: Union[str, Path], text: str) -> None:
+    """Write a UTF-8 text artifact through atomic_open."""
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_json(path: Union[str, Path], payload) -> None:
     """Write one JSON artifact: UTF-8, no ASCII escaping, sorted keys, indent 2."""
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 def write_jsonl(dataset: Dataset, path: Union[str, Path]) -> None:
@@ -437,8 +463,7 @@ def write_jsonl(dataset: Dataset, path: Union[str, Path]) -> None:
     Each record has the JSONL_FIELDS, plus extra_answers when the example
     has alternative gold answers.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for ex in dataset.examples:
             fh.write(json.dumps(ex.to_json_dict(), ensure_ascii=False))
             fh.write("\n")

@@ -25,10 +25,28 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .corpus import Dataset, QAExample
+from .corpus import Dataset, QAExample, atomic_open
 from .metrics import corpus_bleu
+
+
+class _DeferredNumpy:
+    """Stands in for `np` until first use, then rebinds it to numpy itself.
+
+    Only tuning and toy-model decoding need numpy; every other command
+    imports this module (for TuneConfig) and would otherwise pay for numpy's
+    import. Module-level code must not touch `np`: annotations are strings
+    under `from __future__ import annotations`.
+    """
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _DeferredNumpy()
 
 N_BYTES = 256
 BOS = 256
@@ -717,7 +735,7 @@ def save_prompt(
         {"m": prompt.m, "d": prompt.d, "seed": seed, "config_hash": config_hash},
         sort_keys=True,
     )
-    with Path(path).open("wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
         fh.write(np.ascontiguousarray(prompt.P, dtype="<f8").tobytes())

@@ -14,6 +14,7 @@ from qasynth.corpus import (
     Dataset,
     Passage,
     QAExample,
+    atomic_open,
     dataset_stats,
     load_passage_pool,
     parse_squad_json,
@@ -354,6 +355,34 @@ class TestStatsAndSerialization:
             '"provenance": "gold", "source_dataset": "t"}\n'
         )
 
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_earlier_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_jsonl(Dataset(name="d", examples=(qa(0),)), path)
+        before = path.read_bytes()
+        broken = qa(2)
+        object.__setattr__(broken, "source_dataset", object())  # not JSON-serialisable
+        with pytest.raises(TypeError):
+            write_jsonl(Dataset(name="d", examples=(qa(1), broken)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_failed_first_write_creates_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_open(tmp_path / "prompt.bin", binary=True) as fh:
+                fh.write(b"half")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old contents that are longer\n", encoding="utf-8")
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 simple_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=20
