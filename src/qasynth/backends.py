@@ -19,7 +19,9 @@ a 429 with a delta-seconds Retry-After waits that long instead (capped at the
 timeout). Other 4xx and malformed payloads fail immediately.
 
 run_requests is the one way stages fan requests out: it sends each distinct
-request once, over a bounded thread pool, and returns results in input order.
+request once, over at most backend.parallelism threads, and returns results in
+input order. Only HttpBackend takes a parallelism; the mocks keep the base
+class's 1 and answer one request at a time.
 """
 
 from __future__ import annotations
@@ -72,14 +74,11 @@ class BackendError(Exception):
 class GenerationRequest:
     prompt: str
     max_tokens: int
-    decoding: str = "greedy"
     stop_sequences: Tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.max_tokens < 1:
             raise BackendError("max_tokens must be >= 1")
-        if self.decoding != "greedy":
-            raise BackendError(f"unsupported decoding {self.decoding!r}; only greedy")
         object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
 
 
@@ -119,8 +118,11 @@ def apply_stop_sequences(text: str, stop_sequences: Sequence[str]) -> str:
 
 
 class Backend:
-    """Shared base. A backend that holds connections releases them in
+    """Shared base. parallelism is the most requests run_requests sends to
+    this backend at once. A backend that holds connections releases them in
     close(); using it as a context manager closes it on exit."""
+
+    parallelism = 1
 
     def close(self) -> None:
         pass
@@ -202,9 +204,10 @@ class HttpBackend(GenerationBackend, TranslationBackend):
 
     retry_base_delay exists so tests can shrink the backoff; production
     callers keep the default (about 0.5s, then 1s, between the three
-    attempts). Safe to call from several threads at once: each thread keeps
-    its own keep-alive connection. close(), or a with block, closes the
-    connections the backend opened.
+    attempts). parallelism, an integer >= 1, bounds the requests
+    run_requests has in flight. Safe to call from several threads at once:
+    each thread keeps its own keep-alive connection. close(), or a with
+    block, closes the connections the backend opened.
     """
 
     def __init__(
@@ -213,7 +216,13 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         timeout: float = DEFAULT_TIMEOUT,
         token: Optional[str] = None,
         retry_base_delay: float = 0.5,
+        parallelism: int = 1,
     ):
+        if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
+            raise BackendError(
+                f"parallelism must be an integer >= 1, got {parallelism!r}"
+            )
+        self.parallelism = parallelism
         url = base_url or os.environ.get("QAM_BACKEND_URL")
         if not url:
             raise BackendError(
@@ -404,17 +413,15 @@ Response = Union[GenerationResponse, TranslationResponse]
 def run_requests(
     backend: Union[GenerationBackend, TranslationBackend],
     reqs: Sequence[Request],
-    parallelism: int,
 ) -> List[Tuple[Optional[Response], Optional[Exception]]]:
     """Send each distinct request once; one (response, error) per input, in order.
 
     Decoding is greedy, so identical requests are interchangeable and share
     one call and one result. Distinct requests fan out over at most
-    parallelism threads. A request that raises gets (None, exception): the
-    caller decides whether that aborts its stage or drops one item.
+    backend.parallelism threads. A request that raises gets (None,
+    exception): the caller decides whether that aborts its stage or drops
+    one item.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     distinct = list(dict.fromkeys(reqs))
 
     def call(req: Request) -> Tuple[Optional[Response], Optional[Exception]]:
@@ -425,7 +432,7 @@ def run_requests(
         except Exception as e:
             return None, e
 
-    workers = min(parallelism, len(distinct))
+    workers = min(backend.parallelism, len(distinct))
     if workers <= 1:
         results = [call(req) for req in distinct]
     else:

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .backends import (
+    DEFAULT_TIMEOUT,
     BackendError,
     GenerationBackend,
     HttpBackend,
@@ -69,6 +70,7 @@ from .synthesis import (
 )
 from .taxonomy import distribution, ring_csv
 from .tuner import (
+    SoftPrompt,
     TuneConfig,
     TunerError,
     create_toy_lm,
@@ -130,7 +132,7 @@ class BackendConfig:
     kind: str = "mock"
     url: Optional[str] = None
     parallelism: int = 4
-    timeout: float = 60.0
+    timeout: float = DEFAULT_TIMEOUT
     noise_rate: float = 0.0
 
     def __post_init__(self):
@@ -249,16 +251,24 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"{path}: {e}") from e
 
 
+def _http_backend(config: RunConfig) -> HttpBackend:
+    return HttpBackend(
+        base_url=config.backend.url,
+        timeout=config.backend.timeout,
+        parallelism=config.backend.parallelism,
+    )
+
+
 def make_translator(config: RunConfig) -> TranslationBackend:
     if config.backend.kind == "mock":
         return TaggingTranslator()
-    return HttpBackend(base_url=config.backend.url, timeout=config.backend.timeout)
+    return _http_backend(config)
 
 
 def make_generator(config: RunConfig, seed: int) -> GenerationBackend:
     if config.backend.kind == "mock":
         return MockQABackend(noise_rate=config.backend.noise_rate, seed=seed)
-    return HttpBackend(base_url=config.backend.url, timeout=config.backend.timeout)
+    return _http_backend(config)
 
 
 @dataclass
@@ -378,17 +388,13 @@ def cmd_exemplars(args, config: RunConfig, out: OutputDir) -> int:
             raise ConfigError("english_only exemplars need English gold data")
         shots = subsample_fewshot(gold, "en", config.n_shot, seed)
         with make_translator(config) as translator:
-            exemplars = build_exemplars_en_only(
-                shots, translator, args.language, parallelism=config.backend.parallelism
-            )
+            exemplars = build_exemplars_en_only(shots, translator, args.language)
     else:
         if not any(ex.language == args.language for ex in gold.examples):
             raise ConfigError(f"no gold examples in language {args.language!r}")
         shots = subsample_fewshot(gold, args.language, config.n_shot, seed)
         with make_translator(config) as translator:
-            exemplars = build_exemplars_fewshot(
-                shots, translator, parallelism=config.backend.parallelism
-            )
+            exemplars = build_exemplars_fewshot(shots, translator)
     out_path = out.path(f"{args.language}.exemplars.json")
     save_exemplars(exemplars, out_path)
     print(f"built {len(exemplars)} exemplars ({config.scenario}) -> {out_path}")
@@ -451,6 +457,22 @@ def _load_exemplars_dir(
     )
 
 
+def _load_prompts_dir(
+    prompts_dir: str, languages: Sequence[str], d: int
+) -> Dict[str, SoftPrompt]:
+    """Each language's tuned prompt; one whose width is not d is an error."""
+
+    def load(path: Path, lang: str) -> SoftPrompt:
+        prompt, _ = load_prompt(path)
+        if prompt.d != d:
+            raise ConfigError(
+                f"{path}: prompt width d={prompt.d} differs from tuner.d={d}"
+            )
+        return prompt
+
+    return _load_language_files(prompts_dir, languages, "prompt.bin", "tuned prompt", load)
+
+
 def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
     targets = [l for l in config.languages if l != "en"]
     if not targets:
@@ -461,13 +483,7 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
             raise ConfigError("--method mt requires --gold")
         d_en = read_jsonl(Path(args.gold))
         with make_translator(config) as translator:
-            run = synth_mt(
-                d_en,
-                translator,
-                targets,
-                config.config_hash,
-                parallelism=config.backend.parallelism,
-            )
+            run = synth_mt(d_en, translator, targets, config.config_hash)
     elif args.method == "pe":
         if not args.passages_dir or not args.exemplars_dir:
             raise ConfigError("--method pe requires --passages-dir and --exemplars-dir")
@@ -475,11 +491,7 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
         exemplars = _load_exemplars_dir(args.exemplars_dir, targets)
         with make_generator(config, seed) as generator:
             run = synth_pe(
-                exemplars,
-                passages,
-                generator,
-                parallelism=config.backend.parallelism,
-                config_hash=config.config_hash,
+                exemplars, passages, generator, config_hash=config.config_hash
             )
     elif args.method == "pt":
         if not args.passages_dir:
@@ -487,18 +499,8 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
         passages = _load_passages_dir(args.passages_dir, targets)
         if args.prompts_dir:
             t = config.tuner
+            prompts = _load_prompts_dir(args.prompts_dir, targets, t.d)
             model = create_toy_lm(d=t.d, h=t.h, seed=t.model_seed)
-            prompts = {}
-            for lang in targets:
-                prompt_path = Path(args.prompts_dir) / f"{lang}.prompt.bin"
-                if not prompt_path.exists():
-                    raise ConfigError(f"no tuned prompt for {lang!r}: {prompt_path}")
-                prompts[lang], _ = load_prompt(prompt_path)
-                if prompts[lang].d != t.d:
-                    raise ConfigError(
-                        f"{prompt_path}: prompt width d={prompts[lang].d} "
-                        f"differs from tuner.d={t.d}"
-                    )
             run = synth_pt(
                 passages,
                 model=model,
@@ -513,7 +515,6 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
                     backend=generator,
                     scenario=config.scenario,
                     config_hash=config.config_hash,
-                    parallelism=config.backend.parallelism,
                 )
     else:
         raise ConfigError(f"unknown method {args.method!r}")
@@ -542,7 +543,6 @@ def cmd_filter(args, config: RunConfig, out: OutputDir) -> int:
                 backend,
                 exemplars,
                 mode=config.filters.get("roundtrip_mode", "normalized"),
-                parallelism=config.backend.parallelism,
             )
         except SynthesisError as e:
             raise SynthesisError(f"{Path(args.run) / 'report.json'}: {e}") from e
@@ -611,7 +611,6 @@ def cmd_taxonomy(args, config: RunConfig, out: OutputDir) -> int:
             translator,
             pool_all_languages=not args.exclude_english,
             other_threshold=args.other_threshold,
-            parallelism=config.backend.parallelism,
         )
     write_json(out.path("taxonomy.json"), report.to_dict())
     write_text(out.path("categories.csv"), ring_csv(report.pooled, "category"))

@@ -90,14 +90,13 @@ def translate_fields(
     names: Sequence[str],
     source: str,
     targets: Sequence[str],
-    parallelism: int,
 ) -> List[List[Dict[str, str]]]:
     """Translate the named fields of every example from source into each target.
 
     Returns, for each target, one {field: translation} per example, in order.
-    Every translation goes through one run_requests call bounded by
-    parallelism. The first failure in (target, example, field) order is
-    raised: a BackendError keeps its type, anything else becomes a PromptError.
+    Every translation goes through one run_requests call. The first failure
+    in (target, example, field) order is raised: a BackendError keeps its
+    type, anything else becomes a PromptError.
     """
     rows = [(target, ex, name) for target in targets for ex in examples for name in names]
 
@@ -116,7 +115,7 @@ def translate_fields(
         except BackendError as e:
             raise failure((target, ex, name), e) from e
     texts = []
-    for row, (response, error) in zip(rows, run_requests(translator, reqs, parallelism)):
+    for row, (response, error) in zip(rows, run_requests(translator, reqs)):
         if error is not None:
             raise failure(row, error) from error
         texts.append(response.text)
@@ -128,13 +127,12 @@ def build_exemplars_en_only(
     d_en_n: Dataset,
     translator: TranslationBackend,
     target_language: str,
-    parallelism: int = 1,
 ) -> ExemplarSet:
     """Build exemplars for a language with no labeled data of its own.
 
     Each English (c, q, a) is mapped to (T(c), q, a, T(q), T(a)) where T
     translates en -> target_language. Order is preserved. The translations
-    go through one run_requests call bounded by parallelism.
+    go through one run_requests call.
     """
     for ex in d_en_n.examples:
         if ex.language != "en":
@@ -143,7 +141,7 @@ def build_exemplars_en_only(
             )
     (translated,) = translate_fields(
         translator, d_en_n.examples, ("context", "question", "answer"), "en",
-        [target_language], parallelism,
+        [target_language],
     )
     exemplars = tuple(
         Exemplar(
@@ -166,13 +164,12 @@ def build_exemplars_en_only(
 def build_exemplars_fewshot(
     d_l_n: Dataset,
     translator: TranslationBackend,
-    parallelism: int = 1,
 ) -> ExemplarSet:
     """Build exemplars from a handful of labeled target-language examples.
 
     Each (c, q, a) in language l != en is mapped to (c, T(q), T(a), q, a)
     where T translates l -> en. The dataset must be monolingual. The
-    translations go through one run_requests call bounded by parallelism.
+    translations go through one run_requests call.
     """
     languages = {ex.language for ex in d_l_n.examples}
     if len(languages) != 1:
@@ -183,7 +180,7 @@ def build_exemplars_fewshot(
     if language == "en":
         raise PromptError("few-shot exemplars are for non-English languages")
     (translated,) = translate_fields(
-        translator, d_l_n.examples, ("question", "answer"), language, ["en"], parallelism
+        translator, d_l_n.examples, ("question", "answer"), language, ["en"]
     )
     exemplars = tuple(
         Exemplar(

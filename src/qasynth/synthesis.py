@@ -55,7 +55,6 @@ FILTER_REASONS = (
 
 DEFAULT_STOP_SEQUENCES = ("\nPassage:",)
 DEFAULT_MAX_TOKENS = 64
-DEFAULT_PARALLELISM = 4
 
 
 class SynthesisError(ValueError):
@@ -139,7 +138,6 @@ def synth_mt(
     translator: TranslationBackend,
     languages: Sequence[str],
     config_hash: str = "",
-    parallelism: int = 1,
 ) -> SynthesisRun:
     """Translate the English dataset field-by-field into each target language.
 
@@ -157,7 +155,7 @@ def synth_mt(
             )
     targets = sorted(l for l in languages if l != "en")
     translated = translate_fields(
-        translator, d_en.examples, ("context", "question", "answer"), "en", targets, parallelism
+        translator, d_en.examples, ("context", "question", "answer"), "en", targets
     )
     raw = {
         lang: Dataset(
@@ -200,7 +198,6 @@ def _complete(
     prompts: Sequence[Union[str, Exception]],
     max_tokens: int,
     stop_sequences: Tuple[str, ...],
-    parallelism: int,
 ) -> List[Union[str, Exception]]:
     """Generate and parse one completion per prompt, in one run_requests call.
 
@@ -215,7 +212,7 @@ def _complete(
         for prompt in prompts
         if isinstance(prompt, str)
     ]
-    results = iter(run_requests(backend, reqs, parallelism))
+    results = iter(run_requests(backend, reqs))
     out: List[Union[str, Exception]] = []
     for prompt in prompts:
         if not isinstance(prompt, str):
@@ -252,7 +249,6 @@ def synth_pe(
     exemplars_by_language: Mapping[str, ExemplarSet],
     passages_by_language: Mapping[str, Sequence[Passage]],
     backend: GenerationBackend,
-    parallelism: int = DEFAULT_PARALLELISM,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     stop_sequences: Tuple[str, ...] = DEFAULT_STOP_SEQUENCES,
     config_hash: str = "",
@@ -262,12 +258,10 @@ def synth_pe(
     Stage one asks for an answer span, stage two asks for the question given
     that answer. Passages whose generation fails at either stage are counted
     as empty_generation in the report (with a note) and skipped. Each stage
-    sends the prompts of every language through one run_requests call
-    bounded by parallelism; results keep passage order. The output is raw:
-    run the filter stack separately.
+    sends the prompts of every language through one run_requests call;
+    results keep passage order. The output is raw: run the filter stack
+    separately.
     """
-    if parallelism < 1:
-        raise SynthesisError("parallelism must be >= 1")
     languages = sorted(passages_by_language)
     _check_exemplars(exemplars_by_language, languages)
     for lang in languages:
@@ -288,7 +282,6 @@ def synth_pe(
         ],
         max_tokens,
         stop_sequences,
-        parallelism,
     )
     questions = _complete(
         backend,
@@ -302,7 +295,6 @@ def synth_pe(
         ],
         max_tokens,
         stop_sequences,
-        parallelism,
     )
 
     outcomes = [
@@ -320,7 +312,6 @@ def synth_pt(
     max_tokens: int = 128,
     scenario: str = "english_only",
     config_hash: str = "",
-    parallelism: int = 1,
 ) -> SynthesisRun:
     """Generate QA pairs by greedy decoding from tuned prompts.
 
@@ -331,9 +322,8 @@ def synth_pt(
     greedy_decode_batch call. Remote path: pass backend instead;
     the prompt is "[l] passage" and the completion convention is the answer,
     a newline, then the question. The remote prompts of every language go
-    through one run_requests call bounded by parallelism. Either way a
-    generation with no separator or an empty side is dropped as
-    empty_generation.
+    through one run_requests call. Either way a generation with no
+    separator or an empty side is dropped as empty_generation.
     """
     toy = model is not None or prompts_by_language is not None
     if toy and (model is None or prompts_by_language is None):
@@ -365,7 +355,7 @@ def synth_pt(
         ]
         outcomes = [
             _split_completion(response, error)
-            for response, error in run_requests(backend, reqs, parallelism)
+            for response, error in run_requests(backend, reqs)
         ]
     return _fold("pt", scenario, passages_by_language, outcomes, config_hash)
 
@@ -474,7 +464,6 @@ def filter_roundtrip(
     mode: str = "normalized",
     max_tokens: int = DEFAULT_MAX_TOKENS,
     stop_sequences: Tuple[str, ...] = DEFAULT_STOP_SEQUENCES,
-    parallelism: int = 1,
 ) -> Tuple[Dataset, FilterReport]:
     """Consistency filter: re-answer each generated question and compare.
 
@@ -483,7 +472,7 @@ def filter_roundtrip(
     matches the original (after normalize_answer in "normalized" mode, raw
     string equality in "raw" mode). Backend failures drop the example as
     roundtrip_mismatch and leave a note. The re-answers go through one
-    run_requests call bounded by parallelism.
+    run_requests call.
     """
     if mode not in ("normalized", "raw"):
         raise SynthesisError(f"mode must be 'normalized' or 'raw', got {mode!r}")
@@ -498,9 +487,7 @@ def filter_roundtrip(
         )
         for ex in examples.examples
     ]
-    predictions = _complete(
-        qa_backend, prompts, max_tokens, stop_sequences, parallelism
-    )
+    predictions = _complete(qa_backend, prompts, max_tokens, stop_sequences)
     kept: List[QAExample] = []
     mismatches = 0
     notes: List[str] = []
@@ -613,7 +600,6 @@ def filter_run(
     qa_backend: Optional[GenerationBackend] = None,
     exemplars_by_language: Optional[Mapping[str, ExemplarSet]] = None,
     mode: str = "normalized",
-    parallelism: int = 1,
 ) -> SynthesisRun:
     """Filter each language's filtered examples again; raw is kept as it is.
 
@@ -637,11 +623,7 @@ def filter_run(
         reports[lang] = merge_reports(run.reports[lang], report)
         if qa_backend is not None:
             kept, report = filter_roundtrip(
-                kept,
-                qa_backend,
-                exemplars_by_language[lang],
-                mode=mode,
-                parallelism=parallelism,
+                kept, qa_backend, exemplars_by_language[lang], mode=mode
             )
             reports[lang] = merge_reports(reports[lang], report)
         filtered[lang] = kept

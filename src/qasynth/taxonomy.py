@@ -134,22 +134,19 @@ def distribution(
     translator: TranslationBackend,
     pool_all_languages: bool = True,
     other_threshold: float = DEFAULT_OTHER_THRESHOLD,
-    parallelism: int = 4,
 ) -> TaxonomyReport:
     """Bucket every question in the dataset by its English surface form.
 
     Non-English questions are translated to English first, each distinct
-    one once, through one run_requests call bounded by parallelism; a failed
-    translation buckets its question under "Other" and is counted in
-    translation_failures. pool_all_languages controls whether English
-    examples enter the pooled view (per-language views always keep them).
-    Categories whose share of the whole dataset is below other_threshold
-    are relabeled "Other" in every view.
+    one once, through one run_requests call; a failed translation buckets
+    its question under "Other" and is counted in translation_failures.
+    pool_all_languages controls whether English examples enter the pooled
+    view (per-language views always keep them). Categories whose share of
+    the whole dataset is below other_threshold are relabeled "Other" in
+    every view.
     """
     if not 0.0 <= other_threshold <= 1.0:
         raise TaxonomyError("other_threshold must be within [0, 1]")
-    if parallelism < 1:
-        raise TaxonomyError("parallelism must be >= 1")
 
     results = iter(
         run_requests(
@@ -159,7 +156,6 @@ def distribution(
                 for ex in dataset.examples
                 if ex.language != "en"
             ],
-            parallelism,
         )
     )
 

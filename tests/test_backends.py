@@ -143,6 +143,11 @@ class TestWireFormat:
             HttpBackend(base_url=url if source == "argument" else None)
         assert not err.value.retryable
 
+    @pytest.mark.parametrize("parallelism", [0, True, "2"])
+    def test_rejects_bad_parallelism(self, parallelism):
+        with pytest.raises(BackendError, match="parallelism must be an integer >= 1"):
+            HttpBackend(base_url="http://127.0.0.1:9", parallelism=parallelism)
+
 
 class TestRetries:
     def test_5xx_then_success(self, server):
@@ -268,9 +273,9 @@ def keepalive_url():
 
 class TestClose:
     def test_close_closes_every_thread_session(self, keepalive_url, recorded_connections):
-        backend = HttpBackend(base_url=keepalive_url)
+        backend = HttpBackend(base_url=keepalive_url, parallelism=3)
         reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(6)]
-        assert [e for _, e in run_requests(backend, reqs, 3)] == [None] * 6
+        assert [e for _, e in run_requests(backend, reqs)] == [None] * 6
         backend._connection  # the calling thread's own connection
         assert len(recorded_connections) >= 2
         assert not all(c.closed for c in recorded_connections)
@@ -409,9 +414,10 @@ class TestConcurrentClient:
         try:
             with serving(EchoHandler, ThreadingHTTPServer) as httpd:
                 with HttpBackend(
-                    base_url=f"http://127.0.0.1:{httpd.server_port}", timeout=10
+                    base_url=f"http://127.0.0.1:{httpd.server_port}", timeout=10,
+                    parallelism=8,
                 ) as backend:
-                    results = run_requests(backend, reqs, 8)
+                    results = run_requests(backend, reqs)
         finally:
             sys.setswitchinterval(old)
         assert [error for _, error in results] == [None] * len(reqs)

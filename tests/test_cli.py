@@ -774,6 +774,37 @@ class TestHttpSessionsClosed:
         assert unclosed == []
 
 
+class TestHttpParallelism:
+    def test_config_bound_reaches_the_wire(self, tmp_path, gold_en_path):
+        # Every request waits until three are in flight at once, so the
+        # command succeeds only if backend.parallelism reaches the client.
+        import threading
+        from http.server import ThreadingHTTPServer
+
+        from test_backends import RecordingHandler, serving
+
+        barrier = threading.Barrier(3, timeout=5)
+
+        class BarrierHandler(RecordingHandler):
+            script = []
+            requests_seen = []
+
+            def do_POST(self):
+                barrier.wait()
+                super().do_POST()
+
+        with serving(BarrierHandler, ThreadingHTTPServer) as httpd:
+            config = write_config(
+                tmp_path,
+                {"backend": {"kind": "http", "parallelism": 3,
+                             "url": f"http://127.0.0.1:{httpd.server_port}"}},
+            )
+            code = main(["exemplars", "--config", config, "--gold", gold_en_path,
+                         "--language", "fi", "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert len(BarrierHandler.requests_seen) == 15  # 5 shots x 3 fields
+
+
 def write_passage_file(directory: Path, lang: str, texts) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     with (directory / f"{lang}.passages.jsonl").open("w", encoding="utf-8") as fh:
@@ -890,6 +921,22 @@ class TestExemplarsDirectory:
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             f"error: no exemplar file for 'fi': {empty / 'fi.exemplars.json'}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+
+class TestPromptsDirectory:
+    def test_missing_prompt_file_is_named(self, tmp_path, capsys):
+        write_passage_file(tmp_path / "passages", "fi", ["Silta valmistui 1956."])
+        prompts = tmp_path / "prompts"
+        prompts.mkdir()
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        assert main(["synth", "--config", config, "--method", "pt",
+                     "--passages-dir", str(tmp_path / "passages"),
+                     "--prompts-dir", str(prompts), "--out", str(tmp_path / "o")]
+                    ) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: no tuned prompt file for 'fi': {prompts / 'fi.prompt.bin'}\n"
         )
         assert not (tmp_path / "o").exists()
 

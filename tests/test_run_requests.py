@@ -1,5 +1,5 @@
-"""The request runner: dedup, order, bounded fan-out, and the failure
-semantics of every stage built on it."""
+"""The request runner: dedup, order, fan-out bounded by the backend's
+parallelism, and the failure semantics of every stage built on it."""
 
 from __future__ import annotations
 
@@ -34,12 +34,14 @@ from tests.test_synthesis import StubRoundtrip, fi_exemplars, fi_passages
 
 class CountingTranslator(TranslationBackend):
     """Reverses the text; counts calls per (text, source, target); raises
-    BackendError on the texts in fail_on."""
+    BackendError on the texts in fail_on. run_requests sends it at most
+    parallelism requests at once."""
 
     backend_id = "mock:counting"
 
-    def __init__(self, fail_on=()):
+    def __init__(self, fail_on=(), parallelism=1):
         self.fail_on = set(fail_on)
+        self.parallelism = parallelism
         self.calls = Counter()
         self._lock = threading.Lock()
 
@@ -66,15 +68,12 @@ def doubled(gold_en: Dataset) -> Dataset:
 
 class TestRunRequests:
     def test_empty(self):
-        assert run_requests(CountingTranslator(), [], 4) == []
-
-    def test_rejects_bad_parallelism(self):
-        with pytest.raises(ValueError):
-            run_requests(CountingTranslator(), [], 0)
+        assert run_requests(CountingTranslator(parallelism=4), []) == []
 
     def test_fans_out_to_parallelism(self):
-        # Every call waits until `parallelism` calls are in flight at once;
-        # a runner with less fan-out breaks the barrier and records errors.
+        # Every call waits until the backend's `parallelism` calls are in
+        # flight at once; a runner with less fan-out breaks the barrier and
+        # records errors.
         barrier = threading.Barrier(3, timeout=5)
 
         class Waiting(CountingTranslator):
@@ -83,7 +82,7 @@ class TestRunRequests:
                 return super().translate(request)
 
         reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(6)]
-        results = run_requests(Waiting(), reqs, 3)
+        results = run_requests(Waiting(parallelism=3), reqs)
         assert [error for _, error in results] == [None] * 6
         assert [r.text for r, _ in results] == [f"{i}t" for i in range(6)]
 
@@ -96,7 +95,9 @@ class TestRunRequests:
     def test_equals_serial_map(self, picks, failing, parallelism):
         texts = [f"text {i}" for i in range(6)]
         reqs = [TranslationRequest(text=texts[i], source="en", target="fi") for i in picks]
-        translator = CountingTranslator(fail_on={texts[i] for i in failing})
+        translator = CountingTranslator(
+            fail_on={texts[i] for i in failing}, parallelism=parallelism
+        )
 
         def serial(req):
             try:
@@ -106,7 +107,7 @@ class TestRunRequests:
 
         expected = [serial(req) for req in reqs]
         translator.calls.clear()
-        got = run_requests(translator, reqs, parallelism)
+        got = run_requests(translator, reqs)
         assert [r for r, _ in got] == [r for r, _ in expected]
         assert [(type(e), str(e)) for _, e in got] == [(type(e), str(e)) for _, e in expected]
         assert sum(translator.calls.values()) == len(set(reqs))
@@ -114,8 +115,8 @@ class TestRunRequests:
 
 class TestDedup:
     def test_synth_mt_one_call_per_distinct_request(self, gold_en):
-        translator = CountingTranslator()
-        run = synth_mt(doubled(gold_en), translator, ["fi", "ar"], parallelism=4)
+        translator = CountingTranslator(parallelism=4)
+        run = synth_mt(doubled(gold_en), translator, ["fi", "ar"])
         distinct = {
             (getattr(ex, name), "en", lang)
             for ex in gold_en.examples
@@ -128,9 +129,9 @@ class TestDedup:
 
     def test_failing_duplicate_is_sent_once(self, gold_en):
         bad = gold_en.examples[1].question
-        translator = CountingTranslator(fail_on={bad})
+        translator = CountingTranslator(fail_on={bad}, parallelism=4)
         with pytest.raises(BackendError):
-            synth_mt(doubled(gold_en), translator, ["fi"], parallelism=4)
+            synth_mt(doubled(gold_en), translator, ["fi"])
         assert translator.calls[(bad, "en", "fi")] == 1
 
 
@@ -140,8 +141,8 @@ class TestFailureSemantics:
         messages = set()
         for parallelism in (1, 4):
             with pytest.raises(BackendError) as err:
-                synth_mt(gold_en, CountingTranslator(fail_on={bad}), ["fi", "ar"],
-                         parallelism=parallelism)
+                synth_mt(gold_en, CountingTranslator(fail_on={bad}, parallelism=parallelism),
+                         ["fi", "ar"])
             messages.add(str(err.value))
         assert messages == {
             f"translation of 'question' failed for example 'en-1' (ar): "
@@ -153,8 +154,9 @@ class TestFailureSemantics:
         messages = set()
         for parallelism in (1, 4):
             with pytest.raises(BackendError) as err:
-                build_exemplars_en_only(gold_en, CountingTranslator(fail_on=bad), "fi",
-                                        parallelism=parallelism)
+                build_exemplars_en_only(
+                    gold_en, CountingTranslator(fail_on=bad, parallelism=parallelism), "fi"
+                )
             messages.add(str(err.value))
         assert messages == {
             f"translation of 'context' failed for example 'en-2' (fi): "
@@ -163,11 +165,13 @@ class TestFailureSemantics:
 
     def test_non_backend_failure_is_a_prompt_error(self, gold_en):
         class Broken(TranslationBackend):
+            parallelism = 4
+
             def translate(self, request):
                 raise RuntimeError("boom")
 
         with pytest.raises(PromptError, match=r"'context' failed for example 'en-0' \(fi\): boom"):
-            build_exemplars_en_only(gold_en, Broken(), "fi", parallelism=4)
+            build_exemplars_en_only(gold_en, Broken(), "fi")
 
     def test_synth_mt_non_backend_failure_is_a_prompt_error(self, gold_en):
         class BrokenOnQuestion(CountingTranslator):
@@ -179,7 +183,7 @@ class TestFailureSemantics:
         with pytest.raises(
             PromptError, match=r"^translation of 'question' failed for example 'en-1' \(ar\): boom$"
         ):
-            synth_mt(gold_en, BrokenOnQuestion(), ["fi", "ar"], parallelism=4)
+            synth_mt(gold_en, BrokenOnQuestion(parallelism=4), ["fi", "ar"])
 
     def test_filter_roundtrip_one_note_per_failed_item(self):
         examples = Dataset(
@@ -190,21 +194,23 @@ class TestFailureSemantics:
             ),
         )
         backend = StubRoundtrip({"Milloin?": "1956"})
-        kept, report = filter_roundtrip(examples, backend, fi_exemplars(), parallelism=4)
+        backend.parallelism = 4
+        kept, report = filter_roundtrip(examples, backend, fi_exemplars())
         assert [ex.id for ex in kept.examples] == ["pe-fi-0", "pe-fi-2"]
         assert report.dropped == {"roundtrip_mismatch": 2}
         assert [note.split(":")[0] for note in report.notes] == ["pe-fi-1", "pe-fi-3"]
 
     def test_synth_pe_one_note_per_failed_item(self):
         class FailOnPassage(MockQABackend):
+            parallelism = 4
+
             def generate(self, request):
                 if "Kaupungissa" in request.prompt.rsplit("  Passage: ", 1)[1]:
                     raise BackendError("refused")
                 return super().generate(request)
 
         passages = fi_passages(10)
-        run = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, FailOnPassage(),
-                       parallelism=4)
+        run = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, FailOnPassage())
         report = run.reports["fi"]
         failed = [p.id for p in passages if "Kaupungissa" in p.text]
         assert report.dropped == {"empty_generation": len(failed)}
@@ -213,23 +219,25 @@ class TestFailureSemantics:
 
 
 class TestParallelismInvariance:
-    """parallelism changes how many requests are in flight, never the output."""
+    """A backend's parallelism changes how many requests are in flight,
+    never the output."""
 
     def test_every_stage(self, gold_en):
-        backend = MockQABackend(noise_rate=0.5, seed=3)
         passages = {"fi": fi_passages(12)}
 
         def outputs(p):
-            mt = synth_mt(gold_en, CountingTranslator(), ["fi", "ar"], parallelism=p)
-            pe = synth_pe({"fi": fi_exemplars()}, passages, backend, parallelism=p)
+            backend = MockQABackend(noise_rate=0.5, seed=3)
+            backend.parallelism = p
+            mt = synth_mt(gold_en, CountingTranslator(parallelism=p), ["fi", "ar"])
+            pe = synth_pe({"fi": fi_exemplars()}, passages, backend)
             extracted, _ = filter_extractive(pe.raw["fi"])
-            rt = filter_roundtrip(extracted, backend, fi_exemplars(), parallelism=p)
-            pt = synth_pt(passages, backend=backend, parallelism=p)
+            rt = filter_roundtrip(extracted, backend, fi_exemplars())
+            pt = synth_pt(passages, backend=backend)
             mixed = Dataset(
                 name="tax",
                 examples=gold_en.examples + mt.raw["fi"].examples + mt.raw["ar"].examples,
             )
-            tax = distribution(mixed, CountingTranslator(), parallelism=p)
+            tax = distribution(mixed, CountingTranslator(parallelism=p))
             return (mt.raw, mt.reports, pe.raw, pe.reports, rt, pt.raw, pt.reports,
                     tax.to_dict())
 

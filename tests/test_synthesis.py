@@ -166,10 +166,9 @@ class TestSynthPE:
 
     def test_parallelism_preserves_order(self, mock_backend):
         passages = fi_passages(8)
-        slow = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, mock_backend,
-                        parallelism=1)
-        wide = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, mock_backend,
-                        parallelism=4)
+        slow = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, mock_backend)
+        mock_backend.parallelism = 4
+        wide = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, mock_backend)
         assert [e.id for e in slow.raw["fi"].examples] == [
             e.id for e in wide.raw["fi"].examples
         ]
@@ -177,8 +176,7 @@ class TestSynthPE:
 
     def test_backend_failure_becomes_empty_generation(self):
         backend = StaticGenerationBackend([" torni\nPassage: x"])  # second call fails
-        run = synth_pe({"fi": fi_exemplars()}, {"fi": fi_passages(1)}, backend,
-                       parallelism=1)
+        run = synth_pe({"fi": fi_exemplars()}, {"fi": fi_passages(1)}, backend)
         report = run.reports["fi"]
         assert report.input_count == 1
         assert report.kept_count == 0

@@ -211,11 +211,6 @@ class TestDistribution:
         with pytest.raises(TaxonomyError):
             distribution(ds, DictTranslator({}), other_threshold=1.5)
 
-    def test_rejects_bad_parallelism(self):
-        ds = questions_dataset([("en", "What?")])
-        with pytest.raises(TaxonomyError):
-            distribution(ds, DictTranslator({}), parallelism=0)
-
     def test_deterministic(self):
         ds = questions_dataset(
             [("en", "What is this?"), ("fi", "q1"), ("ar", "q2")]
