@@ -12,33 +12,36 @@ Wire format of the HTTP backend:
 The base URL, http(s)://host[:port][/path], comes from the constructor or the
 QAM_BACKEND_URL environment variable; an optional bearer token from the
 constructor or QAM_BACKEND_TOKEN. Each thread sends over one keep-alive
-connection; a keep-alive connection the server dropped is reopened and the
-request resent once, without using an attempt. Transport failures, 5xx and
-429 responses are retried up to 3 attempts with jittered exponential backoff;
-a 429 with a delta-seconds Retry-After waits that long instead (capped at the
-timeout). Other 4xx and malformed payloads fail immediately.
+connection, kept until close(); a keep-alive connection the server dropped is
+reopened and the request resent once, without using an attempt. Transport
+failures, 5xx and 429 responses are retried up to 3 attempts with jittered
+exponential backoff; a 429 with a delta-seconds Retry-After waits that long
+instead (capped at the timeout). Other 4xx and malformed payloads fail
+immediately.
 
 run_requests is the one way stages fan requests out: it sends each distinct
 request once, over at most backend.parallelism threads, and returns results in
-input order. Only HttpBackend takes a parallelism; the mocks keep the base
+input order. A backend with parallelism above 1 keeps one thread pool from its
+first fan-out until close(), so its threads, and their connections, serve
+every stage. Only HttpBackend takes a parallelism; the mocks keep the base
 class's 1 and answer one request at a time.
+
+Importing this module loads no HTTP code: HttpBackend loads http.client,
+ssl, urllib.request and base64 when it is built, and concurrent.futures loads
+at the first fan-out. Both happen on the calling thread, never first in a
+pool thread.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import http.client
 import json
 import os
 import random
 import re
-import ssl
 import threading
 import time
 import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -119,13 +122,34 @@ def apply_stop_sequences(text: str, stop_sequences: Sequence[str]) -> str:
 
 class Backend:
     """Shared base. parallelism is the most requests run_requests sends to
-    this backend at once. A backend that holds connections releases them in
-    close(); using it as a context manager closes it on exit."""
+    this backend at once; with parallelism above 1 they go through a pool of
+    that many threads, made at the first fan-out and kept until close(). A
+    backend that holds connections also releases them in close(); using it
+    as a context manager closes it on exit."""
 
     parallelism = 1
+    _pool = None
+    _pool_lock = threading.Lock()
+
+    def _fan_out(self, fn, items: list) -> list:
+        """[fn(item) for item in items], over this backend's pool when its
+        parallelism is above 1."""
+        if self.parallelism <= 1 or not items:
+            return [fn(item) for item in items]
+        with self._pool_lock:
+            if self._pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                self._pool = ThreadPoolExecutor(max_workers=self.parallelism)
+            pool = self._pool
+        return list(pool.map(fn, items))
 
     def close(self) -> None:
-        pass
+        """Shut the pool down; a later fan-out makes a fresh one."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     def __enter__(self):
         return self
@@ -176,6 +200,8 @@ def split_backend_url(url: str) -> urllib.parse.SplitResult:
 def _proxy_for(parts: urllib.parse.SplitResult) -> Optional[urllib.parse.SplitResult]:
     """The proxy the environment (or the system settings urllib reads) sets
     for this URL; None if there is none or the host bypasses it."""
+    import urllib.request
+
     proxy = urllib.request.getproxies().get(parts.scheme)
     if not proxy or urllib.request.proxy_bypass(parts.netloc):
         return None
@@ -193,6 +219,8 @@ def _proxy_auth(proxy: urllib.parse.SplitResult) -> Dict[str, str]:
     """Basic proxy authorization from the proxy URL's user info, if any."""
     if proxy.username is None:
         return {}
+    import base64
+
     credentials = (
         f"{urllib.parse.unquote(proxy.username)}:{urllib.parse.unquote(proxy.password or '')}"
     )
@@ -207,7 +235,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
     attempts). parallelism, an integer >= 1, bounds the requests
     run_requests has in flight. Safe to call from several threads at once:
     each thread keeps its own keep-alive connection. close(), or a with
-    block, closes the connections the backend opened.
+    block, shuts the pool down and closes the connections the backend
+    opened.
     """
 
     def __init__(
@@ -218,6 +247,11 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         retry_base_delay: float = 0.5,
         parallelism: int = 1,
     ):
+        # The transport loads here, on the constructing thread, so a pool
+        # thread never runs an import first. http.client also loads ssl.
+        import http.client
+        import ssl
+
         if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
             raise BackendError(
                 f"parallelism must be an integer >= 1, got {parallelism!r}"
@@ -273,6 +307,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         at a time."""
         conn = getattr(self._local, "connection", None)
         if conn is None:
+            import http.client
+
             if self._https:
                 conn = http.client.HTTPSConnection(
                     *self._address, timeout=self.timeout, context=self._tls
@@ -287,7 +323,9 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         return conn
 
     def close(self) -> None:
-        """Close every connection this backend opened."""
+        """Shut the pool down, then close every connection this backend
+        opened."""
+        super().close()
         with self._connections_lock:
             connections, self._connections = self._connections, []
             # A later call opens (and tracks) a fresh connection.
@@ -302,7 +340,9 @@ class HttpBackend(GenerationBackend, TranslationBackend):
     def _retry_after(self, value: Optional[str]) -> Optional[float]:
         """A delta-seconds Retry-After, capped at the timeout; None if absent."""
         value = (value or "").strip()
-        if not value.isdigit():
+        # http.client decodes headers as latin-1, and str.isdigit() also
+        # accepts digits such as "²" that float() rejects.
+        if not (value.isascii() and value.isdigit()):
             return None
         return min(float(value), self.timeout)
 
@@ -336,6 +376,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
             raise
 
     def _post(self, path: str, payload: dict) -> dict:
+        import http.client
+
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         last_error: Optional[BackendError] = None
         delay: Optional[float] = None
@@ -432,13 +474,7 @@ def run_requests(
         except Exception as e:
             return None, e
 
-    workers = min(backend.parallelism, len(distinct))
-    if workers <= 1:
-        results = [call(req) for req in distinct]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(call, distinct))
-    by_request = dict(zip(distinct, results))
+    by_request = dict(zip(distinct, backend._fan_out(call, distinct)))
     return [by_request[req] for req in reqs]
 
 

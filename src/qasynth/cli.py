@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .backends import (
@@ -42,6 +42,7 @@ from .corpus import (
     CorpusError,
     Dataset,
     Passage,
+    config_hash,
     dataset_stats,
     load_passage_pool,
     parse_squad_json,
@@ -55,20 +56,6 @@ from .corpus import (
     write_text,
 )
 from .metrics import evaluate, render_eval_table
-from .promptkit import Exemplar, ExemplarSet, build_exemplars_en_only, build_exemplars_fewshot
-from .synthesis import (
-    SynthesisError,
-    assemble,
-    config_hash,
-    filter_run,
-    load_run,
-    save_run,
-    size_sweep,
-    synth_mt,
-    synth_pe,
-    synth_pt,
-)
-from .taxonomy import distribution, ring_csv
 from .tuner import (
     SoftPrompt,
     TuneConfig,
@@ -78,6 +65,11 @@ from .tuner import (
     save_prompt,
     tune,
 )
+
+# promptkit, synthesis and taxonomy are imported inside the commands that run
+# them, so a command that runs none of them never loads them.
+if TYPE_CHECKING:
+    from .promptkit import ExemplarSet
 
 DEFAULT_SEEDS = {"sample": 0, "fewshot": 0, "tune": 0, "synth": 0, "sweep": 0}
 
@@ -289,6 +281,8 @@ class OutputDir:
         return self.root / name
 
     def save_run(self, run, config: RunConfig) -> None:
+        from .synthesis import save_run
+
         self.written += save_run(run, self.root, config.to_dict())
 
 
@@ -330,6 +324,8 @@ def save_exemplars(exemplars: ExemplarSet, path: Path) -> None:
 
 def load_exemplars(path: Path, language: str) -> ExemplarSet:
     """Read a file save_exemplars wrote for language; every error names it."""
+    from .promptkit import Exemplar, ExemplarSet
+
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         exemplars = ExemplarSet(
@@ -381,6 +377,8 @@ def cmd_sample(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_exemplars(args, config: RunConfig, out: OutputDir) -> int:
+    from .promptkit import build_exemplars_en_only, build_exemplars_fewshot
+
     gold = read_jsonl(Path(args.gold))
     seed = config.seed("fewshot")
     if config.scenario == "english_only":
@@ -474,6 +472,8 @@ def _load_prompts_dir(
 
 
 def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
+    from .synthesis import synth_mt, synth_pe, synth_pt
+
     targets = [l for l in config.languages if l != "en"]
     if not targets:
         raise ConfigError("config.languages needs at least one non-English language")
@@ -525,6 +525,8 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_filter(args, config: RunConfig, out: OutputDir) -> int:
+    from .synthesis import SynthesisError, filter_run, load_run
+
     run = load_run(args.run)
     roundtrip = (
         run.method == "pe" and config.filters.get("roundtrip", "on") == "on"
@@ -553,6 +555,8 @@ def cmd_filter(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_assemble(args, config: RunConfig, out: OutputDir) -> int:
+    from .synthesis import assemble, load_run, size_sweep
+
     d_en = read_jsonl(Path(args.gold))
     synthetic: Dict[str, Dataset] = {}
     for run_dir in args.runs:
@@ -604,6 +608,8 @@ def cmd_eval(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_taxonomy(args, config: RunConfig, out: OutputDir) -> int:
+    from .taxonomy import distribution, ring_csv
+
     dataset = read_jsonl(Path(args.input))
     with make_translator(config) as translator:
         report = distribution(
@@ -754,14 +760,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BackendError as e:
         print(f"backend error: {e}", file=sys.stderr)
         return EXIT_BACKEND
-    except (
-        ConfigError,
-        CorpusError,
-        SynthesisError,
-        TunerError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (ValueError, OSError) as e:  # every domain error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

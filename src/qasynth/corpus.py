@@ -9,6 +9,7 @@ provenance tag saying how the example came to be (gold, mt, pe, pt).
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import random
@@ -455,6 +456,12 @@ def write_text(path: Union[str, Path], text: str) -> None:
 def write_json(path: Union[str, Path], payload) -> None:
     """Write one JSON artifact: UTF-8, no ASCII escaping, sorted keys, indent 2."""
     write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+
+
+def config_hash(config: dict) -> str:
+    """Stable 12-hex-digit digest of a JSON-serializable config."""
+    blob = json.dumps(config, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 def write_jsonl(dataset: Dataset, path: Union[str, Path]) -> None:

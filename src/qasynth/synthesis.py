@@ -14,7 +14,6 @@ filtered, matching the recipe this implements.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -699,9 +698,3 @@ def load_run(run_dir: Union[str, Path]) -> SynthesisRun:
         raise SynthesisError(f"{path}: missing key {e}") from e
     except (json.JSONDecodeError, TypeError, AttributeError, SynthesisError) as e:
         raise SynthesisError(f"{path}: {e}") from e
-
-
-def config_hash(config: dict) -> str:
-    """Stable 12-hex-digit digest of a JSON-serializable config."""
-    blob = json.dumps(config, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]

@@ -199,6 +199,17 @@ class TestRetries:
         assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "second"
         assert len(handler.requests_seen) == 2
 
+    def test_non_ascii_digit_retry_after_falls_back_to_backoff(self, server):
+        # http.client decodes the header as latin-1, so "²" arrives as a
+        # str for which isdigit() is true but float() fails.
+        url, handler = server
+        handler.script.extend(
+            [(429, {}, {"Retry-After": "\u00b2"}), (200, {"text": "second"})]
+        )
+        backend = HttpBackend(base_url=url, retry_base_delay=0.0)
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "second"
+        assert len(handler.requests_seen) == 2
+
     def test_429_exhausts_after_three(self, server):
         url, handler = server
         handler.script.extend([(429, {})] * 5)
@@ -297,6 +308,74 @@ class TestClose:
             backend.translate(TranslationRequest(text="a", source="en", target="fi"))
             assert not recorded_connections[0].closed
         assert len(recorded_connections) == 1 and recorded_connections[0].closed
+
+
+class CountingKeepAlive(EchoHandler):
+    """Counts the connections it accepts and those still open. Each reply
+    waits a little, so a fan-out has every pool thread busy at once."""
+
+    lock = threading.Lock()
+    accepted = 0
+    open = 0
+
+    def setup(self):
+        super().setup()
+        with self.lock:
+            type(self).accepted += 1
+            type(self).open += 1
+
+    def finish(self):
+        with self.lock:
+            type(self).open -= 1
+        super().finish()
+
+    def do_POST(self):
+        time.sleep(0.02)
+        super().do_POST()
+
+
+class TestPool:
+    def test_fan_outs_share_one_pool_and_its_connections(self):
+        CountingKeepAlive.accepted = CountingKeepAlive.open = 0
+        with serving(CountingKeepAlive, ThreadingHTTPServer) as httpd:
+            with HttpBackend(
+                base_url=f"http://127.0.0.1:{httpd.server_port}", parallelism=2
+            ) as backend:
+                for stage in range(3):
+                    reqs = [
+                        TranslationRequest(text=f"s{stage} t{i}", source="en", target="fi")
+                        for i in range(4)
+                    ]
+                    results = run_requests(backend, reqs)
+                    assert [r.text for r, _ in results] == [req.text[::-1] for req in reqs]
+                assert CountingKeepAlive.accepted == 2
+                assert CountingKeepAlive.open == 2
+            deadline = time.monotonic() + 5
+            while CountingKeepAlive.open and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert CountingKeepAlive.open == 0
+
+    def test_close_ends_the_pool_threads_and_a_later_fan_out_starts_new_ones(self):
+        threads = []
+
+        class Recording(MockQABackend):
+            parallelism = 2
+
+            def generate(self, request):
+                threads.append(threading.current_thread())
+                return super().generate(request)
+
+        reqs = [GenerationRequest(prompt=f"[fi] p{i}", max_tokens=8) for i in range(3)]
+        backend = Recording()
+        for _ in range(2):
+            results = run_requests(backend, reqs)
+            assert [e for _, e in results] == [None] * 3
+            assert threading.current_thread() not in threads
+            assert len(set(threads)) <= 2
+            assert all(t.is_alive() for t in threads)  # the pool outlives the call
+            backend.close()
+            assert not any(t.is_alive() for t in threads)
+            threads.clear()
 
 
 class OneReplyPerConnection(EchoHandler):

@@ -1085,6 +1085,19 @@ class TestMalformedInputs:
         assert err.startswith(f"error: {where}")
         assert "Traceback" not in err
 
+    def test_every_domain_error_is_a_value_error(self):
+        # main maps ValueError to exit 1 without naming the layers' error
+        # types, so that it need not import the layers to catch them.
+        from qasynth.corpus import CorpusError
+        from qasynth.promptkit import PromptError
+        from qasynth.synthesis import SynthesisError
+        from qasynth.taxonomy import TaxonomyError
+        from qasynth.tuner import TunerError
+
+        for error in (ConfigError, CorpusError, PromptError, SynthesisError,
+                      TaxonomyError, TunerError):
+            assert issubclass(error, ValueError), error
+
 
 @given(
     texts=st.lists(

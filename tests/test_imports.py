@@ -1,7 +1,9 @@
-"""What a command loads: numpy only where the toy model runs, never requests.
+"""What a command loads: numpy only where the toy model runs, the HTTP stack
+only where an HttpBackend is built, promptkit, synthesis and taxonomy only in
+the commands that run them, and never requests.
 
 Each check starts a fresh interpreter, because this test session itself has
-long since imported numpy.
+long since imported all of them.
 """
 
 from __future__ import annotations
@@ -15,23 +17,30 @@ from pathlib import Path
 import pytest
 
 import qasynth.backends
-from qasynth.cli import EXIT_OK, main
+from qasynth.cli import EXIT_OK, main, save_exemplars
+from qasynth.corpus import parse_squad_json
 
-from test_cli import TINY_TUNER, write_config, write_pool, write_tune_corpus
+from test_cli import TINY_TUNER, write_config, write_passage_file, write_pool, write_tune_corpus
+from test_synthesis import fi_exemplars, fi_passages
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+HTTP_STACK = ("concurrent.futures", "email.parser", "http.client", "ssl", "urllib.request")
+LAYERS = ("qasynth.promptkit", "qasynth.synthesis", "qasynth.taxonomy")
+
 # Runs each argv given as JSON on the command line through cli.main, then
 # prints the exit codes and, after the import and after every command, which
-# of numpy and requests are loaded.
-PROBE = """
+# of the watched modules are loaded.
+PROBE = f"""
 import json, sys
 import qasynth.cli
 
-def loaded():
-    return sorted(m for m in ("numpy", "requests") if m in sys.modules)
+WATCHED = ("numpy", "requests") + {HTTP_STACK!r} + {LAYERS!r}
 
-report = {"after_import": loaded(), "codes": [], "after_command": []}
+def loaded():
+    return sorted(m for m in WATCHED if m in sys.modules)
+
+report = {{"after_import": loaded(), "codes": [], "after_command": []}}
 for argv in json.loads(sys.argv[1]):
     report["codes"].append(qasynth.cli.main(argv))
     report["after_command"].append(loaded())
@@ -39,32 +48,88 @@ print(json.dumps(report))
 """
 
 
-def run_fresh(argvs, cwd: Path) -> dict:
+def run_code(code: str, *args: str, cwd=None) -> dict:
+    """Run code in a fresh interpreter; its last stdout line, as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", code, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_non_tuning_commands_load_neither_numpy_nor_requests(tmp_path, squad_raw):
+def run_fresh(argvs, cwd: Path) -> dict:
+    return run_code(PROBE, json.dumps(argvs), cwd=cwd)
+
+
+def test_offline_commands_load_only_their_own_layers(tmp_path, squad_raw):
     squad = tmp_path / "squad.json"
     squad.write_bytes(squad_raw)
+    gold, _ = parse_squad_json(squad_raw, "toy", "en")
+    predictions = tmp_path / "predictions.json"
+    predictions.write_text(json.dumps({ex.id: ex.answer for ex in gold.examples}))
     config = write_config(tmp_path, {"languages": ["en", "fi"],
                                      "backend": {"kind": "mock"}})
+    gold_path = str(tmp_path / "ingest" / "en.gold.jsonl")
     argvs = [
         ["ingest", "--config", config, "--input", str(squad), "--name", "toy",
          "--language", "en", "--out", str(tmp_path / "ingest")],
         ["sample", "--config", config, "--passages", write_pool(tmp_path),
          "--language", "fi", "--n", "3", "--out", str(tmp_path / "sample")],
+        ["eval", "--config", config, "--gold", gold_path,
+         "--predictions", str(predictions), "--out", str(tmp_path / "eval")],
+        ["stats", "--config", config, "--input", gold_path, "--out", str(tmp_path / "stats")],
     ]
     report = run_fresh(argvs, tmp_path)
-    assert report["codes"] == [EXIT_OK, EXIT_OK]
+    assert report["codes"] == [EXIT_OK] * 4
     assert report["after_import"] == []
-    assert report["after_command"] == [[], []]
+    assert report["after_command"] == [[]] * 4
+
+
+def test_mock_synth_pe_loads_synthesis_but_no_http_stack(tmp_path):
+    write_passage_file(tmp_path / "passages", "fi", [p.text for p in fi_passages(4)])
+    save_exemplars(fi_exemplars(), tmp_path / "fi.exemplars.json")
+    config = write_config(tmp_path, {"languages": ["en", "fi"],
+                                     "backend": {"kind": "mock"}})
+    argv = ["synth", "--config", config, "--method", "pe",
+            "--passages-dir", str(tmp_path / "passages"),
+            "--exemplars-dir", str(tmp_path), "--out", str(tmp_path / "pe")]
+    report = run_fresh([argv], tmp_path)
+    assert report["codes"] == [EXIT_OK]
+    # synthesis imports promptkit, whose renderers build the prompts.
+    assert report["after_command"] == [["qasynth.promptkit", "qasynth.synthesis"]]
+
+
+def test_building_an_http_backend_loads_the_transport():
+    report = run_code(f"""
+import json, sys
+from qasynth.backends import HttpBackend
+
+def loaded():
+    return sorted(m for m in {HTTP_STACK!r} if m in sys.modules)
+
+before = loaded()
+HttpBackend(base_url="http://127.0.0.1:9", parallelism=2).close()
+print(json.dumps({{"before": before, "after": loaded()}}))
+""")
+    assert report["before"] == []
+    # concurrent.futures waits for the first fan-out.
+    assert report["after"] == ["email.parser", "http.client", "ssl", "urllib.request"]
+
+
+def test_every_module_is_an_attribute_of_the_package():
+    # perfbench's tracer reads getattr(qasynth, layer) for each of these.
+    layers = ("corpus", "backends", "promptkit", "synthesis", "tuner", "metrics",
+              "taxonomy", "cli")
+    report = run_code(f"""
+import json
+import qasynth
+print(json.dumps({{"names": [getattr(qasynth, layer).__name__ for layer in {layers!r}],
+                  "unknown": hasattr(qasynth, "no_such_module")}}))
+""")
+    assert report == {"names": [f"qasynth.{layer}" for layer in layers], "unknown": False}
 
 
 def test_tune_loads_numpy_and_writes_the_in_process_bytes(tmp_path):

@@ -15,14 +15,13 @@ from qasynth.backends import (
     MockQABackend,
     TaggingTranslator,
 )
-from qasynth.corpus import Dataset, Passage, QAExample
+from qasynth.corpus import Dataset, Passage, QAExample, config_hash
 from qasynth.promptkit import Exemplar, ExemplarSet
 from qasynth.synthesis import (
     FilterReport,
     SynthesisError,
     SynthesisRun,
     assemble,
-    config_hash,
     filter_extractive,
     filter_roundtrip,
     filter_run,
