@@ -7,9 +7,9 @@ and greedy decoding shows what the tuned prompt makes the model emit.
 Run from the repository root:  python3 demos/03_prompt_tuning.py
 """
 
+from qasynth.cli import TuneConfig
 from qasynth.corpus import Dataset, QAExample
 from qasynth.tuner import (
-    TuneConfig,
     create_toy_lm,
     decode_bytes,
     encode_context,

@@ -44,6 +44,7 @@ from .corpus import (
     Passage,
     config_hash,
     dataset_stats,
+    is_language_code,
     load_passage_pool,
     parse_squad_json,
     read_jsonl,
@@ -56,20 +57,13 @@ from .corpus import (
     write_text,
 )
 from .metrics import evaluate, render_eval_table
-from .tuner import (
-    SoftPrompt,
-    TuneConfig,
-    TunerError,
-    create_toy_lm,
-    load_prompt,
-    save_prompt,
-    tune,
-)
 
-# promptkit, synthesis and taxonomy are imported inside the commands that run
-# them, so a command that runs none of them never loads them.
+# promptkit, synthesis, taxonomy and tuner (with numpy) are imported inside
+# the commands that run them, so a command that runs none of them never
+# loads them.
 if TYPE_CHECKING:
     from .promptkit import ExemplarSet
+    from .tuner import SoftPrompt
 
 DEFAULT_SEEDS = {"sample": 0, "fewshot": 0, "tune": 0, "synth": 0, "sweep": 0}
 
@@ -147,6 +141,37 @@ class BackendConfig:
 
 
 @dataclass(frozen=True)
+class TuneConfig:
+    """The `tuner` section: tuner hyperparameters plus the frozen-model
+    geometry to rebuild it. The tuning seed is `seeds.tune`, passed as
+    `tuner.tune(..., seed=)`."""
+
+    m: int = 8
+    d: int = 8
+    h: int = 16
+    model_seed: int = 0
+    learning_rate: float = 0.3
+    warmup_steps: int = 200
+    batch_size: int = 16
+    max_steps: int = 1000
+    eval_every: int = 50
+    early_stop_metric: str = "bleu"
+
+    def __post_init__(self):
+        for name in ("m", "d", "h", "model_seed", "warmup_steps", "batch_size",
+                     "max_steps", "eval_every"):
+            _check_int(f"tuner.{name}", getattr(self, name), 0 if name == "model_seed" else 1)
+        _check_number("tuner.learning_rate", self.learning_rate)
+        if self.learning_rate <= 0:
+            raise ConfigError("tuner.learning_rate must be > 0")
+        if self.early_stop_metric not in ("bleu", "dev_loss"):
+            raise ConfigError(
+                "tuner.early_stop_metric must be 'bleu' or 'dev_loss', "
+                f"got {self.early_stop_metric!r}"
+            )
+
+
+@dataclass(frozen=True)
 class RunConfig:
     languages: Tuple[str, ...] = ("en",)
     scenario: str = "english_only"
@@ -161,7 +186,7 @@ class RunConfig:
 
     def __post_init__(self):
         if not isinstance(self.languages, (list, tuple)) or not all(
-            isinstance(lang, str) and lang for lang in self.languages
+            is_language_code(lang) for lang in self.languages
         ):
             raise ConfigError(
                 f"languages must be a list of language codes, got {self.languages!r}"
@@ -218,26 +243,22 @@ def load_config(path: Optional[str]) -> RunConfig:
     """Build a RunConfig from a JSON file; missing path means all defaults."""
     if path is None:
         return RunConfig()
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: malformed JSON: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {e}") from e
     try:
         _check_object("config", doc, _field_names(RunConfig))
         kwargs = dict(doc)
         if "seeds" in doc:
             _check_object("seeds", doc["seeds"], DEFAULT_SEEDS)
             kwargs["seeds"] = {**DEFAULT_SEEDS, **doc["seeds"]}
-        if "backend" in doc:
-            _check_object("backend", doc["backend"], _field_names(BackendConfig))
-            kwargs["backend"] = BackendConfig(**doc["backend"])
-        if "tuner" in doc:
-            _check_object("tuner", doc["tuner"], _field_names(TuneConfig))
-            try:
-                kwargs["tuner"] = TuneConfig(**doc["tuner"])
-            except TunerError as e:
-                raise ConfigError(f"tuner.{e}") from e
+        for key, section in (("backend", BackendConfig), ("tuner", TuneConfig)):
+            if key in doc:
+                _check_object(key, doc[key], _field_names(section))
+                kwargs[key] = section(**doc[key])
         return RunConfig(**kwargs)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
@@ -352,7 +373,7 @@ def load_exemplars(path: Path, language: str) -> ExemplarSet:
 
 
 def cmd_ingest(args, config: RunConfig, out: OutputDir) -> int:
-    raw = Path(args.input).read_text(encoding="utf-8")
+    raw = Path(args.input).read_bytes()
     try:
         dataset, report = parse_squad_json(raw, args.name, args.language)
     except CorpusError as e:
@@ -400,6 +421,8 @@ def cmd_exemplars(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_tune(args, config: RunConfig, out: OutputDir) -> int:
+    from .tuner import create_toy_lm, save_prompt, tune
+
     train = read_jsonl(Path(args.train))
     dev = read_jsonl(Path(args.dev))
     t = config.tuner
@@ -459,6 +482,7 @@ def _load_prompts_dir(
     prompts_dir: str, languages: Sequence[str], d: int
 ) -> Dict[str, SoftPrompt]:
     """Each language's tuned prompt; one whose width is not d is an error."""
+    from .tuner import load_prompt
 
     def load(path: Path, lang: str) -> SoftPrompt:
         prompt, _ = load_prompt(path)
@@ -498,6 +522,8 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
             raise ConfigError("--method pt requires --passages-dir")
         passages = _load_passages_dir(args.passages_dir, targets)
         if args.prompts_dir:
+            from .tuner import create_toy_lm
+
             t = config.tuner
             prompts = _load_prompts_dir(args.prompts_dir, targets, t.d)
             model = create_toy_lm(d=t.d, h=t.h, seed=t.model_seed)
@@ -633,7 +659,7 @@ def cmd_stats(args, config: RunConfig, out: OutputDir) -> int:
     if fmt == "squad":
         try:
             counts = squad_language_counts(json.loads(path.read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, CorpusError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, CorpusError) as e:
             raise CorpusError(f"{path}: {e}") from e
         payload = {
             "format": "squad",
@@ -651,6 +677,12 @@ def cmd_stats(args, config: RunConfig, out: OutputDir) -> int:
 # ------------------------------------------------------------------ parser
 
 
+def _language(value: str) -> str:
+    if not is_language_code(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a language code")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qasynth", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -664,13 +696,13 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--name", required=True, help="dataset name for provenance")
-    p.add_argument("--language", required=True)
+    p.add_argument("--language", required=True, type=_language)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("sample", help="sample unlabeled passages from a pool")
     common(p)
     p.add_argument("--passages", required=True, help="NDJSON pool (id, text)")
-    p.add_argument("--language", required=True)
+    p.add_argument("--language", required=True, type=_language)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-len", type=int, default=200)
     p.add_argument("--max-len", type=int, default=510)
@@ -679,14 +711,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("exemplars", help="build prompt exemplars for a language")
     common(p)
     p.add_argument("--gold", required=True, help="gold JSONL file")
-    p.add_argument("--language", required=True)
+    p.add_argument("--language", required=True, type=_language)
     p.set_defaults(func=cmd_exemplars)
 
     p = sub.add_parser("tune", help="tune a soft prompt on the toy frozen LM")
     common(p)
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
-    p.add_argument("--language", required=True)
+    p.add_argument("--language", required=True, type=_language)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("synth", help="run a synthesis method (mt, pe, pt)")

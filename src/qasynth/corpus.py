@@ -196,6 +196,12 @@ class DatasetStats:
         }
 
 
+def is_language_code(code) -> bool:
+    """A non-empty string that is one plain path component, since commands
+    name files and directories after it (<lang>/raw.jsonl, <lang>.gold.jsonl)."""
+    return isinstance(code, str) and code not in ("", ".", "..") and not {"/", "\\"} & set(code)
+
+
 def _objects(value, key: str) -> list:
     if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
         raise CorpusError(f"{key!r} must be a list of objects")
@@ -232,12 +238,17 @@ def parse_squad_json(
 
     The first answer of each qa becomes the training answer; the remaining
     distinct answer texts are kept as alternatives for evaluation. A qa with
-    an empty answers list is skipped and reported. An answer whose offset
-    does not match the context is rejected (reported, skipped). Malformed
-    JSON raises CorpusError naming the byte offset of the failure.
+    an empty answers list is skipped and reported, and so is one that is not
+    a valid QAExample, such as an answer whose offset does not match the
+    context or a field of the wrong type. Bytes that are not UTF-8, malformed
+    JSON (both named by byte offset) and a structure that is not SQuAD's,
+    answers that are not a list of objects included, raise CorpusError.
     """
     if isinstance(raw, bytes):
-        text = raw.decode("utf-8")
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorpusError(f"not UTF-8 at byte offset {e.start}: {e.reason}") from e
     else:
         text = raw
     try:
@@ -255,7 +266,7 @@ def parse_squad_json(
         context = para.get("context", "")
         total += 1
         qa_id = qa.get("id", f"<unnamed #{total}>")
-        answers = qa.get("answers", [])
+        answers = _objects(qa.get("answers", []), "answers")
         if not answers:
             errors.append(f"{qa_id}: no answers; skipped")
             continue
@@ -264,13 +275,6 @@ def parse_squad_json(
         a_start = first.get("answer_start")
         if a_start is None:
             errors.append(f"{qa_id}: answer has no answer_start; skipped")
-            continue
-        span = context[a_start : a_start + len(a_text)]
-        if span != a_text:
-            errors.append(
-                f"{qa_id}: answer_start {a_start} does not point at the "
-                f"answer text; skipped"
-            )
             continue
         extras = []
         for alt in answers[1:]:
@@ -305,9 +309,15 @@ def parse_squad_json(
 
 
 def _json_lines(path: Path) -> Iterable[Tuple[int, object]]:
-    """(1-based line number, parsed value) for each non-blank line of a file."""
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """(1-based line number, parsed value) for each non-blank line of a
+    UTF-8 file; a line that is not UTF-8 or not JSON raises CorpusError
+    naming the file and line."""
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"{path}:{lineno}: not UTF-8: {e.reason}") from e
             if line.strip():
                 try:
                     obj = json.loads(line)

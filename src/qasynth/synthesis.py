@@ -17,7 +17,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .backends import (
     BackendError,
@@ -26,7 +26,15 @@ from .backends import (
     TranslationBackend,
     run_requests,
 )
-from .corpus import Dataset, Passage, QAExample, read_jsonl, write_json, write_jsonl
+from .corpus import (
+    Dataset,
+    Passage,
+    QAExample,
+    is_language_code,
+    read_jsonl,
+    write_json,
+    write_jsonl,
+)
 from .metrics import normalize_answer
 from .promptkit import (
     ExemplarSet,
@@ -37,13 +45,11 @@ from .promptkit import (
     render_roundtrip_prompt,
     translate_fields,
 )
-from .tuner import (
-    SoftPrompt,
-    ToyLM,
-    encode_context,
-    greedy_decode_batch,
-    split_decoded,
-)
+
+# tuner (with numpy) is imported inside synth_pt's toy path, the only one
+# that decodes from a tuned prompt.
+if TYPE_CHECKING:
+    from .tuner import SoftPrompt, ToyLM
 
 FILTER_REASONS = (
     "not_substring_of_context",
@@ -333,6 +339,8 @@ def synth_pt(
         )
     languages = sorted(passages_by_language)
     if toy:
+        from .tuner import encode_context, greedy_decode_batch, split_decoded
+
         for lang in languages:
             if lang not in prompts_by_language:
                 raise SynthesisError(f"no tuned prompt for language {lang!r}")
@@ -673,7 +681,10 @@ def load_run(run_dir: Union[str, Path]) -> SynthesisRun:
     path = run_dir / "report.json"
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        method, languages = doc["method"], tuple(doc["languages"])
+        method, languages = doc["method"], doc["languages"]
+        if not isinstance(languages, list) or not all(map(is_language_code, languages)):
+            raise SynthesisError(f"languages must be a list of language codes, got {languages!r}")
+        languages = tuple(languages)
         report_docs = {lang: doc["reports"][lang] for lang in languages}
 
         def read(part: str) -> Dict[str, Dataset]:
@@ -696,5 +707,6 @@ def load_run(run_dir: Union[str, Path]) -> SynthesisRun:
         )
     except KeyError as e:
         raise SynthesisError(f"{path}: missing key {e}") from e
-    except (json.JSONDecodeError, TypeError, AttributeError, SynthesisError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, AttributeError,
+            SynthesisError) as e:
         raise SynthesisError(f"{path}: {e}") from e

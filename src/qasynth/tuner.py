@@ -21,32 +21,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .corpus import Dataset, QAExample, atomic_open
 from .metrics import corpus_bleu
 
-
-class _DeferredNumpy:
-    """Stands in for `np` until first use, then rebinds it to numpy itself.
-
-    Only tuning and toy-model decoding need numpy; every other command
-    imports this module (for TuneConfig) and would otherwise pay for numpy's
-    import. Module-level code must not touch `np`: annotations are strings
-    under `from __future__ import annotations`.
-    """
-
-    def __getattr__(self, name: str):
-        global np
-        import numpy
-
-        np = numpy
-        return getattr(numpy, name)
-
-
-np = _DeferredNumpy()
+if TYPE_CHECKING:
+    from .cli import TuneConfig
 
 N_BYTES = 256
 BOS = 256
@@ -193,47 +178,6 @@ class SoftPrompt:
     @property
     def d(self) -> int:
         return int(self.P.shape[1])
-
-
-@dataclass(frozen=True)
-class TuneConfig:
-    """Tuner hyperparameters plus the frozen-model geometry to rebuild it.
-
-    This is the run config's `tuner` section; the tuning seed is `tune`'s
-    argument, taken from the run config's `seeds.tune`.
-    """
-
-    m: int = 8
-    d: int = 8
-    h: int = 16
-    model_seed: int = 0
-    learning_rate: float = 0.3
-    warmup_steps: int = 200
-    batch_size: int = 16
-    max_steps: int = 1000
-    eval_every: int = 50
-    early_stop_metric: str = "bleu"
-
-    def __post_init__(self):
-        for name in ("m", "d", "h", "model_seed", "warmup_steps", "batch_size",
-                     "max_steps", "eval_every"):
-            value = getattr(self, name)
-            minimum = 0 if name == "model_seed" else 1
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                raise TunerError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        lr = self.learning_rate
-        if (
-            isinstance(lr, bool)
-            or not isinstance(lr, (int, float))
-            or not math.isfinite(lr)
-            or lr <= 0
-        ):
-            raise TunerError(f"learning_rate must be a finite number > 0, got {lr!r}")
-        if self.early_stop_metric not in ("bleu", "dev_loss"):
-            raise TunerError(
-                f"early_stop_metric must be 'bleu' or 'dev_loss', "
-                f"got {self.early_stop_metric!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from qasynth.backends import (
     TranslationBackend,
     TranslationResponse,
 )
-from qasynth.cli import EXIT_OK, main
+from qasynth.cli import EXIT_OK, TuneConfig, main
 from qasynth.corpus import Dataset, Passage
 from qasynth.metrics import corpus_bleu, em, f1, normalize_answer
 from qasynth.synthesis import (
@@ -38,7 +38,6 @@ from qasynth.tuner import (
     VOCAB_SIZE,
     AdafactorState,
     SoftPrompt,
-    TuneConfig,
     create_toy_lm,
     encode_example,
     grad,

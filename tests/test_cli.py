@@ -2,6 +2,7 @@
 configuration loading, and byte-stable reruns."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,21 @@ class TestParser:
 
     def test_bad_choice(self):
         assert main(["synth", "--method", "zz", "--out", "o"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ingest", "--input", "x.json", "--name", "x"],
+         ["sample", "--passages", "pool.ndjson", "--n", "1"],
+         ["exemplars", "--gold", "x.jsonl"],
+         ["tune", "--train", "x.jsonl", "--dev", "x.jsonl"]],
+        ids=["ingest", "sample", "exemplars", "tune"],
+    )
+    @pytest.mark.parametrize("language", ["../esc", "a/b", "a\\b", ".", "..", ""])
+    def test_language_must_be_one_path_component(self, tmp_path, capsys, argv, language):
+        out = tmp_path / "o"
+        assert main(argv + ["--language", language, "--out", str(out)]) == EXIT_USAGE
+        assert "is not a language code" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLoadConfig:
@@ -151,6 +167,12 @@ class TestConfigValidation:
             ({"backend": {"parallelism": 0}}, "backend.parallelism"),
             ({"backend": {"timeout": "60"}}, "backend.timeout"),
             ({"backend": {"noise_rate": 5}}, "backend.noise_rate"),
+            ({"tuner": {"m": "5"}}, "tuner.m"),
+            ({"tuner": {"h": 0}}, "tuner.h"),
+            ({"tuner": {"model_seed": -1}}, "tuner.model_seed"),
+            ({"tuner": {"learning_rate": float("nan")}}, "tuner.learning_rate"),
+            ({"tuner": {"learning_rate": float("inf")}}, "tuner.learning_rate"),
+            ({"tuner": {"learning_rate": True}}, "tuner.learning_rate"),
         ],
     )
     def test_bad_value_exits_validation(self, tmp_path, capsys, doc, key):
@@ -158,8 +180,7 @@ class TestConfigValidation:
         code = main(["stats", "--config", path, "--input", "x.jsonl", "--out", "o"])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert key in err
+        assert err.startswith(f"error: {path}: {key} must be ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "doc, key",
@@ -175,6 +196,9 @@ class TestConfigValidation:
             ({"backend": {"kind": "http", "url": "ftp://x/y"}}, "backend.url"),
             ({"backend": {"kind": "http", "url": "http://"}}, "backend.url"),
             ({"languages": ["en", "fi", "fi"]}, "languages"),
+            ({"languages": ["en", "../esc"]}, "languages"),
+            ({"languages": ["en", ".."]}, "languages"),
+            ({"languages": ["en", "a\\b"]}, "languages"),
         ],
     )
     def test_bad_structure_names_path_and_key(self, tmp_path, capsys, doc, key):
@@ -223,6 +247,24 @@ class TestIngest:
         assert manifest["command"] == "ingest"
         assert manifest["tool_version"] == __version__
         assert "ingested 4/4" in capsys.readouterr().out
+
+    def test_wrongly_typed_records_are_reported_and_skipped(self, tmp_path):
+        qas = [{"id": f"q{i}", "question": "q?", "answers": [answer]}
+               for i, answer in enumerate([{"text": "abc", "answer_start": "0"},
+                                           {"text": 5, "answer_start": 0},
+                                           {"text": "abc", "answer_start": 0}])]
+        doc = {"data": [{"paragraphs": [
+            {"context": 123, "qas": [{"id": "c", "question": "q?",
+                                      "answers": [{"text": "1", "answer_start": 0}]}]},
+            {"context": "abc def", "qas": qas},
+        ]}]}
+        (tmp_path / "squad.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(tmp_path / "squad.json"), "--name", "t",
+                     "--language", "en", "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+        assert (report["parsed"], report["skipped"]) == (1, 3)
+        assert [e.split(":")[0] for e in report["errors"]] == ["c", "q0", "q1"]
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
@@ -876,6 +918,26 @@ class TestFilterCommand:
         assert report["kept_count"] + sum(report["dropped"].values()) == 12
         assert once["counts"]["fi"]["filtered"] == report["kept_count"]
 
+    def test_language_that_leaves_the_run_directory_is_rejected(self, tmp_path, capsys):
+        # A report.json naming "../esc" must not make filter read runs/esc
+        # or write outs/esc, next to --out instead of inside it.
+        config = self._pe_run(tmp_path)
+        run = tmp_path / "runs" / "run"
+        shutil.copytree(tmp_path / "pe", run)
+        shutil.copytree(run / "fi", tmp_path / "runs" / "esc")
+        doc = json.loads((run / "report.json").read_text(encoding="utf-8"))
+        doc["languages"] = ["../esc"]
+        for key in ("reports", "counts"):
+            doc[key] = {"../esc": doc[key]["fi"]}
+        (run / "report.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["filter", "--config", config, "--run", str(run),
+                     "--out", str(tmp_path / "outs" / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / 'report.json'}: languages ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "outs").exists()
+
     def test_mt_run_is_rejected(self, tmp_path, gold_en_path, capsys):
         config = write_config(tmp_path, {"languages": ["en", "fi"]})
         assert main(["synth", "--config", config, "--method", "mt",
@@ -970,7 +1032,7 @@ GOOD_RECORD = {
 }
 
 
-def _run_without_method(tmp_path: Path) -> Path:
+def _run_without_method(tmp_path: Path, edit=lambda doc: doc.pop("method")) -> Path:
     run_dir = tmp_path / "run"
     write_jsonl(Dataset(name="d", examples=()), tmp_path / "empty.jsonl")
     assert main(["synth", "--config", write_config(tmp_path, {"languages": ["en", "fi"]}),
@@ -978,7 +1040,7 @@ def _run_without_method(tmp_path: Path) -> Path:
                  "--out", str(run_dir)]) == EXIT_OK
     path = run_dir / "report.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
-    del doc["method"]
+    edit(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
@@ -986,6 +1048,13 @@ def _run_without_method(tmp_path: Path) -> Path:
 def _filter_without_method(tmp_path):
     path = _run_without_method(tmp_path)
     return ["filter", "--run", str(path.parent), "--out", str(tmp_path / "o")], str(path)
+
+
+def _assemble_languages_string(tmp_path):
+    path = _run_without_method(tmp_path, lambda doc: doc.update(languages="fi"))
+    return (["assemble", "--gold", str(tmp_path / "empty.jsonl"),
+             "--runs", str(path.parent), "--out", str(tmp_path / "o")],
+            f"{path}: languages must be a list")
 
 
 def _assemble_without_method(tmp_path):
@@ -1047,6 +1116,43 @@ def _jsonl_with_line(line: str):
     return setup
 
 
+def _not_utf8(command):
+    """command reading an input file that has a byte that is not UTF-8."""
+    def setup(tmp_path):
+        out = ["--out", str(tmp_path / "o")]
+        if command in ("sample", "stats-jsonl"):
+            first = {"id": "p", "text": "ok"} if command == "sample" else GOOD_RECORD
+            path = tmp_path / "in.jsonl"
+            path.write_bytes(json.dumps(first).encode("utf-8") + b'\n{"id": "\xff"}\n')
+            argv = (["sample", "--passages", str(path), "--language", "fi", "--n", "1"]
+                    if command == "sample" else ["stats", "--input", str(path)])
+            return argv + out, f"{path}:2: not UTF-8"
+        path = tmp_path / ("report.json" if command == "filter" else "in.json")
+        path.write_bytes(b'{"data": ["\xff"]}')
+        argv = {
+            "config": ["stats", "--config", str(path), "--input", "x.jsonl"],
+            "ingest": ["ingest", "--input", str(path), "--name", "t", "--language", "en"],
+            "stats-squad": ["stats", "--input", str(path)],
+            "filter": ["filter", "--run", str(tmp_path)],
+        }[command]
+        return argv + out, f"{path}: "
+    return setup
+
+
+def _ingest_answers(answers):
+    """ingest of a SQuAD file whose one qa has the given answers value."""
+    def setup(tmp_path):
+        path = tmp_path / "squad.json"
+        doc = {"data": [{"paragraphs": [
+            {"context": "abc", "qas": [{"id": "q", "question": "q?", "answers": answers}]}
+        ]}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return (["ingest", "--input", str(path), "--name", "t", "--language", "en",
+                 "--out", str(tmp_path / "o")],
+                f"{path}: 'answers' must be a list of objects")
+    return setup
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "setup",
@@ -1067,6 +1173,15 @@ class TestMalformedInputs:
             _prompt_file(lambda p: p.write_bytes(b"not json\n" + bytes(128))),
             _prompt_file(lambda p: p.write_bytes(b'{"m": 2, "d": 8}')),
             _prompt_file(lambda p: save_prompt(init_prompt(2, 3, seed=0), p, 0, "x")),
+            _not_utf8("config"),
+            _not_utf8("ingest"),
+            _not_utf8("stats-squad"),
+            _not_utf8("stats-jsonl"),
+            _not_utf8("sample"),
+            _not_utf8("filter"),
+            _assemble_languages_string,
+            _ingest_answers(["abc"]),
+            _ingest_answers({"a": 1}),
         ],
         ids=["report-no-method-filter", "report-no-method-assemble",
              "exemplars-no-scenario", "exemplars-set-language-differs-synth",
@@ -1074,7 +1189,10 @@ class TestMalformedInputs:
              "exemplar-field-number", "jsonl-number", "jsonl-list",
              "answer-start-string", "answer-start-bool", "question-number",
              "prompt-empty-header", "prompt-header-not-json", "prompt-no-newline",
-             "prompt-d-differs-from-tuner-d"],
+             "prompt-d-differs-from-tuner-d", "config-not-utf8", "ingest-not-utf8",
+             "stats-squad-not-utf8", "stats-jsonl-not-utf8", "pool-not-utf8",
+             "report-not-utf8", "report-languages-string",
+             "ingest-answers-strings", "ingest-answers-object"],
     )
     def test_one_error_line_and_exit_1(self, tmp_path, capsys, setup):
         argv, where = setup(tmp_path)

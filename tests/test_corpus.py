@@ -166,6 +166,42 @@ class TestParseSquad:
         assert len(ds) == 0
         assert report.skipped == 1
 
+    @pytest.mark.parametrize(
+        "context, answer, field",
+        [
+            ("alpha beta", {"text": "alpha", "answer_start": "0"}, "answer_start"),
+            ("alpha beta", {"text": "alpha", "answer_start": False}, "answer_start"),
+            (123, {"text": "alpha", "answer_start": 0}, "context"),
+            ("alpha beta", {"text": 5, "answer_start": 0}, "answer"),
+        ],
+        ids=["answer-start-string", "answer-start-bool", "context-number", "text-number"],
+    )
+    def test_wrongly_typed_field_skipped(self, context, answer, field):
+        good = {"id": "ok", "question": "what?",
+                "answers": [{"text": "Some", "answer_start": 0}]}
+        doc = {"data": [{"paragraphs": [
+            {"context": context,
+             "qas": [{"id": "bad", "question": "what?", "answers": [answer]}]},
+            {"context": "Some context.", "qas": [good]},
+        ]}]}
+        ds, report = parse_squad_json(json.dumps(doc), "fix", "en")
+        assert [ex.id for ex in ds.examples] == ["ok"]
+        assert report.skipped == 1
+        assert report.errors[0].startswith(f"bad: example 'bad': {field} must be ")
+
+    @pytest.mark.parametrize("answers", [["abc"], {"a": 1}, "abc", [{"text": "a"}, 1]],
+                             ids=["list-of-strings", "object", "string", "list-with-number"])
+    def test_answers_not_a_list_of_objects_raises(self, answers):
+        doc = {"data": [{"paragraphs": [
+            {"context": "abc", "qas": [{"id": "bad", "question": "q?", "answers": answers}]}
+        ]}]}
+        with pytest.raises(CorpusError, match="'answers' must be a list of objects"):
+            parse_squad_json(json.dumps(doc), "fix", "en")
+
+    def test_bytes_not_utf8_name_the_offset(self):
+        with pytest.raises(CorpusError, match="not UTF-8 at byte offset 11"):
+            parse_squad_json(b'{"data": ["\xff"]}', "fix", "en")
+
 
 class TestPassagePool:
     def test_loads_in_order(self, tmp_path):
@@ -333,6 +369,18 @@ class TestStatsAndSerialization:
                         encoding="utf-8")
         with pytest.raises(CorpusError, match=f"{re.escape(str(path))}:2: expected an object"):
             read_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "read, first",
+        [(read_jsonl, json.dumps(qa(0).to_json_dict())),
+         (lambda path: load_passage_pool(path, "fi"), '{"id": "a", "text": "ok"}')],
+        ids=["read_jsonl", "load_passage_pool"],
+    )
+    def test_line_not_utf8_names_file_and_line(self, tmp_path, read, first):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(first.encode("utf-8") + b'\n{"id": "\xff"}\n')
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: not UTF-8"):
+            read(path)
 
     def test_pool_rejects_non_string_text(self, tmp_path):
         path = tmp_path / "pool.ndjson"

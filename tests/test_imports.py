@@ -1,6 +1,7 @@
-"""What a command loads: numpy only where the toy model runs, the HTTP stack
-only where an HttpBackend is built, promptkit, synthesis and taxonomy only in
-the commands that run them, and never requests.
+"""What a command loads: qasynth.tuner and numpy only where the toy model
+runs (tune, and synth --method pt with --prompts-dir), the HTTP stack only
+where an HttpBackend is built, promptkit, synthesis and taxonomy only in the
+commands that run them, and never requests.
 
 Each check starts a fresh interpreter, because this test session itself has
 long since imported all of them.
@@ -19,6 +20,7 @@ import pytest
 import qasynth.backends
 from qasynth.cli import EXIT_OK, main, save_exemplars
 from qasynth.corpus import parse_squad_json
+from qasynth.tuner import init_prompt, save_prompt
 
 from test_cli import TINY_TUNER, write_config, write_passage_file, write_pool, write_tune_corpus
 from test_synthesis import fi_exemplars, fi_passages
@@ -26,7 +28,7 @@ from test_synthesis import fi_exemplars, fi_passages
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 HTTP_STACK = ("concurrent.futures", "email.parser", "http.client", "ssl", "urllib.request")
-LAYERS = ("qasynth.promptkit", "qasynth.synthesis", "qasynth.taxonomy")
+LAYERS = ("qasynth.promptkit", "qasynth.synthesis", "qasynth.taxonomy", "qasynth.tuner")
 
 # Runs each argv given as JSON on the command line through cli.main, then
 # prints the exit codes and, after the import and after every command, which
@@ -143,10 +145,26 @@ def test_tune_loads_numpy_and_writes_the_in_process_bytes(tmp_path):
     report = run_fresh([argv("fresh")], tmp_path)
     assert report["codes"] == [EXIT_OK]
     assert report["after_import"] == []
-    assert report["after_command"] == [["numpy"]]
+    assert report["after_command"] == [["numpy", "qasynth.tuner"]]
     assert main(argv("here")) == EXIT_OK
     fresh = (tmp_path / "fresh" / "fi.prompt.bin").read_bytes()
     assert fresh == (tmp_path / "here" / "fi.prompt.bin").read_bytes()
+
+
+def test_synth_pt_from_tuned_prompts_loads_the_tuner(tmp_path):
+    write_passage_file(tmp_path / "passages", "fi", [p.text for p in fi_passages(2)])
+    (tmp_path / "prompts").mkdir()
+    save_prompt(init_prompt(2, 8, seed=0), tmp_path / "prompts" / "fi.prompt.bin", 0, "x")
+    config = write_config(tmp_path, {"languages": ["en", "fi"]})
+    argv = ["synth", "--config", config, "--method", "pt",
+            "--passages-dir", str(tmp_path / "passages"),
+            "--prompts-dir", str(tmp_path / "prompts"), "--out", str(tmp_path / "pt")]
+    report = run_fresh([argv], tmp_path)
+    assert report["codes"] == [EXIT_OK]
+    assert report["after_import"] == []
+    assert report["after_command"] == [
+        ["numpy", "qasynth.promptkit", "qasynth.synthesis", "qasynth.tuner"]
+    ]
 
 
 def test_requests_seam_resolves_on_demand():

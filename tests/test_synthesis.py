@@ -252,12 +252,12 @@ class TestSynthPT:
             assert got == want
 
     def test_missing_prompt_fails_before_decoding(self, monkeypatch):
-        import qasynth.synthesis as synthesis
+        import qasynth.tuner as tuner
         from qasynth.tuner import create_toy_lm, init_prompt
 
         calls = []
         monkeypatch.setattr(
-            synthesis, "greedy_decode_batch", lambda *a: calls.append(a) or []
+            tuner, "greedy_decode_batch", lambda *a: calls.append(a) or []
         )
         model = create_toy_lm(seed=0)
         with pytest.raises(SynthesisError, match="'sw'"):
