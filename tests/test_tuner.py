@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qasynth import tuner as tuner_module
-from qasynth.cli import TuneConfig
+from qasynth.cli import ConfigError, TuneConfig
 from qasynth.corpus import Dataset, QAExample
 from qasynth.tuner import (
     ADAFACTOR_EPS,
@@ -306,6 +306,24 @@ class TestBatchNllLayout:
             total += nll
             count += n
         assert _full_loss(model, prompt, encoded, chunk=4) == total / count
+
+
+class TestTuneConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"m": True}, "m"),
+            ({"m": "5"}, "m"),
+            ({"h": 0}, "h"),
+            ({"model_seed": -1}, "model_seed"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
+            ({"learning_rate": True}, "learning_rate"),
+        ],
+    )
+    def test_bad_value_raises_tuner_error_naming_field(self, kwargs, field):
+        with pytest.raises(ConfigError, match=rf"^tuner\.{field} must be "):
+            TuneConfig(**kwargs)
 
 
 class TestOptimizer:
