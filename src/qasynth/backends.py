@@ -19,12 +19,26 @@ exponential backoff; a 429 with a delta-seconds Retry-After waits that long
 instead (capped at the timeout). Other 4xx and malformed payloads fail
 immediately.
 
+http.client only opens and closes the connections: it connects, wraps TLS
+and opens a proxy's CONNECT tunnel. The exchange itself is written here, on
+the connection's socket. The request head is rendered once per backend, so
+a call sends it, its Content-Length and the body in one write. The reply is
+parsed directly: only the headers that frame it and Retry-After are kept,
+within http.client's limits of 100 header lines of at most 65,536 bytes;
+interim 1xx replies are skipped; the body is read by Content-Length,
+chunked framing or to the end of the stream. A malformed reply raises
+OSError or http.client.HTTPException, a retryable transport failure.
+
 run_requests is the one way stages fan requests out: it sends each distinct
 request once, over at most backend.parallelism threads, and returns results in
 input order. A backend with parallelism above 1 keeps one thread pool from its
 first fan-out until close(), so its threads, and their connections, serve
 every stage. Only HttpBackend takes a parallelism; the mocks keep the base
 class's 1 and answer one request at a time.
+
+run_requests also checks every reply: a text that cannot be encoded as
+UTF-8, or an empty or whitespace-only translation, is a non-retryable
+BackendError.
 
 Importing this module loads no HTTP code: HttpBackend loads http.client,
 ssl, urllib.request and base64 when it is built, and concurrent.futures loads
@@ -227,6 +241,128 @@ def _proxy_auth(proxy: urllib.parse.SplitResult) -> Dict[str, str]:
     return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode()).decode()}
 
 
+# http.client's limits on a reply's head: header lines, and bytes in a line.
+_MAX_HEADERS = 100
+_MAX_LINE = 65536
+# Bodies are read in pieces of at most this many bytes, so a lying length
+# cannot make one huge allocation.
+_MAX_READ = 1 << 20
+_KEPT_HEADERS = frozenset(
+    (b"content-length", b"transfer-encoding", b"connection", b"retry-after")
+)
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+def _read_line(reply, what: str) -> bytes:
+    import http.client
+
+    line = reply.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_headers(reply) -> Dict[bytes, bytes]:
+    """Read header lines up to the blank line; returns the kept ones, by
+    lower-case name."""
+    import http.client
+
+    kept = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reply, "header line")
+        if line in (b"\r\n", b"\n"):
+            return kept
+        if not line:
+            raise http.client.HTTPException("connection closed inside the reply head")
+        name, _, value = line.partition(b":")
+        name = name.lower()
+        if name in _KEPT_HEADERS:
+            kept[name] = value.strip()
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_exact(reply, n: int) -> bytes:
+    import http.client
+
+    parts = []
+    while n > 0:
+        part = reply.read(min(n, _MAX_READ))
+        if not part:
+            raise http.client.IncompleteRead(b"".join(parts), n)
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
+def _read_chunked(reply) -> bytes:
+    import http.client
+
+    parts = []
+    while True:
+        line = _read_line(reply, "chunk size")
+        size = line.split(b";", 1)[0].strip()
+        if not size or size.strip(_HEX_DIGITS):
+            raise http.client.HTTPException(f"bad chunk size {line!r}")
+        n = int(size, 16)
+        if n == 0:
+            break
+        parts.append(_read_exact(reply, n))
+        if _read_line(reply, "chunk end") not in (b"\r\n", b"\n"):
+            raise http.client.HTTPException("chunk data longer than its size")
+    _read_headers(reply)  # the trailer
+    return b"".join(parts)
+
+
+def _read_reply(reply) -> Tuple[int, Optional[str], bytes, bool]:
+    """Read one HTTP/1.x reply from a binary file over the socket.
+
+    Returns (status, Retry-After, body, keep_alive). Interim 1xx replies are
+    skipped. The body is framed by chunked encoding, else Content-Length,
+    else the end of the stream; keep_alive is false after a body read to
+    the end, a Connection: close or an HTTP/1.0 reply. Every fault raises
+    OSError or http.client.HTTPException; no reply at all raises
+    RemoteDisconnected.
+    """
+    import http.client
+
+    while True:
+        line = _read_line(reply, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response"
+            )
+        fields = line.split(None, 2)
+        if (
+            len(fields) < 2
+            or not fields[0].startswith(b"HTTP/1.")
+            or len(fields[1]) != 3
+            or not fields[1].isdigit()
+        ):
+            raise http.client.BadStatusLine(f"not an HTTP/1.x status line: {line!r}")
+        status = int(fields[1])
+        headers = _read_headers(reply)
+        if status >= 200:
+            break
+    connection = headers.get(b"connection", b"").lower()
+    keep_alive = fields[0] != b"HTTP/1.0" and b"close" not in connection
+    length = headers.get(b"content-length")
+    if status in (204, 304):
+        body = b""
+    elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        body = _read_chunked(reply)
+    elif length is not None:
+        if not length.isdigit():
+            raise http.client.HTTPException(f"bad Content-Length {length!r}")
+        body = _read_exact(reply, int(length))
+    else:
+        body = reply.read()
+        keep_alive = False
+    retry_after = headers.get(b"retry-after")
+    if retry_after is not None:
+        retry_after = retry_after.decode("latin-1")
+    return status, retry_after, body, keep_alive
+
+
 class HttpBackend(GenerationBackend, TranslationBackend):
     """Client for the documented JSON-over-HTTP backend protocol.
 
@@ -236,7 +372,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
     run_requests has in flight. Safe to call from several threads at once:
     each thread keeps its own keep-alive connection. close(), or a with
     block, shuts the pool down and closes the connections the backend
-    opened.
+    opened. backend_id is "http:" and the base URL, nothing more: two
+    models served at one URL share an id.
     """
 
     def __init__(
@@ -270,15 +407,21 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         self.timeout = timeout
         self.token = token or os.environ.get("QAM_BACKEND_TOKEN")
         self.retry_base_delay = retry_base_delay
-        self._headers = {"Content-Type": "application/json"}
+        if self.token and re.search(r"[^!-~]", self.token):
+            raise BackendError("backend token must be printable ASCII without spaces")
+        headers = {
+            "Host": parts.netloc,
+            "Accept-Encoding": "identity",
+            "Content-Type": "application/json",
+        }
         if self.token:
-            self._headers["Authorization"] = f"Bearer {self.token}"
+            headers["Authorization"] = f"Bearer {self.token}"
         self._https = parts.scheme == "https"
         # Without a proxy, connect to the host and send the path. Through a
         # proxy, an http request names the absolute URI, and https tunnels
         # to the host with CONNECT. The proxy settings are read once, here.
         self._address = (parts.hostname, parts.port)
-        self._target = parts.path
+        target = parts.path
         self._tunnel = None
         proxy = _proxy_for(parts)
         if proxy is not None:
@@ -286,8 +429,16 @@ class HttpBackend(GenerationBackend, TranslationBackend):
             if self._https:
                 self._tunnel = (parts.hostname, parts.port, _proxy_auth(proxy))
             else:
-                self._target = self.base_url
-                self._headers.update(_proxy_auth(proxy))
+                target = self.base_url
+                headers.update(_proxy_auth(proxy))
+        # Every request head is the same but for its path and Content-Length:
+        # "POST <target><path> HTTP/1.1", then these headers.
+        self._head_start = f"POST {target}".encode("ascii")
+        self._head_end = "".join(
+            [" HTTP/1.1\r\n"]
+            + [f"{name}: {value}\r\n" for name, value in headers.items()]
+            + ["Content-Length: "]
+        ).encode("ascii")
         # One TLS context for every connection: building one reads the
         # system trust store.
         self._tls = ssl.create_default_context() if self._https else None
@@ -340,8 +491,8 @@ class HttpBackend(GenerationBackend, TranslationBackend):
     def _retry_after(self, value: Optional[str]) -> Optional[float]:
         """A delta-seconds Retry-After, capped at the timeout; None if absent."""
         value = (value or "").strip()
-        # http.client decodes headers as latin-1, and str.isdigit() also
-        # accepts digits such as "²" that float() rejects.
+        # Headers are decoded as latin-1, and str.isdigit() also accepts
+        # digits such as "²" that float() rejects.
         if not (value.isascii() and value.isdigit()):
             return None
         return min(float(value), self.timeout)
@@ -356,12 +507,19 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         because decoding is greedy: a repeated request gets the same reply.
         """
         conn = self._connection
-        target = self._target + path
+        request = b"%s%s%s%d\r\n\r\n%s" % (
+            self._head_start, path.encode("ascii"), self._head_end, len(body), body
+        )
 
         def exchange() -> Tuple[int, Optional[str], bytes]:
-            conn.request("POST", target, body, self._headers)
-            resp = conn.getresponse()
-            return resp.status, resp.getheader("Retry-After"), resp.read()
+            if conn.sock is None:
+                conn.connect()
+            conn.sock.sendall(request)
+            with conn.sock.makefile("rb") as reply:
+                status, retry_after, raw, keep_alive = _read_reply(reply)
+            if not keep_alive:
+                conn.close()
+            return status, retry_after, raw
 
         try:
             try:
@@ -462,15 +620,26 @@ def run_requests(
     one call and one result. Distinct requests fan out over at most
     backend.parallelism threads. A request that raises gets (None,
     exception): the caller decides whether that aborts its stage or drops
-    one item.
+    one item. A reply no stage can use is a non-retryable BackendError
+    too: a text that is not encodable as UTF-8 (a lone surrogate, say),
+    or a translation that is empty or only whitespace. An empty
+    generation is a valid reply.
     """
     distinct = list(dict.fromkeys(reqs))
 
     def call(req: Request) -> Tuple[Optional[Response], Optional[Exception]]:
         try:
             if isinstance(req, GenerationRequest):
-                return backend.generate(req), None
-            return backend.translate(req), None
+                response = backend.generate(req)
+            else:
+                response = backend.translate(req)
+                if not response.text.strip():
+                    raise BackendError(f"empty translation {response.text!r}")
+            try:
+                response.text.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise BackendError(f"reply text cannot be written as UTF-8: {e}") from None
+            return response, None
         except Exception as e:
             return None, e
 

@@ -423,8 +423,9 @@ def cmd_exemplars(args, config: RunConfig, out: OutputDir) -> int:
 def cmd_tune(args, config: RunConfig, out: OutputDir) -> int:
     from .tuner import create_toy_lm, save_prompt, tune
 
-    train = read_jsonl(Path(args.train))
-    dev = read_jsonl(Path(args.dev))
+    # Named by their paths, so tune's errors about a dataset name its file.
+    train = read_jsonl(Path(args.train), name=args.train)
+    dev = read_jsonl(Path(args.dev), name=args.dev)
     t = config.tuner
     model = create_toy_lm(d=t.d, h=t.h, seed=t.model_seed)
     seed = config.seed("tune")
@@ -496,18 +497,22 @@ def _load_prompts_dir(
 
 
 def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
-    from .synthesis import synth_mt, synth_pe, synth_pt
+    from .synthesis import SynthesisError, synth_mt, synth_pe, synth_pt
 
     targets = [l for l in config.languages if l != "en"]
     if not targets:
-        raise ConfigError("config.languages needs at least one non-English language")
+        source = args.config or "the default config (no --config)"
+        raise ConfigError(f"{source}: languages needs at least one non-English language")
     seed = config.seed("synth")
     if args.method == "mt":
         if not args.gold:
             raise ConfigError("--method mt requires --gold")
         d_en = read_jsonl(Path(args.gold))
         with make_translator(config) as translator:
-            run = synth_mt(d_en, translator, targets, config.config_hash)
+            try:
+                run = synth_mt(d_en, translator, targets, config.config_hash)
+            except SynthesisError as e:
+                raise SynthesisError(f"{args.gold}: {e}") from e
     elif args.method == "pe":
         if not args.passages_dir or not args.exemplars_dir:
             raise ConfigError("--method pe requires --passages-dir and --exemplars-dir")

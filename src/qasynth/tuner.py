@@ -527,7 +527,7 @@ def _dataset_language(dataset: Dataset, role: str) -> str:
     languages = {ex.language for ex in dataset.examples}
     if len(languages) != 1:
         raise TunerError(
-            f"{role} dataset must be monolingual; found {sorted(languages)}"
+            f"{dataset.name}: {role} dataset must be monolingual; found {sorted(languages)}"
         )
     return next(iter(languages))
 

@@ -7,6 +7,8 @@ import contextlib
 import http.client
 import json
 import random
+import re
+import socketserver
 import threading
 import time
 import sys
@@ -142,6 +144,11 @@ class TestWireFormat:
         with pytest.raises(BackendError, match="backend URL must have the form") as err:
             HttpBackend(base_url=url if source == "argument" else None)
         assert not err.value.retryable
+
+    @pytest.mark.parametrize("token", ["a\r\nX-Injected: 1", "two words", "t\u00e4"])
+    def test_token_that_cannot_be_a_header_value_fails_fast(self, token):
+        with pytest.raises(BackendError, match="token must be printable ASCII"):
+            HttpBackend(base_url="http://127.0.0.1:9", token=token)
 
     @pytest.mark.parametrize("parallelism", [0, True, "2"])
     def test_rejects_bad_parallelism(self, parallelism):
@@ -477,6 +484,200 @@ class TestTransport:
             conn = backend._connection
             assert isinstance(conn, http.client.HTTPSConnection)
             assert (conn.host, conn.port, conn.sock) == ("backend.invalid", 443, None)
+
+
+class ScriptedWire(socketserver.StreamRequestHandler):
+    """Reads each request off the wire, records its head, and writes the next
+    scripted (raw reply, close) pair; after a reply with close set it closes
+    the connection. The last pair answers every request after it."""
+
+    script = []
+    heads = []
+    connections = 0
+
+    def handle(self):
+        type(self).connections += 1
+        while True:
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                line = self.rfile.readline()
+                if not line:
+                    return
+                head += line
+            self.rfile.read(int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1]))
+            type(self).heads.append(head)
+            script = type(self).script
+            raw, close = script.pop(0) if len(script) > 1 else script[0]
+            self.wfile.write(raw)
+            if close:
+                return
+
+
+def reply(text: str, *headers: bytes) -> bytes:
+    """A 200 reply carrying {"text": text}, framed by Content-Length unless
+    the extra header lines frame it otherwise."""
+    body = json.dumps({"text": text}).encode()
+    if not any(h.lower().startswith(b"transfer-encoding") for h in headers):
+        headers += (b"Content-Length: %d" % len(body),)
+    else:
+        body = b"%x;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n" % (
+            5, body[:5], len(body) - 5, body[5:])
+    return b"HTTP/1.1 200 OK\r\n" + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
+
+
+@pytest.fixture
+def wire():
+    """A scripted server speaking raw bytes; yields its URL and handler class."""
+    ScriptedWire.script = []
+    ScriptedWire.heads = []
+    ScriptedWire.connections = 0
+    with serving(ScriptedWire, socketserver.ThreadingTCPServer) as server:
+        yield f"http://127.0.0.1:{server.server_address[1]}", ScriptedWire
+
+
+def translate_twice(url: str) -> list:
+    with HttpBackend(base_url=url, timeout=5, retry_base_delay=0.0) as backend:
+        return [
+            backend.translate(TranslationRequest(text=t, source="en", target="fi")).text
+            for t in ("a", "b")
+        ]
+
+
+class TestWireExchange:
+    def test_chunked_reply_keeps_the_connection(self, wire):
+        url, handler = wire
+        handler.script = [(reply("first", b"Transfer-Encoding: chunked"), False),
+                          (reply("second"), False)]
+        assert translate_twice(url) == ["first", "second"]
+        assert handler.connections == 1
+
+    def test_connection_close_is_closed_and_reopened(self, wire, recorded_connections):
+        url, handler = wire
+        handler.script = [(reply("first", b"Connection: close"), True),
+                          (reply("second"), False)]
+        with HttpBackend(base_url=url, timeout=5, retry_base_delay=0.0) as backend:
+            request = TranslationRequest(text="a", source="en", target="fi")
+            assert backend.translate(request).text == "first"
+            assert recorded_connections[0].closed
+            assert backend.translate(request).text == "second"
+        assert handler.connections == 2
+
+    def test_http_1_0_reply_is_read_to_eof(self, wire):
+        url, handler = wire
+        body = json.dumps({"text": "to eof"}).encode()
+        handler.script = [(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + body, True),
+                          (reply("second"), False)]
+        assert translate_twice(url) == ["to eof", "second"]
+        assert handler.connections == 2
+
+    def test_100_continue_is_skipped(self, wire):
+        url, handler = wire
+        handler.script = [(b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n" + reply("final"), False)]
+        assert translate_twice(url) == ["final", "final"]
+        assert handler.connections == 1
+
+    def test_request_head_on_the_wire(self, wire):
+        url, handler = wire
+        handler.script = [(reply("ok"), False)]
+        with HttpBackend(base_url=url, token="sekrit", timeout=5) as backend:
+            backend.generate(GenerationRequest(prompt="pä", max_tokens=4))
+        body = json.dumps(
+            {"prompt": "pä", "max_tokens": 4, "temperature": 0, "stop": []}
+        ).encode()
+        assert handler.heads == [
+            b"POST /v1/generate HTTP/1.1\r\n"
+            b"Host: " + url[len("http://"):].encode() + b"\r\n"
+            b"Accept-Encoding: identity\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Authorization: Bearer sekrit\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ]
+
+    def test_request_head_through_an_http_proxy(self, wire, monkeypatch):
+        url, handler = wire
+        handler.script = [(reply("ok"), False)]
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", url.replace("http://", "http://me:pw@"))
+        with HttpBackend(base_url="http://backend.invalid:8080/api", timeout=5) as backend:
+            backend.translate(TranslationRequest(text="a", source="en", target="fi"))
+        body = json.dumps({"text": "a", "source": "en", "target": "fi"}).encode()
+        assert handler.heads == [
+            b"POST http://backend.invalid:8080/api/v1/translate HTTP/1.1\r\n"
+            b"Host: backend.invalid:8080\r\n"
+            b"Accept-Encoding: identity\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Proxy-Authorization: Basic " + base64.b64encode(b"me:pw") + b"\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 12x\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x2\r\n{}\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"text\": \"short\"}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000000\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 101 + b"Content-Length: 2\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\nContent-Length: 2\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Len",
+            b"SSH-2.0-OpenSSH_9.6\r\n\r\n",
+            b"HTTP/1.1 2000 OK\r\nContent-Length: 2\r\n\r\n{}",
+            b"",
+        ],
+        ids=["content-length-not-a-number", "content-length-negative",
+             "chunk-size-not-hex", "chunk-size-0x", "chunk-truncated", "body-truncated",
+             "content-length-beyond-memory",
+             "101-headers", "line-over-65536", "head-truncated", "not-http",
+             "four-digit-status", "no-reply"],
+    )
+    def test_framing_fault_is_a_retryable_backend_error(self, wire, raw):
+        url, handler = wire
+        handler.script = [(raw, True)]
+        with HttpBackend(base_url=url, timeout=5, retry_base_delay=0.0) as backend:
+            with pytest.raises(BackendError, match="^transport failure") as err:
+                backend.translate(TranslationRequest(text="a", source="en", target="fi"))
+        assert err.value.retryable
+        assert len(handler.heads) >= 3  # every attempt was made
+
+    def test_100_headers_are_accepted(self, wire):
+        url, handler = wire
+        body = json.dumps({"text": "ok"}).encode()
+        handler.script = [(b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 99
+                           + b"Content-Length: %d\r\n\r\n" % len(body) + body, False)]
+        assert translate_twice(url) == ["ok", "ok"]
+
+
+class TestReplyChecks:
+    @pytest.mark.parametrize(
+        "payload, kind",
+        [(b'{"text": "\\ud800"}', "generate"), (b'{"text": "a\\udfff"}', "translate"),
+         (b'{"text": ""}', "translate"), (b'{"text": " \\n\\t"}', "translate")],
+        ids=["generate-lone-surrogate", "translate-lone-surrogate",
+             "translate-empty", "translate-whitespace"],
+    )
+    def test_unusable_reply_is_a_final_backend_error(self, server, payload, kind):
+        url, handler = server
+        handler.script.append((200, payload))
+        req = (GenerationRequest(prompt="p", max_tokens=4) if kind == "generate"
+               else TranslationRequest(text="a", source="en", target="fi"))
+        with HttpBackend(base_url=url, retry_base_delay=0.0) as backend:
+            ((response, error),) = run_requests(backend, [req])
+        assert response is None
+        assert isinstance(error, BackendError) and not error.retryable
+        assert len(handler.requests_seen) == 1
+
+    def test_empty_generation_is_a_reply(self, server):
+        url, handler = server
+        handler.script.append((200, {"text": ""}))
+        with HttpBackend(base_url=url, retry_base_delay=0.0) as backend:
+            ((response, error),) = run_requests(
+                backend, [GenerationRequest(prompt="p", max_tokens=4)]
+            )
+        assert error is None and response.text == ""
 
 
 class TestConcurrentClient:

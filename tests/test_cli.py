@@ -521,12 +521,16 @@ class TestSynth:
         assert code == EXIT_VALIDATION
         assert "requires --gold" in capsys.readouterr().err
 
-    def test_needs_non_english_language(self, tmp_path, gold_en_path):
+    def test_needs_non_english_language(self, tmp_path, gold_en_path, capsys):
         code = main(
             ["synth", "--method", "mt", "--gold", gold_en_path,
              "--out", str(tmp_path / "o")]
         )
         assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: the default config (no --config): "
+            "languages needs at least one non-English language\n"
+        )
 
     def test_pt_remote_flow(self, tmp_path, gold_en):
         pre = synth_prerequisites(tmp_path, gold_en)
@@ -754,6 +758,37 @@ class TestBackendFailures:
             httpd.server_close()
         assert code == EXIT_BACKEND
         assert "backend error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("exemplars", b'{"text": "\\ud800"}'), ("synth", b'{"text": "\\ud800"}'),
+         ("exemplars", b'{"text": ""}'), ("synth", b'{"text": " "}')],
+        ids=["exemplars-lone-surrogate", "synth-mt-lone-surrogate",
+             "exemplars-empty-translation", "synth-mt-whitespace-translation"],
+    )
+    def test_unusable_translation_exits_backend_code(
+        self, tmp_path, gold_en_path, capsys, command, payload
+    ):
+        from test_backends import RecordingHandler, serving
+
+        RecordingHandler.script = [(200, payload)] * 20
+        RecordingHandler.requests_seen = []
+        with serving(RecordingHandler) as httpd:
+            config = write_config(
+                tmp_path,
+                {"languages": ["en", "fi"],
+                 "backend": {"kind": "http",
+                             "url": f"http://127.0.0.1:{httpd.server_port}"}},
+            )
+            argv = (["exemplars", "--gold", gold_en_path, "--language", "fi"]
+                    if command == "exemplars"
+                    else ["synth", "--method", "mt", "--gold", gold_en_path])
+            code = main(argv + ["--config", config, "--out", str(tmp_path / "o")])
+        assert code == EXIT_BACKEND
+        err = capsys.readouterr().err
+        assert err.startswith("backend error: translation of 'context' failed")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_env_url_fails_without_a_call(
         self, tmp_path, gold_en_path, capsys, monkeypatch
@@ -1139,6 +1174,38 @@ def _not_utf8(command):
     return setup
 
 
+def _no_target_language(tmp_path):
+    config = write_config(tmp_path, {"languages": ["en"]})
+    return (["synth", "--config", config, "--method", "mt", "--gold", "x.jsonl",
+             "--out", str(tmp_path / "o")],
+            f"{config}: languages needs at least one non-English language")
+
+
+def _tune_mixed_languages(role):
+    """tune whose --train or --dev file holds two languages."""
+    def setup(tmp_path):
+        paths = dict(zip(("train", "dev"), write_tune_corpus(tmp_path)))
+        mixed = Dataset(name="m", examples=(
+            make_example(0, "x1a", "aaa", "aa"),
+            make_example(1, "x2a", "aaa", "aa", language="sw"),
+        ))
+        write_jsonl(mixed, paths[role])
+        config = write_config(tmp_path, {"tuner": TINY_TUNER})
+        return (["tune", "--config", config, "--train", paths["train"],
+                 "--dev", paths["dev"], "--language", "fi", "--out", str(tmp_path / "o")],
+                f"{paths[role]}: {role} dataset must be monolingual")
+    return setup
+
+
+def _mt_gold_not_english(tmp_path):
+    path = tmp_path / "gold.jsonl"
+    write_jsonl(Dataset(name="g", examples=(make_example(0, "ctx a", "q?", "a"),)), path)
+    config = write_config(tmp_path, {"languages": ["en", "fi"]})
+    return (["synth", "--config", config, "--method", "mt", "--gold", str(path),
+             "--out", str(tmp_path / "o")],
+            f"{path}: example 'gold-fi-0' is 'fi'; synth_mt needs English input")
+
+
 def _ingest_answers(answers):
     """ingest of a SQuAD file whose one qa has the given answers value."""
     def setup(tmp_path):
@@ -1182,6 +1249,10 @@ class TestMalformedInputs:
             _assemble_languages_string,
             _ingest_answers(["abc"]),
             _ingest_answers({"a": 1}),
+            _no_target_language,
+            _tune_mixed_languages("train"),
+            _tune_mixed_languages("dev"),
+            _mt_gold_not_english,
         ],
         ids=["report-no-method-filter", "report-no-method-assemble",
              "exemplars-no-scenario", "exemplars-set-language-differs-synth",
@@ -1192,7 +1263,9 @@ class TestMalformedInputs:
              "prompt-d-differs-from-tuner-d", "config-not-utf8", "ingest-not-utf8",
              "stats-squad-not-utf8", "stats-jsonl-not-utf8", "pool-not-utf8",
              "report-not-utf8", "report-languages-string",
-             "ingest-answers-strings", "ingest-answers-object"],
+             "ingest-answers-strings", "ingest-answers-object",
+             "synth-no-target-language", "tune-train-not-monolingual",
+             "tune-dev-not-monolingual", "mt-gold-not-english"],
     )
     def test_one_error_line_and_exit_1(self, tmp_path, capsys, setup):
         argv, where = setup(tmp_path)

@@ -506,7 +506,7 @@ class TestTune:
     def test_mixed_language_train_rejected(self, gold_multi, tune_corpus):
         _, dev = tune_corpus
         model = create_toy_lm(seed=0)
-        with pytest.raises(TunerError):
+        with pytest.raises(TunerError, match=r"^gold-multi: train dataset must be monolingual"):
             tune(model, gold_multi, dev, TuneConfig(m=4, max_steps=5))
 
     def test_dev_language_must_match(self, tune_corpus):
