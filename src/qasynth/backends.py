@@ -33,8 +33,12 @@ run_requests is the one way stages fan requests out: it sends each distinct
 request once, over at most backend.parallelism threads, and returns results in
 input order. A backend with parallelism above 1 keeps one thread pool from its
 first fan-out until close(), so its threads, and their connections, serve
-every stage. Only HttpBackend takes a parallelism; the mocks keep the base
-class's 1 and answer one request at a time.
+every stage. A fan-out submits one worker per pool thread (never more than
+there are requests); each worker pulls the next request from a shared
+iterator and stores its result at the request's index, so the caller waits
+on the workers, not on one future per request. Only HttpBackend takes a
+parallelism; the mocks keep the base class's 1 and answer one request at a
+time, inline on the calling thread.
 
 run_requests also checks every reply: a text that cannot be encoded as
 UTF-8, or an empty or whitespace-only translation, is a non-retryable
@@ -136,18 +140,26 @@ def apply_stop_sequences(text: str, stop_sequences: Sequence[str]) -> str:
 
 class Backend:
     """Shared base. parallelism is the most requests run_requests sends to
-    this backend at once; with parallelism above 1 they go through a pool of
-    that many threads, made at the first fan-out and kept until close(). A
-    backend that holds connections also releases them in close(); using it
-    as a context manager closes it on exit."""
+    this backend at once; with parallelism above 1 they are sent by up to
+    that many workers, each pulling the next request, on a pool of that many
+    threads made at the first fan-out and kept until close(). A backend that
+    holds connections also releases them in close(); using it as a context
+    manager closes it on exit."""
 
     parallelism = 1
     _pool = None
     _pool_lock = threading.Lock()
 
     def _fan_out(self, fn, items: list) -> list:
-        """[fn(item) for item in items], over this backend's pool when its
-        parallelism is above 1."""
+        """[fn(item) for item in items], with at most parallelism calls in
+        flight.
+
+        With parallelism above 1, min(parallelism, len(items)) pool workers
+        each pull the next item and store fn's result at its index, so the
+        caller waits once per worker, not once per item. Once a call raises,
+        or the caller's wait is interrupted (Ctrl-C), no worker takes another
+        item; every worker has finished when the exception is re-raised.
+        """
         if self.parallelism <= 1 or not items:
             return [fn(item) for item in items]
         with self._pool_lock:
@@ -156,7 +168,38 @@ class Backend:
 
                 self._pool = ThreadPoolExecutor(max_workers=self.parallelism)
             pool = self._pool
-        return list(pool.map(fn, items))
+        results = [None] * len(items)
+        pending = enumerate(items)
+        pending_lock = threading.Lock()
+        stop = False
+
+        def work() -> None:
+            nonlocal stop
+            while True:
+                with pending_lock:
+                    job = None if stop else next(pending, None)
+                if job is None:
+                    return
+                index, item = job
+                try:
+                    results[index] = fn(item)
+                except BaseException:
+                    stop = True
+                    raise
+
+        workers = []
+        try:
+            for _ in range(min(self.parallelism, len(items))):
+                workers.append(pool.submit(work))
+            for worker in workers:
+                worker.result()
+        except BaseException:
+            stop = True
+            from concurrent.futures import wait
+
+            wait(workers)
+            raise
+        return results
 
     def close(self) -> None:
         """Shut the pool down; a later fan-out makes a fresh one."""

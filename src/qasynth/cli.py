@@ -421,11 +421,18 @@ def cmd_exemplars(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_tune(args, config: RunConfig, out: OutputDir) -> int:
-    from .tuner import create_toy_lm, save_prompt, tune
+    from .tuner import create_toy_lm, dataset_language, save_prompt, tune
 
-    # Named by their paths, so tune's errors about a dataset name its file.
+    # Named by their paths, so errors about a dataset name its file.
     train = read_jsonl(Path(args.train), name=args.train)
     dev = read_jsonl(Path(args.dev), name=args.dev)
+    for role, dataset in (("train", train), ("dev", dev)):
+        language = dataset_language(dataset, role)
+        if language != args.language:
+            raise ConfigError(
+                f"{dataset.name}: {role} dataset is in {language!r}, "
+                f"not --language {args.language!r}"
+            )
     t = config.tuner
     model = create_toy_lm(d=t.d, h=t.h, seed=t.model_seed)
     seed = config.seed("tune")

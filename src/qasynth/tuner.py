@@ -523,7 +523,10 @@ def greedy_decode_batch(
     return out
 
 
-def _dataset_language(dataset: Dataset, role: str) -> str:
+def dataset_language(dataset: Dataset, role: str) -> str:
+    """The one language of a non-empty, monolingual train or dev dataset."""
+    if not dataset.examples:
+        raise TunerError(f"{dataset.name}: {role} dataset must be non-empty")
     languages = {ex.language for ex in dataset.examples}
     if len(languages) != 1:
         raise TunerError(
@@ -592,12 +595,8 @@ def tune(
             f"model d={model.d}, h={model.h}, seed={model.seed} differs from "
             f"config d={config.d}, h={config.h}, model_seed={config.model_seed}"
         )
-    if not train.examples:
-        raise TunerError("train dataset must be non-empty")
-    if not dev.examples:
-        raise TunerError("dev dataset must be non-empty")
-    train_lang = _dataset_language(train, "train")
-    dev_lang = _dataset_language(dev, "dev")
+    train_lang = dataset_language(train, "train")
+    dev_lang = dataset_language(dev, "dev")
     if train_lang != dev_lang:
         raise TunerError(
             f"train language {train_lang!r} != dev language {dev_lang!r}"

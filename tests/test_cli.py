@@ -376,15 +376,19 @@ TINY_TUNER = {
 }
 
 
-def write_tune_corpus(tmp_path: Path):
+def write_tune_corpus(tmp_path: Path, train_language: str = "fi", dev_language: str = "fi"):
     train = Dataset(
         name="t",
-        examples=tuple(make_example(i, f"x{10 + i}a", "aaa", "aa") for i in range(8)),
+        examples=tuple(
+            make_example(i, f"x{10 + i}a", "aaa", "aa", language=train_language)
+            for i in range(8)
+        ),
     )
     dev = Dataset(
         name="d",
         examples=tuple(
-            make_example(100 + i, f"x{50 + i}a", "aaa", "aa") for i in range(4)
+            make_example(100 + i, f"x{50 + i}a", "aaa", "aa", language=dev_language)
+            for i in range(4)
         ),
     )
     train_path = tmp_path / "train.jsonl"
@@ -410,6 +414,24 @@ class TestTune:
         assert trace["metric"] == "dev_loss"
         assert trace["records"]
         assert "tuned fi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("languages,role", [(("sw", "sw"), "train"), (("fi", "sw"), "dev")],
+                             ids=["both-sw", "dev-sw"])
+    def test_data_in_another_language_exits_1_without_artifacts(
+        self, tmp_path, capsys, languages, role
+    ):
+        paths = dict(zip(("train", "dev"), write_tune_corpus(tmp_path, *languages)))
+        config = write_config(tmp_path, {"tuner": TINY_TUNER})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(["tune", "--config", config, "--train", paths["train"],
+                     "--dev", paths["dev"], "--language", "fi", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {paths[role]}: {role} dataset is in 'sw', not --language 'fi'\n"
+        )
+        assert not (out / "fi.prompt.bin").exists()
+        assert not (out / "fi.trace.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         train, dev = write_tune_corpus(tmp_path)

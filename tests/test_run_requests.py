@@ -3,7 +3,11 @@ parallelism, and the failure semantics of every stage built on it."""
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -244,3 +248,115 @@ class TestParallelismInvariance:
         serial = outputs(1)
         assert serial[4][0].examples  # non-vacuous: the round trip keeps something
         assert outputs(4) == serial
+
+
+def run_bounded(fn, timeout=60):
+    """fn() on a helper thread joined with a timeout: its result, or the
+    exception it raised."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except BaseException as e:  # handed to the test thread below
+            outcome["error"] = e
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class TestFanOut:
+    """Backend._fan_out: pool workers pull the next item from a shared
+    iterator, and stop pulling once a call raises or the caller is
+    interrupted."""
+
+    def test_stress_every_item_once_in_order_within_parallelism(self):
+        # More workers than this host's CPUs and a short switch interval:
+        # a lost update on the shared iterator shows as an item run twice
+        # or never, or as more than parallelism calls in flight.
+        n, parallelism = 5000, 8
+        ran = Counter()
+        lock = threading.Lock()
+        inflight = peak = 0
+
+        def fn(item):
+            nonlocal inflight, peak
+            with lock:
+                ran[item] += 1
+                inflight += 1
+                peak = max(peak, inflight)
+            time.sleep(0)
+            with lock:
+                inflight -= 1
+            return -item
+
+        backend = CountingTranslator(parallelism=parallelism)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_bounded(lambda: backend._fan_out(fn, list(range(n))))
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+        assert ran == Counter(range(n))
+        assert results == [-i for i in range(n)]
+        assert 1 < peak <= parallelism
+
+    def test_a_raising_call_stops_the_hand_out_and_reaches_the_caller(self):
+        ran = []
+        lock = threading.Lock()
+        inflight = 0
+
+        def fn(item):
+            nonlocal inflight
+            with lock:
+                ran.append(item)
+                inflight += 1
+            try:
+                if item == 0:
+                    # Raised while the other workers are mid-call.
+                    time.sleep(0.005)
+                    raise RuntimeError("boom")
+                time.sleep(0.02)
+                return item
+            finally:
+                with lock:
+                    inflight -= 1
+
+        backend = CountingTranslator(parallelism=4)
+        try:
+            with pytest.raises(RuntimeError, match="^boom$"):
+                run_bounded(lambda: backend._fan_out(fn, list(range(1000))))
+            assert inflight == 0  # every worker finished before the raise
+            assert 0 in ran and len(ran) < 20
+        finally:
+            backend.close()
+
+    def test_sigint_stops_after_the_calls_in_flight(self):
+        # A real signal: _thread.interrupt_main() only sets a flag, which
+        # does not wake a main thread blocked in one long wait. Only the main
+        # thread takes the signal, so the fan-out runs on it; 300 calls of
+        # 10 ms at parallelism 2 end within 1.5 s even if nothing stops them.
+        ran = []
+
+        def fn(item):
+            ran.append(item)
+            if item == 5:
+                os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.01)
+            return item
+
+        backend = CountingTranslator(parallelism=2)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                backend._fan_out(fn, list(range(300)))
+        finally:
+            signal.signal(signal.SIGINT, handler)
+            backend.close()
+        assert 5 in ran and len(ran) < 20
