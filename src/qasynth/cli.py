@@ -48,7 +48,7 @@ from .corpus import (
     load_passage_pool,
     parse_squad_json,
     read_jsonl,
-    sample_unlabeled,
+    sample_passage_pool,
     squad_language_counts,
     subsample_fewshot,
     write_json,
@@ -386,10 +386,10 @@ def cmd_ingest(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_sample(args, config: RunConfig, out: OutputDir) -> int:
-    pool = load_passage_pool(args.passages, args.language)
     seed = config.seed("sample")
-    picked = sample_unlabeled(
-        pool, args.n, seed, min_len=args.min_len, max_len=args.max_len
+    picked = sample_passage_pool(
+        args.passages, args.language, args.n, seed,
+        min_len=args.min_len, max_len=args.max_len,
     )
     out_path = out.path(f"{args.language}.passages.jsonl")
     write_passages(picked, out_path)

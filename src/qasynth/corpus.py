@@ -308,12 +308,14 @@ def parse_squad_json(
     return dataset, report
 
 
-def _json_lines(path: Path) -> Iterable[Tuple[int, object]]:
-    """(1-based line number, parsed value) for each non-blank line of a
-    UTF-8 file; a line that is not UTF-8 or not JSON raises CorpusError
-    naming the file and line."""
+def _json_lines(path: Path) -> Iterable[Tuple[int, int, object]]:
+    """(1-based line number, byte offset, parsed value) for each non-blank
+    line of a UTF-8 file; a line that is not UTF-8 or not JSON raises
+    CorpusError naming the file and line."""
+    offset = 0
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            start, offset = offset, offset + len(raw)
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
@@ -323,7 +325,34 @@ def _json_lines(path: Path) -> Iterable[Tuple[int, object]]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise CorpusError(f"{path}:{lineno}: malformed JSON: {e.msg}")
-                yield lineno, obj
+                yield lineno, start, obj
+
+
+def _pool_passages(
+    path: Path, language: str, source: str
+) -> Iterator[Tuple[int, Passage]]:
+    """(byte offset, passage) for each line of an NDJSON passage pool.
+
+    Any malformed line, or a repeated id, raises CorpusError naming its
+    1-based line number.
+    """
+    # The ids are the only per-line state a streamed pass keeps, and a
+    # dict's compact table takes about a quarter of the memory of a set's.
+    seen: Dict[str, None] = {}
+    for lineno, offset, obj in _json_lines(path):
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise CorpusError(f"{path}:{lineno}: expected an object with 'id' and 'text'")
+        pid = str(obj["id"])
+        if pid in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate passage id {pid!r}")
+        seen[pid] = None
+        try:
+            passage = Passage(
+                id=pid, text=obj["text"], language=language, source=source or path.name
+            )
+        except CorpusError as e:
+            raise CorpusError(f"{path}:{lineno}: {e}")
+        yield offset, passage
 
 
 def load_passage_pool(
@@ -336,23 +365,7 @@ def load_passage_pool(
     Blank lines are ignored. Any malformed line raises CorpusError naming
     its 1-based line number.
     """
-    path = Path(path)
-    passages: List[Passage] = []
-    seen = set()
-    for lineno, obj in _json_lines(path):
-        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-            raise CorpusError(f"{path}:{lineno}: expected an object with 'id' and 'text'")
-        pid = str(obj["id"])
-        if pid in seen:
-            raise CorpusError(f"{path}:{lineno}: duplicate passage id {pid!r}")
-        seen.add(pid)
-        try:
-            passages.append(
-                Passage(id=pid, text=obj["text"], language=language, source=source or path.name)
-            )
-        except CorpusError as e:
-            raise CorpusError(f"{path}:{lineno}: {e}")
-    return tuple(passages)
+    return tuple(p for _, p in _pool_passages(Path(path), language, source))
 
 
 def write_passages(passages: Iterable[Passage], path: Union[str, Path]) -> None:
@@ -360,6 +373,18 @@ def write_passages(passages: Iterable[Passage], path: Union[str, Path]) -> None:
     with atomic_open(path) as fh:
         for p in passages:
             fh.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False) + "\n")
+
+
+def _check_sample_size(
+    n: int, eligible: int, total: int, min_len: int, max_len: int
+) -> None:
+    if n < 0:
+        raise CorpusError("sample size must be >= 0")
+    if n > eligible:
+        raise CorpusError(
+            f"requested {n} passages but only {eligible} of {total} "
+            f"are within [{min_len}, {max_len}] characters"
+        )
 
 
 def sample_unlabeled(
@@ -375,16 +400,48 @@ def sample_unlabeled(
     (inclusive) are eligible. Asking for more than the eligible count raises
     with both numbers in the message.
     """
-    if n < 0:
-        raise CorpusError("sample size must be >= 0")
     eligible = [p for p in pool if min_len <= len(p.text) <= max_len]
-    if n > len(eligible):
-        raise CorpusError(
-            f"requested {n} passages but only {len(eligible)} of {len(pool)} "
-            f"are within [{min_len}, {max_len}] characters"
-        )
+    _check_sample_size(n, len(eligible), len(pool), min_len, max_len)
     rng = random.Random(seed)
     return tuple(rng.sample(eligible, n))
+
+
+def sample_passage_pool(
+    path: Union[str, Path],
+    language: str,
+    n: int,
+    seed: int,
+    min_len: int = 200,
+    max_len: int = 510,
+) -> Tuple[Passage, ...]:
+    """sample_unlabeled over load_passage_pool(path, language), streamed.
+
+    The first pass validates every line as load_passage_pool does and keeps
+    only the byte offsets of the eligible lines (and every id, for the
+    duplicate check). random.sample picks indices from the population's
+    length alone, so sampling range(len(eligible)) picks the same passages
+    in the same order. The second pass reads only the picked lines.
+    """
+    from array import array  # a shared library; only this command needs it
+
+    path = Path(path)
+    offsets = array("q")
+    total = 0
+    for offset, passage in _pool_passages(path, language, ""):
+        total += 1
+        if min_len <= len(passage.text) <= max_len:
+            offsets.append(offset)
+    _check_sample_size(n, len(offsets), total, min_len, max_len)
+    picks = random.Random(seed).sample(range(len(offsets)), n)
+    picked: Dict[int, Passage] = {}
+    with path.open("rb") as fh:
+        for i in sorted(picks):
+            fh.seek(offsets[i])
+            obj = json.loads(fh.readline().decode("utf-8"))
+            picked[i] = Passage(
+                id=str(obj["id"]), text=obj["text"], language=language, source=path.name
+            )
+    return tuple(picked[i] for i in picks)
 
 
 def subsample_fewshot(
@@ -499,7 +556,7 @@ def read_jsonl(
     """
     path = Path(path)
     examples: List[QAExample] = []
-    for lineno, obj in _json_lines(path):
+    for lineno, _, obj in _json_lines(path):
         if not isinstance(obj, dict) or set(obj) - {OPTIONAL_FIELD} != set(JSONL_FIELDS):
             got = sorted(obj) if isinstance(obj, dict) else repr(obj)
             raise CorpusError(

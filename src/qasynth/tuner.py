@@ -65,6 +65,10 @@ PUNCT_BYTES = ".,;:!?'\"()-[]"
 MARKER_PRIOR = 0.01      # SEP and EOS each occur once per example
 PRIOR_FLOOR = 1e-6       # unseen bytes keep nonzero mass
 
+# Steps per block of the training forward pass (see _batch_nll). A loss-only
+# pass holds one (BLOCK, B, h) buffer instead of the whole (T, B, h) history.
+BLOCK = 64
+
 
 def byte_prior() -> np.ndarray:
     """Unigram distribution over the 259 output tokens (text-like prior)."""
@@ -252,64 +256,82 @@ def _batch_nll(
     """Teacher-forced NLL sum, target-position count, and optionally dP.
 
     Sequences are padded to the batch maximum; padded positions use zero
-    input vectors and are excluded from the loss mask, and because every
-    loss position of an example precedes its padded tail, padding cannot
-    leak into either the loss or the gradient.
+    input vectors and are excluded from the loss, and because every loss
+    position of an example precedes its padded tail, padding cannot leak
+    into either the loss or the gradient.
     """
     if not batch:
         raise TunerError("batch must be non-empty")
     m = prompt.m
     B = len(batch)
+    h = model.h
     body_lens = [len(inp) + len(tgt) - 1 for inp, tgt in batch]
     T = m + max(body_lens)
 
     # Time-major layout: step t reads and writes the contiguous (B, .) block
     # [t]. Inputs come from the embedding table extended by the prompt rows
-    # and one zero row for padding.
+    # and one zero row for padding. The loss positions are listed in
+    # example-major order, each as (step, example) with its target token.
     V = model.vocab_size
     table = np.vstack([model.E, prompt.P, np.zeros((1, model.d))])
     ids = np.full((T, B), V + m, dtype=np.intp)
     ids[:m] = V + np.arange(m)[:, None]
-    loss_mask = np.zeros((B, T), dtype=bool)
-    targets = np.zeros((B, T), dtype=np.int64)
     for b, (inp, tgt) in enumerate(batch):
         ids[m : m + len(inp), b] = inp
         ids[m + len(inp) : m + len(inp) + len(tgt) - 1, b] = tgt[:-1]
-        base = m + len(inp) - 1
-        loss_mask[b, base : base + len(tgt)] = True
-        targets[b, base : base + len(tgt)] = tgt
+    tgt_lens = [len(tgt) for _, tgt in batch]
+    n = sum(tgt_lens)
+    loss_t = np.concatenate(
+        [np.arange(m + len(inp) - 1, m + len(inp) - 1 + len(tgt)) for inp, tgt in batch]
+    )
+    loss_b = np.repeat(np.arange(B), tgt_lens)
+    flat_targets = np.fromiter(
+        (tok for _, tgt in batch for tok in tgt), dtype=np.intp, count=n
+    )
 
     # The step loops are bound by per-call dispatch, so every step works in
-    # place on preallocated blocks. The operand order of each sum is fixed,
+    # place on preallocated arrays. The operand order of each sum is fixed,
     # s_t = tanh((W_x x_t + W_s s_{t-1}) + b_s), and each product goes through
     # the same BLAS call per (B, .) block as a one-step-at-a-time loop, so the
-    # loss and dP do not depend on the loop layout. The input projection is
-    # one stacked matmul over the T blocks; b_s is tiled to (B, h) because a
-    # same-shape add dispatches faster than a broadcast one.
-    X = table[ids] @ model.W_x.T
-    S = np.empty((T, B, model.h))
+    # loss and dP do not depend on the loop layout. The forward pass runs in
+    # blocks of BLOCK steps: a block's input projection is one stacked matmul
+    # written into the block, and each step then adds W_s s_{t-1} to it and
+    # applies b_s and tanh in place. b_s is tiled to (B, h) because a
+    # same-shape add dispatches faster than a broadcast one. A gradient pass
+    # keeps every state in S for the backward loop; a loss-only pass reuses
+    # one block buffer, so it never holds a (T, B, h) array. Either way each
+    # block's loss-position states are gathered into the example-major
+    # (n, h) array the loss reads.
+    W_xT = model.W_x.T
     W_sT = model.W_s.T
     b_s = np.tile(model.b_s, (B, 1))
-    prev = np.zeros((B, model.h))
-    for x, s in zip(X, S):
-        np.dot(prev, W_sT, out=s)
-        np.add(x, s, out=s)
-        np.add(s, b_s, out=s)
-        np.tanh(s, out=s)
-        prev = s
-    # X is not read again: its buffer becomes dS, or is freed before the loss.
+    states = np.empty((n, h))
     if need_grad:
-        dS = X
-        dS.fill(0.0)
-    del X
+        S = np.empty((T, B, h))
+    else:
+        buffer = np.empty((min(T, BLOCK), B, h))
+    recurrent = np.empty((B, h))
+    carried = np.zeros((B, h))
+    for t0 in range(0, T, BLOCK):
+        t1 = min(t0 + BLOCK, T)
+        block = S[t0:t1] if need_grad else buffer[: t1 - t0]
+        np.matmul(table[ids[t0:t1]], W_xT, out=block)
+        prev = carried
+        for s in block:
+            np.dot(prev, W_sT, out=recurrent)
+            np.add(s, recurrent, out=s)
+            np.add(s, b_s, out=s)
+            np.tanh(s, out=s)
+            prev = s
+        # prev is a view into the block; the next block's projection may
+        # overwrite the buffer, so the state crosses the boundary as a copy.
+        np.copyto(carried, prev)
+        here = np.flatnonzero((t0 <= loss_t) & (loss_t < t1))
+        states[here] = block[loss_t[here] - t0, loss_b[here]]
 
-    # Loss positions in example-major order, through a (B, T, h) view. One
-    # (n, V) buffer holds the logits, then the shifted logits, then exp().
-    flat_states = S.transpose(1, 0, 2)[loss_mask]
-    flat_targets = targets[loss_mask]
-    n = flat_targets.shape[0]
+    # One (n, V) buffer holds the logits, then the shifted logits, then exp().
     rows = np.arange(n)
-    logits = flat_states @ model.W_o.T
+    logits = states @ model.W_o.T
     logits += model.b_o
     picked = logits[rows, flat_targets]
     top = logits.max(axis=1)
@@ -325,14 +347,18 @@ def _batch_nll(
     dlogits = probs
     dlogits[rows, flat_targets] -= 1.0
     dlogits /= n
-    dS.transpose(1, 0, 2)[loss_mask] = dlogits @ model.W_o
+    dstates = dlogits @ model.W_o
+    # dS is allocated only once the (n, V) buffer is released.
+    del logits, probs, dlogits
+    dS = np.zeros((T, B, h))
+    dS[loss_t, loss_b] = dstates
 
     # S is not read again, so it becomes the tanh derivative in place; each
     # dS[t] becomes dz_t in place, and the prompt rows' dz_t give dP.
     S *= S
     np.subtract(1.0, S, out=S)
     W_s = model.W_s
-    carry = np.zeros((B, model.h))
+    carry = np.zeros((B, h))
     for dz, s in zip(dS[::-1], S[::-1]):
         dz += carry
         dz *= s

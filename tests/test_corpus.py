@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from qasynth.corpus import (
     load_passage_pool,
     parse_squad_json,
     read_jsonl,
+    sample_passage_pool,
     sample_unlabeled,
     subsample_fewshot,
     write_jsonl,
@@ -282,6 +285,93 @@ class TestSampleUnlabeled:
         eligible = sum(1 for p in passage_pool if 200 <= len(p.text) <= 510)
         with pytest.raises(CorpusError, match=str(eligible)):
             sample_unlabeled(passage_pool, eligible + 1, seed=0)
+
+
+def write_pool(path, count: int, seed: int) -> None:
+    """An NDJSON pool of count passages, 100 to 600 characters, some of them
+    non-ASCII, with blank lines between some records."""
+    rng = random.Random(seed)
+    words = "lorem ipsum dolor sité amet ü consectetur adipiscing elit " * 12
+    with path.open("w", encoding="utf-8") as fh:
+        for i in range(count):
+            start = rng.randrange(60)
+            text = words[start : start + rng.randint(100, 600)]
+            fh.write(json.dumps({"id": f"p{i}", "text": text}, ensure_ascii=i % 3 == 0))
+            fh.write("\n\n" if i % 7 == 0 else "\n")
+
+
+class TestSamplePassagePool:
+    """The streamed sampler picks what sample_unlabeled picks on the loaded pool."""
+
+    @pytest.mark.parametrize("count", [1, 40, 500])
+    def test_matches_sampling_the_loaded_pool(self, tmp_path, count):
+        path = tmp_path / "pool.ndjson"
+        write_pool(path, count, seed=count)
+        pool = load_passage_pool(path, "fi")
+        for lo, hi in [(200, 510), (100, 150)]:
+            eligible = sum(1 for p in pool if lo <= len(p.text) <= hi)
+            for seed in range(5):
+                for n in {0, min(1, eligible), eligible // 2, eligible}:
+                    assert sample_passage_pool(
+                        path, "fi", n, seed, min_len=lo, max_len=hi
+                    ) == sample_unlabeled(pool, n, seed, min_len=lo, max_len=hi)
+
+    def test_index_sample_picks_what_a_list_sample_picks(self):
+        rng = random.Random(0)
+        for seed in range(50):
+            N = rng.choice([1, 21, 1000, rng.randint(1, 200_000), 200_000])
+            # random.sample copies a population that is small next to n,
+            # and draws into a set otherwise: both ways are covered.
+            n = rng.randint(0, N if N <= 1000 else 5000)
+            population = list(range(N, 0, -1))
+            picks = random.Random(seed).sample(range(N), n)
+            assert [population[i] for i in picks] == random.Random(seed).sample(population, n)
+
+    def test_over_request_keeps_its_numbers(self, tmp_path):
+        path = tmp_path / "pool.ndjson"
+        write_pool(path, 60, seed=1)
+        pool = load_passage_pool(path, "fi")
+        eligible = sum(1 for p in pool if 200 <= len(p.text) <= 510)
+        with pytest.raises(CorpusError) as want:
+            sample_unlabeled(pool, eligible + 1, seed=0)
+        with pytest.raises(CorpusError) as got:
+            sample_passage_pool(path, "fi", eligible + 1, seed=0)
+        assert str(got.value) == str(want.value)
+        assert f"only {eligible} of 60 " in str(got.value)
+        with pytest.raises(CorpusError, match="sample size must be >= 0"):
+            sample_passage_pool(path, "fi", -1, seed=0)
+
+    @pytest.mark.parametrize(
+        "tail",
+        ['{"id": "b"}', "not json", '{"id": "p3", "text": "again"}',
+         '{"id": "c", "text": ""}', '{"id": "c", "text": 5}'],
+        ids=["missing-text", "malformed", "duplicate", "empty-text", "non-string"],
+    )
+    def test_every_line_is_validated_with_its_number(self, tmp_path, tail):
+        path = tmp_path / "pool.ndjson"
+        write_pool(path, 8, seed=2)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(tail + "\n")
+        with pytest.raises(CorpusError) as want:
+            load_passage_pool(path, "fi")
+        with pytest.raises(CorpusError) as got:
+            sample_passage_pool(path, "fi", 0, seed=0)
+        assert str(got.value) == str(want.value)
+        assert f"{path}:11:" in str(got.value)
+
+    def test_peak_memory_is_far_below_the_pool(self, tmp_path):
+        path = tmp_path / "pool.ndjson"
+        write_pool(path, 20_000, seed=3)
+        tracemalloc.start()
+        try:
+            picked = sample_passage_pool(path, "fi", 100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(picked) == 100
+        # Every id stays for the duplicate check (about 1.5 MB here), but no
+        # text does; loading the whole pool peaks above the file's size.
+        assert peak < path.stat().st_size / 4
 
 
 class TestSubsampleFewshot:

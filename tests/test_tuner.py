@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qasynth.cli import ConfigError, TuneConfig
 from qasynth.corpus import Dataset, QAExample
 from qasynth.tuner import (
     ADAFACTOR_EPS,
+    BLOCK,
     BOS,
     EOS,
     SEP,
@@ -268,6 +270,27 @@ class TestBatchNllLayout:
              lengths=[(80, 1), (1, 40), (5, 5)], data_seed=1, need_grad=True)
     @example(shape=(4, 8), model_seed=2, bias=False, m=3, scale=0.3,
              lengths=[(60, 30)] * 16 + [(2, 1)] * 4, data_seed=2, need_grad=False)
+    # T = m + the longest input + target - 1 lands on each side of a block
+    # edge, so the state carried across it is checked in both modes.
+    @example(shape=(8, 16), model_seed=3, bias=True, m=2, scale=1.0,
+             lengths=[(30, BLOCK - 32), (7, 3)], data_seed=3, need_grad=False)
+    @example(shape=(8, 16), model_seed=3, bias=True, m=2, scale=1.0,
+             lengths=[(30, BLOCK - 32), (7, 3)], data_seed=3, need_grad=True)
+    @example(shape=(8, 16), model_seed=4, bias=False, m=4, scale=1.0,
+             lengths=[(2, 1), (BLOCK - 30, 27)], data_seed=4, need_grad=False)
+    @example(shape=(8, 16), model_seed=4, bias=False, m=4, scale=1.0,
+             lengths=[(2, 1), (BLOCK - 30, 27)], data_seed=4, need_grad=True)
+    @example(shape=(4, 8), model_seed=5, bias=True, m=1, scale=4.0,
+             lengths=[(BLOCK - 20, 21), (40, 2), (1, 1)], data_seed=5, need_grad=False)
+    @example(shape=(4, 8), model_seed=5, bias=True, m=1, scale=4.0,
+             lengths=[(BLOCK - 20, 21), (40, 2), (1, 1)], data_seed=5, need_grad=True)
+    @example(shape=(16, 32), model_seed=6, bias=False, m=11, scale=0.3,
+             lengths=[(2 * BLOCK - 40, 31), (BLOCK, 5)], data_seed=6, need_grad=False)
+    @example(shape=(16, 32), model_seed=6, bias=False, m=11, scale=0.3,
+             lengths=[(2 * BLOCK - 40, 31), (BLOCK, 5)], data_seed=6, need_grad=True)
+    # B = 1 takes the gemv path through every product; longer than a block.
+    @example(shape=(8, 16), model_seed=7, bias=True, m=3, scale=1.0,
+             lengths=[(BLOCK + 20, 40)], data_seed=7, need_grad=True)
     def test_equals_reference(
         self, shape, model_seed, bias, m, scale, lengths, data_seed, need_grad
     ):
@@ -306,6 +329,52 @@ class TestBatchNllLayout:
             total += nll
             count += n
         assert _full_loss(model, prompt, encoded, chunk=4) == total / count
+
+
+def long_batch(m: int):
+    """64 examples whose longest one runs m + 549 steps; about 1,900 targets."""
+    rng = np.random.default_rng(0)
+    lengths = [(510, 40)] + [
+        (int(a), int(b))
+        for a, b in zip(rng.integers(200, 511, 63), rng.integers(20, 41, 63))
+    ]
+    batch = random_batch(rng, lengths)
+    T = m + max(a + b - 1 for a, b in lengths)
+    n = sum(b for _, b in lengths)
+    return batch, T, n
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchNllMemory:
+    """What the forward pass keeps alive, on a 64-example batch of ~550 steps."""
+
+    def test_loss_pass_holds_no_step_history(self):
+        model = create_toy_lm()
+        prompt = init_prompt(5, model.d, seed=0)
+        batch, _, n = long_batch(prompt.m)
+        B, V, d, h = len(batch), model.vocab_size, model.d, model.h
+        peak = traced_peak(lambda: _batch_nll(model, prompt, batch, need_grad=False))
+        # The logits, the gathered states and one block of projected inputs
+        # and states; a (T, B, h) array alone would be 4.5 MB here.
+        block_buffers = BLOCK * B * (d + h) * 8
+        assert peak < 1.25 * (n * V + 2 * n * h) * 8 + block_buffers
+
+    def test_gradient_pass_frees_logits_before_ds(self):
+        model = create_toy_lm()
+        prompt = init_prompt(5, model.d, seed=0)
+        batch, T, n = long_batch(prompt.m)
+        B, V, h = len(batch), model.vocab_size, model.h
+        peak = traced_peak(lambda: _batch_nll(model, prompt, batch, need_grad=True))
+        assert peak < (2 * T * B * h + n * V) * 8
 
 
 class TestTuneConfig:
