@@ -27,7 +27,7 @@ parsed directly: only the headers that frame it and Retry-After are kept,
 within http.client's limits of 100 header lines of at most 65,536 bytes;
 interim 1xx replies are skipped; the body is read by Content-Length,
 chunked framing or to the end of the stream. A malformed reply raises
-OSError or http.client.HTTPException, a retryable transport failure.
+OSError, a retryable transport failure like any socket error.
 
 run_requests is the one way stages fan requests out: it sends each distinct
 request once, over at most backend.parallelism threads, and returns results in
@@ -40,9 +40,14 @@ on the workers, not on one future per request. Only HttpBackend takes a
 parallelism; the mocks keep the base class's 1 and answer one request at a
 time, inline on the calling thread.
 
-run_requests also checks every reply: a text that cannot be encoded as
-UTF-8, or an empty or whitespace-only translation, is a non-retryable
-BackendError.
+BackendError means one thing: a backend call failed. run_requests alone
+decides what a failure means: a BackendError, or a reply it finds unusable
+(text that cannot be encoded as UTF-8, an empty or whitespace-only
+translation), becomes that request's result; any other exception is a
+program fault that stops the fan-out and reaches the caller unchanged. A
+request no backend could be asked for (max_tokens < 1, an empty text, the
+same source and target language), or a client given a bad URL, token,
+proxy or parallelism, raises ValueError before any call.
 
 Importing this module loads no HTTP code: HttpBackend loads http.client,
 ssl, urllib.request and base64 when it is built, and concurrent.futures loads
@@ -84,7 +89,7 @@ def __getattr__(name: str):
 
 
 class BackendError(Exception):
-    """A backend failure. retryable marks transient faults (transport, 5xx, 429)."""
+    """A backend call failed; retryable marks transient faults (transport, 5xx, 429)."""
 
     def __init__(self, message: str, retryable: bool = False):
         super().__init__(message)
@@ -99,7 +104,7 @@ class GenerationRequest:
 
     def __post_init__(self):
         if self.max_tokens < 1:
-            raise BackendError("max_tokens must be >= 1")
+            raise ValueError("max_tokens must be >= 1")
         object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
 
 
@@ -117,9 +122,9 @@ class TranslationRequest:
 
     def __post_init__(self):
         if self.source == self.target:
-            raise BackendError(
-                f"source and target language are both {self.source!r}"
-            )
+            raise ValueError(f"source and target language are both {self.source!r}")
+        if not self.text:
+            raise ValueError("empty text to translate")
 
 
 @dataclass(frozen=True)
@@ -266,9 +271,9 @@ def _proxy_for(parts: urllib.parse.SplitResult) -> Optional[urllib.parse.SplitRe
     try:
         proxy_parts.port
     except ValueError as e:
-        raise BackendError(f"bad {parts.scheme} proxy {proxy!r}: {e}") from None
+        raise ValueError(f"bad {parts.scheme} proxy {proxy!r}: {e}") from None
     if not proxy_parts.hostname:
-        raise BackendError(f"bad {parts.scheme} proxy {proxy!r}: no host")
+        raise ValueError(f"bad {parts.scheme} proxy {proxy!r}: no host")
     return proxy_parts
 
 
@@ -297,61 +302,53 @@ _HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
 def _read_line(reply, what: str) -> bytes:
-    import http.client
-
     line = reply.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
-        raise http.client.LineTooLong(what)
+        raise OSError(f"{what} longer than {_MAX_LINE} bytes")
     return line
 
 
 def _read_headers(reply) -> Dict[bytes, bytes]:
     """Read header lines up to the blank line; returns the kept ones, by
     lower-case name."""
-    import http.client
-
     kept = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reply, "header line")
         if line in (b"\r\n", b"\n"):
             return kept
         if not line:
-            raise http.client.HTTPException("connection closed inside the reply head")
+            raise OSError("connection closed inside the reply head")
         name, _, value = line.partition(b":")
         name = name.lower()
         if name in _KEPT_HEADERS:
             kept[name] = value.strip()
-    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+    raise OSError(f"got more than {_MAX_HEADERS} headers")
 
 
 def _read_exact(reply, n: int) -> bytes:
-    import http.client
-
     parts = []
     while n > 0:
         part = reply.read(min(n, _MAX_READ))
         if not part:
-            raise http.client.IncompleteRead(b"".join(parts), n)
+            raise OSError(f"connection closed with {n} body bytes still to come")
         parts.append(part)
         n -= len(part)
     return b"".join(parts)
 
 
 def _read_chunked(reply) -> bytes:
-    import http.client
-
     parts = []
     while True:
         line = _read_line(reply, "chunk size")
         size = line.split(b";", 1)[0].strip()
         if not size or size.strip(_HEX_DIGITS):
-            raise http.client.HTTPException(f"bad chunk size {line!r}")
+            raise OSError(f"bad chunk size {line!r}")
         n = int(size, 16)
         if n == 0:
             break
         parts.append(_read_exact(reply, n))
         if _read_line(reply, "chunk end") not in (b"\r\n", b"\n"):
-            raise http.client.HTTPException("chunk data longer than its size")
+            raise OSError("chunk data longer than its size")
     _read_headers(reply)  # the trailer
     return b"".join(parts)
 
@@ -362,18 +359,14 @@ def _read_reply(reply) -> Tuple[int, Optional[str], bytes, bool]:
     Returns (status, Retry-After, body, keep_alive). Interim 1xx replies are
     skipped. The body is framed by chunked encoding, else Content-Length,
     else the end of the stream; keep_alive is false after a body read to
-    the end, a Connection: close or an HTTP/1.0 reply. Every fault raises
-    OSError or http.client.HTTPException; no reply at all raises
-    RemoteDisconnected.
+    the end, a Connection: close or an HTTP/1.0 reply. Every framing fault
+    raises OSError; no reply at all raises ConnectionResetError, so the
+    caller can tell a dropped keep-alive connection from a bad reply.
     """
-    import http.client
-
     while True:
         line = _read_line(reply, "status line")
         if not line:
-            raise http.client.RemoteDisconnected(
-                "Remote end closed connection without response"
-            )
+            raise ConnectionResetError("connection closed without a reply")
         fields = line.split(None, 2)
         if (
             len(fields) < 2
@@ -381,7 +374,7 @@ def _read_reply(reply) -> Tuple[int, Optional[str], bytes, bool]:
             or len(fields[1]) != 3
             or not fields[1].isdigit()
         ):
-            raise http.client.BadStatusLine(f"not an HTTP/1.x status line: {line!r}")
+            raise OSError(f"not an HTTP/1.x status line: {line!r}")
         status = int(fields[1])
         headers = _read_headers(reply)
         if status >= 200:
@@ -395,7 +388,7 @@ def _read_reply(reply) -> Tuple[int, Optional[str], bytes, bool]:
         body = _read_chunked(reply)
     elif length is not None:
         if not length.isdigit():
-            raise http.client.HTTPException(f"bad Content-Length {length!r}")
+            raise OSError(f"bad Content-Length {length!r}")
         body = _read_exact(reply, int(length))
     else:
         body = reply.read()
@@ -433,25 +426,21 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         import ssl
 
         if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
-            raise BackendError(
-                f"parallelism must be an integer >= 1, got {parallelism!r}"
-            )
+            raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
         self.parallelism = parallelism
         url = base_url or os.environ.get("QAM_BACKEND_URL")
         if not url:
-            raise BackendError(
-                "no backend URL: pass base_url or set QAM_BACKEND_URL"
-            )
+            raise ValueError("no backend URL: pass base_url or set QAM_BACKEND_URL")
         self.base_url = url.rstrip("/")
         try:
             parts = split_backend_url(self.base_url)
         except ValueError as e:
-            raise BackendError(f"backend URL {e}") from None
+            raise ValueError(f"backend URL {e}") from None
         self.timeout = timeout
         self.token = token or os.environ.get("QAM_BACKEND_TOKEN")
         self.retry_base_delay = retry_base_delay
         if self.token and re.search(r"[^!-~]", self.token):
-            raise BackendError("backend token must be printable ASCII without spaces")
+            raise ValueError("backend token must be printable ASCII without spaces")
         headers = {
             "Host": parts.netloc,
             "Accept-Encoding": "identity",
@@ -544,10 +533,11 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         """One POST; returns (status, Retry-After header, body).
 
         A server may close an idle keep-alive connection just as a request
-        goes out. That shows as a reset, a broken pipe or RemoteDisconnected
-        (a ConnectionResetError); the request is then sent again at once on a
-        fresh connection, and only a second failure counts. Resending is safe
-        because decoding is greedy: a repeated request gets the same reply.
+        goes out. That shows as a reset, a broken pipe or a reply that never
+        starts (a ConnectionResetError); the request is then sent again at
+        once on a fresh connection, and only a second failure counts.
+        Resending is safe because decoding is greedy: a repeated request gets
+        the same reply.
         """
         conn = self._connection
         request = b"%s%s%s%d\r\n\r\n%s" % (
@@ -556,7 +546,13 @@ class HttpBackend(GenerationBackend, TranslationBackend):
 
         def exchange() -> Tuple[int, Optional[str], bytes]:
             if conn.sock is None:
-                conn.connect()
+                import http.client
+
+                try:
+                    conn.connect()
+                except http.client.HTTPException as e:
+                    # http.client parses a proxy's reply to CONNECT itself.
+                    raise OSError(f"bad reply from the proxy to CONNECT: {e!r}") from e
             conn.sock.sendall(request)
             with conn.sock.makefile("rb") as reply:
                 status, retry_after, raw, keep_alive = _read_reply(reply)
@@ -577,8 +573,6 @@ class HttpBackend(GenerationBackend, TranslationBackend):
             raise
 
     def _post(self, path: str, payload: dict) -> dict:
-        import http.client
-
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         last_error: Optional[BackendError] = None
         delay: Optional[float] = None
@@ -588,7 +582,7 @@ class HttpBackend(GenerationBackend, TranslationBackend):
             delay = None
             try:
                 status, retry_after, raw = self._send(path, data)
-            except (OSError, http.client.HTTPException) as e:
+            except OSError as e:
                 last_error = BackendError(f"transport failure: {e}", retryable=True)
                 continue
             if 500 <= status < 600:
@@ -636,8 +630,6 @@ class HttpBackend(GenerationBackend, TranslationBackend):
         return GenerationResponse(text=text, backend_id=self.backend_id)
 
     def translate(self, request: TranslationRequest) -> TranslationResponse:
-        if not request.text:
-            raise BackendError("empty input", retryable=False)
         body = self._post(
             "/v1/translate",
             {
@@ -661,12 +653,14 @@ def run_requests(
 
     Decoding is greedy, so identical requests are interchangeable and share
     one call and one result. Distinct requests fan out over at most
-    backend.parallelism threads. A request that raises gets (None,
-    exception): the caller decides whether that aborts its stage or drops
-    one item. A reply no stage can use is a non-retryable BackendError
-    too: a text that is not encodable as UTF-8 (a lone surrogate, say),
-    or a translation that is empty or only whitespace. An empty
-    generation is a valid reply.
+    backend.parallelism threads. A request whose call raises BackendError
+    gets (None, error): the caller decides whether that aborts its stage or
+    drops one item. A reply no stage can use is a non-retryable
+    BackendError too: a text that is not encodable as UTF-8 (a lone
+    surrogate, say), or a translation that is empty or only whitespace. An
+    empty generation is a valid reply. Any other exception is a fault in
+    the program, not in the backend: no further request is sent and it
+    propagates to the caller.
     """
     distinct = list(dict.fromkeys(reqs))
 
@@ -683,7 +677,7 @@ def run_requests(
             except UnicodeEncodeError as e:
                 raise BackendError(f"reply text cannot be written as UTF-8: {e}") from None
             return response, None
-        except Exception as e:
+        except BackendError as e:
             return None, e
 
     by_request = dict(zip(distinct, backend._fan_out(call, distinct)))
@@ -701,8 +695,6 @@ class TaggingTranslator(TranslationBackend):
     backend_id = "mock:tagging-translator"
 
     def translate(self, request: TranslationRequest) -> TranslationResponse:
-        if not request.text:
-            raise BackendError("empty input", retryable=False)
         return TranslationResponse(
             text=f"[{request.target}] {request.text}",
             backend_id=self.backend_id,

@@ -400,6 +400,8 @@ def cmd_sample(args, config: RunConfig, out: OutputDir) -> int:
 def cmd_exemplars(args, config: RunConfig, out: OutputDir) -> int:
     from .promptkit import build_exemplars_en_only, build_exemplars_fewshot
 
+    if args.language == "en":
+        raise ConfigError("--language must name a language other than English, got 'en'")
     gold = read_jsonl(Path(args.gold))
     seed = config.seed("fewshot")
     if config.scenario == "english_only":
@@ -517,7 +519,7 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
         d_en = read_jsonl(Path(args.gold))
         with make_translator(config) as translator:
             try:
-                run = synth_mt(d_en, translator, targets, config.config_hash)
+                run = synth_mt(d_en, translator, targets)
             except SynthesisError as e:
                 raise SynthesisError(f"{args.gold}: {e}") from e
     elif args.method == "pe":
@@ -526,9 +528,7 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
         passages = _load_passages_dir(args.passages_dir, targets)
         exemplars = _load_exemplars_dir(args.exemplars_dir, targets)
         with make_generator(config, seed) as generator:
-            run = synth_pe(
-                exemplars, passages, generator, config_hash=config.config_hash
-            )
+            run = synth_pe(exemplars, passages, generator)
     elif args.method == "pt":
         if not args.passages_dir:
             raise ConfigError("--method pt requires --passages-dir")
@@ -540,20 +540,11 @@ def cmd_synth(args, config: RunConfig, out: OutputDir) -> int:
             prompts = _load_prompts_dir(args.prompts_dir, targets, t.d)
             model = create_toy_lm(d=t.d, h=t.h, seed=t.model_seed)
             run = synth_pt(
-                passages,
-                model=model,
-                prompts_by_language=prompts,
-                scenario=config.scenario,
-                config_hash=config.config_hash,
+                passages, model=model, prompts_by_language=prompts, scenario=config.scenario
             )
         else:
             with make_generator(config, seed) as generator:
-                run = synth_pt(
-                    passages,
-                    backend=generator,
-                    scenario=config.scenario,
-                    config_hash=config.config_hash,
-                )
+                run = synth_pt(passages, backend=generator, scenario=config.scenario)
     else:
         raise ConfigError(f"unknown method {args.method!r}")
     out.save_run(run, config)
@@ -586,7 +577,7 @@ def cmd_filter(args, config: RunConfig, out: OutputDir) -> int:
             )
         except SynthesisError as e:
             raise SynthesisError(f"{Path(args.run) / 'report.json'}: {e}") from e
-    out.save_run(dataclasses.replace(run, config_hash=config.config_hash), config)
+    out.save_run(run, config)
     kept = sum(len(run.filtered[lang]) for lang in run.languages)
     print(f"filtered run {Path(args.run)} -> {out.root} ({kept} kept)")
     return seed

@@ -94,30 +94,22 @@ def translate_fields(
     """Translate the named fields of every example from source into each target.
 
     Returns, for each target, one {field: translation} per example, in order.
-    Every translation goes through one run_requests call. The first failure
-    in (target, example, field) order is raised: a BackendError keeps its
-    type, anything else becomes a PromptError.
+    Every translation goes through one run_requests call. The first backend
+    failure in (target, example, field) order is raised as a BackendError
+    that names the field, the example and the target.
     """
     rows = [(target, ex, name) for target in targets for ex in examples for name in names]
-
-    def failure(row: Tuple[str, QAExample, str], e: Exception) -> Exception:
-        target, ex, name = row
-        message = f"translation of {name!r} failed for example {ex.id!r} ({target}): {e}"
-        # keep the type: callers route backend faults to a distinct exit code
-        if isinstance(e, BackendError):
-            return BackendError(message, retryable=e.retryable)
-        return PromptError(message)
-
-    reqs = []
-    for target, ex, name in rows:
-        try:
-            reqs.append(TranslationRequest(text=getattr(ex, name), source=source, target=target))
-        except BackendError as e:
-            raise failure((target, ex, name), e) from e
+    reqs = [
+        TranslationRequest(text=getattr(ex, name), source=source, target=target)
+        for target, ex, name in rows
+    ]
     texts = []
-    for row, (response, error) in zip(rows, run_requests(translator, reqs)):
+    for (target, ex, name), (response, error) in zip(rows, run_requests(translator, reqs)):
         if error is not None:
-            raise failure(row, error) from error
+            raise BackendError(
+                f"translation of {name!r} failed for example {ex.id!r} ({target}): {error}",
+                retryable=error.retryable,
+            ) from error
         texts.append(response.text)
     it = iter(texts)
     return [[{name: next(it) for name in names} for _ in examples] for _ in targets]

@@ -19,17 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .backends import (
-    BackendError,
-    GenerationBackend,
-    GenerationRequest,
-    TranslationBackend,
-    run_requests,
-)
+from .backends import GenerationBackend, GenerationRequest, TranslationBackend, run_requests
 from .corpus import (
     Dataset,
     Passage,
     QAExample,
+    config_hash,
     is_language_code,
     read_jsonl,
     write_json,
@@ -124,7 +119,6 @@ class SynthesisRun:
     raw: Dict[str, Dataset]
     filtered: Dict[str, Dataset]
     reports: Dict[str, FilterReport]
-    config_hash: str
 
     def __post_init__(self):
         if self.method not in ("mt", "pe", "pt"):
@@ -142,7 +136,6 @@ def synth_mt(
     d_en: Dataset,
     translator: TranslationBackend,
     languages: Sequence[str],
-    config_hash: str = "",
 ) -> SynthesisRun:
     """Translate the English dataset field-by-field into each target language.
 
@@ -186,7 +179,6 @@ def synth_mt(
         raw=raw,
         filtered=dict(raw),
         reports={lang: FilterReport(len(raw[lang]), len(raw[lang]), {}) for lang in targets},
-        config_hash=config_hash,
     )
 
 
@@ -207,8 +199,9 @@ def _complete(
     """Generate and parse one completion per prompt, in one run_requests call.
 
     An exception in place of a prompt marks an item that already failed; it
-    passes through unchanged. A BackendError or PromptError becomes that
-    item's result; any other exception is raised.
+    passes through unchanged. The BackendError run_requests reports for an
+    item, or the PromptError parsing its completion raises, becomes that
+    item's result.
     """
     reqs = [
         GenerationRequest(
@@ -229,10 +222,8 @@ def _complete(
                 out.append(parse_completion(response.text))
             except PromptError as e:
                 out.append(e)
-        elif isinstance(error, BackendError):
-            out.append(error)
         else:
-            raise error
+            out.append(error)
     return out
 
 
@@ -256,7 +247,6 @@ def synth_pe(
     backend: GenerationBackend,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     stop_sequences: Tuple[str, ...] = DEFAULT_STOP_SEQUENCES,
-    config_hash: str = "",
 ) -> SynthesisRun:
     """Two-stage prompted generation over unlabeled passages per language.
 
@@ -306,7 +296,7 @@ def synth_pe(
         question if isinstance(question, Exception) else (answer, question)
         for answer, question in zip(answers, questions)
     ]
-    return _fold("pe", scenario, passages_by_language, outcomes, config_hash)
+    return _fold("pe", scenario, passages_by_language, outcomes)
 
 
 def synth_pt(
@@ -316,7 +306,6 @@ def synth_pt(
     backend: Optional[GenerationBackend] = None,
     max_tokens: int = 128,
     scenario: str = "english_only",
-    config_hash: str = "",
 ) -> SynthesisRun:
     """Generate QA pairs by greedy decoding from tuned prompts.
 
@@ -364,15 +353,13 @@ def synth_pt(
             _split_completion(response, error)
             for response, error in run_requests(backend, reqs)
         ]
-    return _fold("pt", scenario, passages_by_language, outcomes, config_hash)
+    return _fold("pt", scenario, passages_by_language, outcomes)
 
 
 def _split_completion(response, error):
     """A remote pt completion as an (answer, question) pair, None or a BackendError."""
-    if isinstance(error, BackendError):
-        return error
     if error is not None:
-        raise error
+        return error
     if "\n" not in response.text:
         return None
     answer, question = response.text.split("\n", 1)
@@ -384,7 +371,6 @@ def _fold(
     scenario: str,
     passages_by_language: Mapping[str, Sequence[Passage]],
     outcomes: Sequence[Union[Tuple[str, str], Exception, None]],
-    config_hash: str,
 ) -> SynthesisRun:
     """Turn one generation outcome per passage into a raw SynthesisRun.
 
@@ -433,7 +419,6 @@ def _fold(
         raw=raw,
         filtered=dict(raw),
         reports=reports,
-        config_hash=config_hash,
     )
 
 
@@ -640,8 +625,9 @@ def filter_run(
 def save_run(run: SynthesisRun, outdir: Union[str, Path], config: dict) -> List[str]:
     """Persist a run: per-language raw/filtered JSONL plus report and config.
 
-    report.json's counts are the line counts of the JSONL files beside it.
-    Returns the paths written, relative to outdir.
+    report.json's counts are the line counts of the JSONL files beside it,
+    and its config_hash is the hash of config. Returns the paths written,
+    relative to outdir.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -655,7 +641,7 @@ def save_run(run: SynthesisRun, outdir: Union[str, Path], config: dict) -> List[
         "method": run.method,
         "scenario": run.scenario,
         "languages": list(run.languages),
-        "config_hash": run.config_hash,
+        "config_hash": config_hash(config),
         "reports": {lang: run.reports[lang].to_dict() for lang in run.languages},
         "counts": {
             lang: {
@@ -703,7 +689,6 @@ def load_run(run_dir: Union[str, Path]) -> SynthesisRun:
                 lang: FilterReport(**{**r, "notes": tuple(r.get("notes", ()))})
                 for lang, r in report_docs.items()
             },
-            config_hash=doc["config_hash"],
         )
     except KeyError as e:
         raise SynthesisError(f"{path}: missing key {e}") from e

@@ -138,8 +138,9 @@ def distribution(
     """Bucket every question in the dataset by its English surface form.
 
     Non-English questions are translated to English first, each distinct
-    one once, through one run_requests call; a failed translation buckets
-    its question under "Other" and is counted in translation_failures.
+    one once, through one run_requests call; a translation the backend
+    fails (a BackendError) buckets its question under "Other" and is counted
+    in translation_failures. Any other exception propagates.
     pool_all_languages controls whether English examples enter the pooled
     view (per-language views always keep them). Categories whose share of
     the whole dataset is below other_threshold are relabeled "Other" in

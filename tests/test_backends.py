@@ -130,7 +130,7 @@ class TestWireFormat:
 
     def test_missing_url_fails_fast(self, monkeypatch):
         monkeypatch.delenv("QAM_BACKEND_URL", raising=False)
-        with pytest.raises(BackendError, match="QAM_BACKEND_URL"):
+        with pytest.raises(ValueError, match="QAM_BACKEND_URL"):
             HttpBackend()
 
     @pytest.mark.parametrize(
@@ -141,18 +141,17 @@ class TestWireFormat:
     @pytest.mark.parametrize("source", ["argument", "environment"])
     def test_malformed_url_fails_fast(self, monkeypatch, url, source):
         monkeypatch.setenv("QAM_BACKEND_URL", url)
-        with pytest.raises(BackendError, match="backend URL must have the form") as err:
+        with pytest.raises(ValueError, match="backend URL must have the form"):
             HttpBackend(base_url=url if source == "argument" else None)
-        assert not err.value.retryable
 
     @pytest.mark.parametrize("token", ["a\r\nX-Injected: 1", "two words", "t\u00e4"])
     def test_token_that_cannot_be_a_header_value_fails_fast(self, token):
-        with pytest.raises(BackendError, match="token must be printable ASCII"):
+        with pytest.raises(ValueError, match="token must be printable ASCII"):
             HttpBackend(base_url="http://127.0.0.1:9", token=token)
 
     @pytest.mark.parametrize("parallelism", [0, True, "2"])
     def test_rejects_bad_parallelism(self, parallelism):
-        with pytest.raises(BackendError, match="parallelism must be an integer >= 1"):
+        with pytest.raises(ValueError, match="parallelism must be an integer >= 1"):
             HttpBackend(base_url="http://127.0.0.1:9", parallelism=parallelism)
 
 
@@ -467,6 +466,27 @@ class TestTransport:
         assert ProxyHandler.requests_seen
         assert {r["path"] for r in ProxyHandler.requests_seen} == {"backend.invalid:443"}
 
+    @pytest.mark.parametrize(
+        "status_line", [b"SSH-2.0-OpenSSH_9.6", b"HTTP/1.1 200 " + b"x" * 70000],
+        ids=["not-http", "line-over-65536"],
+    )
+    def test_malformed_tunnel_reply_is_a_transport_failure(self, monkeypatch, status_line):
+        # http.client reads the proxy's reply to CONNECT and raises its own
+        # HTTPException types for a bad one; they must not escape as faults.
+        class GarbageProxy(socketserver.StreamRequestHandler):
+            def handle(self):
+                while self.rfile.readline() not in (b"\r\n", b""):
+                    pass
+                self.wfile.write(status_line + b"\r\n\r\n")
+
+        with serving(GarbageProxy, socketserver.ThreadingTCPServer) as proxy:
+            monkeypatch.setenv("https_proxy", f"127.0.0.1:{proxy.server_address[1]}")
+            with HttpBackend(base_url="https://backend.invalid", timeout=5,
+                             retry_base_delay=0.0) as backend:
+                with pytest.raises(BackendError, match="^transport failure: bad reply") as err:
+                    backend.generate(GenerationRequest(prompt="p", max_tokens=4))
+        assert err.value.retryable
+
     def test_no_proxy_host_bypasses_proxy(self, server, monkeypatch):
         url, handler = server
         handler.script.append((200, {"text": "direct"}))
@@ -706,17 +726,17 @@ class TestConcurrentClient:
 
 class TestRequestTypes:
     def test_max_tokens_must_be_positive(self):
-        with pytest.raises(BackendError):
+        with pytest.raises(ValueError):
             GenerationRequest(prompt="p", max_tokens=0)
 
     def test_translation_rejects_same_language(self):
-        with pytest.raises(BackendError):
+        with pytest.raises(ValueError):
             TranslationRequest(text="x", source="fr", target="fr")
 
     def test_translation_rejects_empty_text(self, server):
         url, _ = server
         backend = HttpBackend(base_url=url, retry_base_delay=0.0)
-        with pytest.raises(BackendError):
+        with pytest.raises(ValueError):
             backend.translate(TranslationRequest(text="", source="en", target="fr"))
 
 

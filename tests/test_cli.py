@@ -819,10 +819,23 @@ class TestBackendFailures:
         config = write_config(tmp_path, {"backend": {"kind": "http"}})
         code = main(["exemplars", "--config", config, "--gold", gold_en_path,
                      "--language", "fi", "--out", str(tmp_path / "o")])
-        assert code == EXIT_BACKEND
+        assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith("backend error: backend URL must have the form")
+        assert err.startswith("error: backend URL must have the form")
         assert err.count("\n") == 1
+
+    def test_malformed_env_token_fails_without_a_call(
+        self, tmp_path, gold_en_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("QAM_BACKEND_TOKEN", "a b")
+        config = write_config(tmp_path, {"backend": {"kind": "http", "url": "http://127.0.0.1:9"}})
+        code = main(["exemplars", "--config", config, "--gold", gold_en_path,
+                     "--language", "fi", "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: backend token must be printable ASCII")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestHttpSessionsClosed:
@@ -1242,6 +1255,22 @@ def _ingest_answers(answers):
     return setup
 
 
+def _exemplars_in_english(scenario):
+    """exemplars --language en on English gold: no scenario builds English
+    exemplars."""
+    def setup(tmp_path):
+        path = tmp_path / "gold.jsonl"
+        path.write_text(
+            "".join(json.dumps({**GOOD_RECORD, "id": f"x-{i}"}) + "\n" for i in range(5)),
+            encoding="utf-8",
+        )
+        config = write_config(tmp_path, {"scenario": scenario})
+        return (["exemplars", "--config", config, "--gold", str(path), "--language", "en",
+                 "--out", str(tmp_path / "o")],
+                "--language must name a language other than English")
+    return setup
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "setup",
@@ -1275,6 +1304,8 @@ class TestMalformedInputs:
             _tune_mixed_languages("train"),
             _tune_mixed_languages("dev"),
             _mt_gold_not_english,
+            _exemplars_in_english("english_only"),
+            _exemplars_in_english("few_shot"),
         ],
         ids=["report-no-method-filter", "report-no-method-assemble",
              "exemplars-no-scenario", "exemplars-set-language-differs-synth",
@@ -1287,7 +1318,8 @@ class TestMalformedInputs:
              "report-not-utf8", "report-languages-string",
              "ingest-answers-strings", "ingest-answers-object",
              "synth-no-target-language", "tune-train-not-monolingual",
-             "tune-dev-not-monolingual", "mt-gold-not-english"],
+             "tune-dev-not-monolingual", "mt-gold-not-english",
+             "exemplars-en-english-only", "exemplars-en-few-shot"],
     )
     def test_one_error_line_and_exit_1(self, tmp_path, capsys, setup):
         argv, where = setup(tmp_path)

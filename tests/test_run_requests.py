@@ -22,8 +22,8 @@ from qasynth.backends import (
     TranslationResponse,
     run_requests,
 )
-from qasynth.corpus import Dataset, QAExample
-from qasynth.promptkit import PromptError, build_exemplars_en_only
+from qasynth.corpus import Dataset, Passage, QAExample
+from qasynth.promptkit import build_exemplars_en_only
 from qasynth.synthesis import (
     filter_extractive,
     filter_roundtrip,
@@ -167,27 +167,62 @@ class TestFailureSemantics:
             f"cannot translate {gold_en.examples[2].context!r}"
         }
 
-    def test_non_backend_failure_is_a_prompt_error(self, gold_en):
+    def test_program_fault_in_exemplars_is_raised_unwrapped(self, gold_en):
+        # Only a BackendError is a failed call; anything else is a fault in
+        # the program and reaches the caller as it was raised.
         class Broken(TranslationBackend):
-            parallelism = 4
+            def __init__(self, parallelism):
+                self.parallelism = parallelism
 
             def translate(self, request):
                 raise RuntimeError("boom")
 
-        with pytest.raises(PromptError, match=r"'context' failed for example 'en-0' \(fi\): boom"):
-            build_exemplars_en_only(gold_en, Broken(), "fi")
+        for parallelism in (1, 4):
+            with Broken(parallelism) as translator, pytest.raises(RuntimeError) as err:
+                build_exemplars_en_only(gold_en, translator, "fi")
+            assert type(err.value) is RuntimeError and str(err.value) == "boom"
 
-    def test_synth_mt_non_backend_failure_is_a_prompt_error(self, gold_en):
+    def test_synth_mt_program_fault_is_raised_unwrapped(self, gold_en):
         class BrokenOnQuestion(CountingTranslator):
             def translate(self, request):
                 if request.text == gold_en.examples[1].question:
                     raise RuntimeError("boom")
                 return super().translate(request)
 
-        with pytest.raises(
-            PromptError, match=r"^translation of 'question' failed for example 'en-1' \(ar\): boom$"
-        ):
-            synth_mt(gold_en, BrokenOnQuestion(parallelism=4), ["fi", "ar"])
+        for parallelism in (1, 4):
+            translator = BrokenOnQuestion(parallelism=parallelism)
+            with translator, pytest.raises(RuntimeError) as err:
+                synth_mt(gold_en, translator, ["fi", "ar"])
+            assert type(err.value) is RuntimeError and str(err.value) == "boom"
+
+    def test_synth_pe_program_fault_stops_the_fan_out(self):
+        passages = [
+            Passage(id=f"fi-p{i}", text=f"Silta valmistui vuonna {1000 + i}.", language="fi")
+            for i in range(200)
+        ]
+
+        class FaultOnFirst(MockQABackend):
+            def __init__(self, parallelism):
+                super().__init__()
+                self.parallelism = parallelism
+                self.calls = []
+
+            def generate(self, request):
+                self.calls.append(request.prompt)
+                if request.prompt.rsplit("  Passage: ", 1)[1].startswith(passages[0].text):
+                    raise RuntimeError("boom")
+                time.sleep(0.002)
+                return super().generate(request)
+
+        for parallelism in (1, 4):
+            backend = FaultOnFirst(parallelism)
+            with backend, pytest.raises(RuntimeError, match="^boom$"):
+                synth_pe({"fi": fi_exemplars()}, {"fi": passages}, backend)
+            # The fault is on the first request: a worker that had already
+            # taken one may finish it, but no worker takes another.
+            assert 1 <= len(backend.calls) < 20
+            if parallelism == 1:
+                assert len(backend.calls) == 1
 
     def test_filter_roundtrip_one_note_per_failed_item(self):
         examples = Dataset(
