@@ -50,17 +50,17 @@ def main():
 
     answer_prompt = render_answer_prompt(exemplars, target)
     print("\n--- answer-stage prompt " + "-" * 40)
-    print(answer_prompt.text)
+    print(answer_prompt)
 
     question_prompt = render_question_prompt(exemplars, target, "1956")
     print("\n--- question-stage prompt " + "-" * 38)
-    print(question_prompt.text)
+    print(question_prompt)
 
     roundtrip = render_roundtrip_prompt(
         exemplars, target, "Milloin silta valmistui?"
     )
     print("\n--- round-trip prompt " + "-" * 42)
-    print(roundtrip.text)
+    print(roundtrip)
 
     # Completions arrive with a leading space and possible trailing run-on.
     print("\nparse_completion(' 1956') ->", repr(parse_completion(" 1956")))

@@ -4,7 +4,7 @@ summary table, and bucket questions by their English surface form.
 Run from the repository root:  python3 demos/05_evaluation_and_taxonomy.py
 """
 
-from qasynth.backends import BackendError, TranslationBackend, TranslationResponse
+from qasynth.backends import Backend, BackendError
 from qasynth.corpus import Dataset, QAExample
 from qasynth.metrics import corpus_bleu, evaluate, render_eval_table
 from qasynth.taxonomy import distribution, ring_csv
@@ -29,7 +29,7 @@ def gold() -> Dataset:
     return Dataset(name="demo-eval", examples=examples)
 
 
-class PhraseTranslator(TranslationBackend):
+class PhraseTranslator(Backend):
     """Fixed phrase table standing in for a real translation service."""
 
     backend_id = "demo:phrase-table"
@@ -42,9 +42,7 @@ class PhraseTranslator(TranslationBackend):
     def translate(self, request):
         if request.text not in self.TABLE:
             raise BackendError(f"no entry for {request.text!r}")
-        return TranslationResponse(
-            text=self.TABLE[request.text], backend_id=self.backend_id
-        )
+        return self.TABLE[request.text]
 
 
 def main():

@@ -1,10 +1,9 @@
-"""Generation/translation backend contracts, an HTTP client, and test mocks.
+"""The backend contract, an HTTP client, and test mocks.
 
-Every generation backend implements generate(GenerationRequest) ->
-GenerationResponse and every translation backend implements
-translate(TranslationRequest) -> TranslationResponse. Decoding is always
-greedy (temperature zero); the response carries only the continuation, cut at
-the first stop sequence when one occurs.
+A backend answers generate(GenerationRequest) and translate(TranslationRequest)
+with the reply text, or raises BackendError. Decoding is always greedy
+(temperature zero); a generation reply is only the continuation, cut at the
+first stop sequence when one occurs.
 
 Wire format of the HTTP backend:
     POST {base_url}/v1/generate   {"prompt", "max_tokens", "temperature": 0, "stop": [...]}  -> {"text"}
@@ -43,11 +42,12 @@ time, inline on the calling thread.
 BackendError means one thing: a backend call failed. run_requests alone
 decides what a failure means: a BackendError, or a reply it finds unusable
 (text that cannot be encoded as UTF-8, an empty or whitespace-only
-translation), becomes that request's result; any other exception is a
-program fault that stops the fan-out and reaches the caller unchanged. A
-request no backend could be asked for (max_tokens < 1, an empty text, the
-same source and target language), or a client given a bad URL, token,
-proxy or parallelism, raises ValueError before any call.
+translation), becomes that request's result in place of the reply text;
+any other exception is a program fault that stops the fan-out and reaches
+the caller unchanged. A request no backend could be asked for (max_tokens
+< 1, an empty text, the same source and target language), or a client
+given a bad URL, token, proxy or parallelism, raises ValueError before any
+call.
 
 Importing this module loads no HTTP code: HttpBackend loads http.client,
 ssl, urllib.request and base64 when it is built, and concurrent.futures loads
@@ -65,7 +65,7 @@ import re
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 DEFAULT_TIMEOUT = 60.0
@@ -89,11 +89,7 @@ def __getattr__(name: str):
 
 
 class BackendError(Exception):
-    """A backend call failed; retryable marks transient faults (transport, 5xx, 429)."""
-
-    def __init__(self, message: str, retryable: bool = False):
-        super().__init__(message)
-        self.retryable = retryable
+    """A backend call failed."""
 
 
 @dataclass(frozen=True)
@@ -109,12 +105,6 @@ class GenerationRequest:
 
 
 @dataclass(frozen=True)
-class GenerationResponse:
-    text: str
-    backend_id: str
-
-
-@dataclass(frozen=True)
 class TranslationRequest:
     text: str
     source: str
@@ -125,12 +115,6 @@ class TranslationRequest:
             raise ValueError(f"source and target language are both {self.source!r}")
         if not self.text:
             raise ValueError("empty text to translate")
-
-
-@dataclass(frozen=True)
-class TranslationResponse:
-    text: str
-    backend_id: str
 
 
 def apply_stop_sequences(text: str, stop_sequences: Sequence[str]) -> str:
@@ -144,9 +128,12 @@ def apply_stop_sequences(text: str, stop_sequences: Sequence[str]) -> str:
 
 
 class Backend:
-    """Shared base. parallelism is the most requests run_requests sends to
-    this backend at once; with parallelism above 1 they are sent by up to
-    that many workers, each pulling the next request, on a pool of that many
+    """The backend contract: generate and translate return the reply text
+    or raise BackendError; a backend implements the ones it serves.
+
+    parallelism is the most requests run_requests sends to this backend at
+    once; with parallelism above 1 they are sent by up to that many
+    workers, each pulling the next request, on a pool of that many
     threads made at the first fan-out and kept until close(). A backend that
     holds connections also releases them in close(); using it as a context
     manager closes it on exit."""
@@ -206,6 +193,12 @@ class Backend:
             raise
         return results
 
+    def generate(self, request: GenerationRequest) -> str:
+        raise NotImplementedError
+
+    def translate(self, request: TranslationRequest) -> str:
+        raise NotImplementedError
+
     def close(self) -> None:
         """Shut the pool down; a later fan-out makes a fresh one."""
         with self._pool_lock:
@@ -218,20 +211,6 @@ class Backend:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class GenerationBackend(Backend):
-    """Contract for text continuation backends."""
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        raise NotImplementedError
-
-
-class TranslationBackend(Backend):
-    """Contract for translation backends."""
-
-    def translate(self, request: TranslationRequest) -> TranslationResponse:
-        raise NotImplementedError
 
 
 def split_backend_url(url: str) -> urllib.parse.SplitResult:
@@ -399,7 +378,7 @@ def _read_reply(reply) -> Tuple[int, Optional[str], bytes, bool]:
     return status, retry_after, body, keep_alive
 
 
-class HttpBackend(GenerationBackend, TranslationBackend):
+class HttpBackend(Backend):
     """Client for the documented JSON-over-HTTP backend protocol.
 
     retry_base_delay exists so tests can shrink the backoff; production
@@ -572,7 +551,7 @@ class HttpBackend(GenerationBackend, TranslationBackend):
             conn.close()
             raise
 
-    def _post(self, path: str, payload: dict) -> dict:
+    def _post(self, path: str, payload: dict) -> str:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         last_error: Optional[BackendError] = None
         delay: Optional[float] = None
@@ -583,41 +562,29 @@ class HttpBackend(GenerationBackend, TranslationBackend):
             try:
                 status, retry_after, raw = self._send(path, data)
             except OSError as e:
-                last_error = BackendError(f"transport failure: {e}", retryable=True)
+                last_error = BackendError(f"transport failure: {e}")
                 continue
             if 500 <= status < 600:
-                last_error = BackendError(
-                    f"server error {status} from {path}", retryable=True
-                )
+                last_error = BackendError(f"server error {status} from {path}")
                 continue
             if status == 429:
-                last_error = BackendError(
-                    f"rate limited (status 429) by {path}", retryable=True
-                )
+                last_error = BackendError(f"rate limited (status 429) by {path}")
                 delay = self._retry_after(retry_after)
                 continue
             if status != 200:
-                raise BackendError(
-                    f"unexpected status {status} from {path}",
-                    retryable=False,
-                )
+                raise BackendError(f"unexpected status {status} from {path}")
             try:
                 body = json.loads(raw)
             except ValueError as e:
-                raise BackendError(
-                    f"malformed JSON from {path}: {e}", retryable=False
-                )
+                raise BackendError(f"malformed JSON from {path}: {e}")
             if not isinstance(body, dict) or "text" not in body or not isinstance(body["text"], str):
-                raise BackendError(
-                    f"malformed payload from {path}: expected {{'text': str}}",
-                    retryable=False,
-                )
-            return body
+                raise BackendError(f"malformed payload from {path}: expected {{'text': str}}")
+            return body["text"]
         assert last_error is not None
         raise last_error
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        body = self._post(
+    def generate(self, request: GenerationRequest) -> str:
+        text = self._post(
             "/v1/generate",
             {
                 "prompt": request.prompt,
@@ -626,11 +593,10 @@ class HttpBackend(GenerationBackend, TranslationBackend):
                 "stop": list(request.stop_sequences),
             },
         )
-        text = apply_stop_sequences(body["text"], request.stop_sequences)
-        return GenerationResponse(text=text, backend_id=self.backend_id)
+        return apply_stop_sequences(text, request.stop_sequences)
 
-    def translate(self, request: TranslationRequest) -> TranslationResponse:
-        body = self._post(
+    def translate(self, request: TranslationRequest) -> str:
+        return self._post(
             "/v1/translate",
             {
                 "text": request.text,
@@ -638,53 +604,50 @@ class HttpBackend(GenerationBackend, TranslationBackend):
                 "target": request.target,
             },
         )
-        return TranslationResponse(text=body["text"], backend_id=self.backend_id)
 
 
 Request = Union[GenerationRequest, TranslationRequest]
-Response = Union[GenerationResponse, TranslationResponse]
 
 
 def run_requests(
-    backend: Union[GenerationBackend, TranslationBackend],
-    reqs: Sequence[Request],
-) -> List[Tuple[Optional[Response], Optional[Exception]]]:
-    """Send each distinct request once; one (response, error) per input, in order.
+    backend: Backend, reqs: Sequence[Request]
+) -> List[Union[str, BackendError]]:
+    """Send each distinct request once; one reply text or BackendError per
+    input, in order.
 
     Decoding is greedy, so identical requests are interchangeable and share
     one call and one result. Distinct requests fan out over at most
     backend.parallelism threads. A request whose call raises BackendError
-    gets (None, error): the caller decides whether that aborts its stage or
-    drops one item. A reply no stage can use is a non-retryable
-    BackendError too: a text that is not encodable as UTF-8 (a lone
-    surrogate, say), or a translation that is empty or only whitespace. An
-    empty generation is a valid reply. Any other exception is a fault in
-    the program, not in the backend: no further request is sent and it
-    propagates to the caller.
+    gets that error: the caller decides whether that aborts its stage or
+    drops one item. A reply no stage can use is a BackendError too: a text
+    that is not encodable as UTF-8 (a lone surrogate, say), or a
+    translation that is empty or only whitespace. An empty generation is a
+    valid reply. Any other exception is a fault in the program, not in the
+    backend: no further request is sent and it propagates to the caller.
     """
     distinct = list(dict.fromkeys(reqs))
 
-    def call(req: Request) -> Tuple[Optional[Response], Optional[Exception]]:
+    def call(req: Request) -> Union[str, BackendError]:
         try:
             if isinstance(req, GenerationRequest):
-                response = backend.generate(req)
+                text = backend.generate(req)
             else:
-                response = backend.translate(req)
-                if not response.text.strip():
-                    raise BackendError(f"empty translation {response.text!r}")
+                text = backend.translate(req)
+                if not text.strip():
+                    raise BackendError(f"empty translation {text!r}")
             try:
-                response.text.encode("utf-8")
+                text.encode("utf-8")
             except UnicodeEncodeError as e:
                 raise BackendError(f"reply text cannot be written as UTF-8: {e}") from None
-            return response, None
+            return text
         except BackendError as e:
-            return None, e
+            return e
 
     by_request = dict(zip(distinct, backend._fan_out(call, distinct)))
     return [by_request[req] for req in reqs]
 
 
-class TaggingTranslator(TranslationBackend):
+class TaggingTranslator(Backend):
     """Deterministic mock translator: prefixes the target-language tag.
 
     translate("hello", en->fi) == "[fi] hello". Tags stack on round trips
@@ -694,11 +657,8 @@ class TaggingTranslator(TranslationBackend):
 
     backend_id = "mock:tagging-translator"
 
-    def translate(self, request: TranslationRequest) -> TranslationResponse:
-        return TranslationResponse(
-            text=f"[{request.target}] {request.text}",
-            backend_id=self.backend_id,
-        )
+    def translate(self, request: TranslationRequest) -> str:
+        return f"[{request.target}] {request.text}"
 
 
 def _span_of(passage_text: str) -> str:
@@ -763,7 +723,7 @@ def mock_qa_generate(
     return f"What is mentioned about {span}?"
 
 
-class MockQABackend(GenerationBackend):
+class MockQABackend(Backend):
     """Generation mock that understands the rendered prompt layouts.
 
     For two-stage prompts it finds the target passage (last "  Passage: "
@@ -791,16 +751,13 @@ class MockQABackend(GenerationBackend):
     def _target_passage(self, prompt: str) -> str:
         idx = prompt.rfind(self._PASSAGE_LABEL)
         if idx == -1:
-            raise BackendError(
-                "prompt has no passage line; cannot mock a completion",
-                retryable=False,
-            )
+            raise BackendError("prompt has no passage line; cannot mock a completion")
         line_end = prompt.find("\n", idx)
         if line_end == -1:
             line_end = len(prompt)
         return prompt[idx + len(self._PASSAGE_LABEL) : line_end]
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
+    def generate(self, request: GenerationRequest) -> str:
         prompt = request.prompt
         stripped = prompt.rstrip()
         if stripped.endswith(self._QUESTION_CUE):
@@ -810,16 +767,13 @@ class MockQABackend(GenerationBackend):
         elif prompt.startswith("[") and "]" in prompt.split("\n", 1)[0]:
             return self._generate_tuned(request)
         else:
-            raise BackendError(
-                "prompt does not end at a known cue", retryable=False
-            )
+            raise BackendError("prompt does not end at a known cue")
         passage = self._target_passage(prompt)
         completion = mock_qa_generate(passage, stage, self.noise_rate, self.seed)
         raw = f" {completion}\nPassage: unrelated follow-on text"
-        text = apply_stop_sequences(raw, request.stop_sequences)
-        return GenerationResponse(text=text, backend_id=self.backend_id)
+        return apply_stop_sequences(raw, request.stop_sequences)
 
-    def _generate_tuned(self, request: GenerationRequest) -> GenerationResponse:
+    def _generate_tuned(self, request: GenerationRequest) -> str:
         # "[l] passage" prompts come from the tuned-model synthesis path; the
         # reply convention there is answer, newline, question.
         close = request.prompt.index("]")
@@ -827,5 +781,4 @@ class MockQABackend(GenerationBackend):
         answer = mock_qa_generate(passage, "answer", self.noise_rate, self.seed)
         question = mock_qa_generate(passage, "question", self.noise_rate, self.seed)
         raw = f"{answer}\n{question}"
-        text = apply_stop_sequences(raw, request.stop_sequences)
-        return GenerationResponse(text=text, backend_id=self.backend_id)
+        return apply_stop_sequences(raw, request.stop_sequences)

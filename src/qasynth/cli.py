@@ -30,12 +30,11 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 from . import __version__
 from .backends import (
     DEFAULT_TIMEOUT,
+    Backend,
     BackendError,
-    GenerationBackend,
     HttpBackend,
     MockQABackend,
     TaggingTranslator,
-    TranslationBackend,
     split_backend_url,
 )
 from .corpus import (
@@ -272,13 +271,13 @@ def _http_backend(config: RunConfig) -> HttpBackend:
     )
 
 
-def make_translator(config: RunConfig) -> TranslationBackend:
+def make_translator(config: RunConfig) -> Backend:
     if config.backend.kind == "mock":
         return TaggingTranslator()
     return _http_backend(config)
 
 
-def make_generator(config: RunConfig, seed: int) -> GenerationBackend:
+def make_generator(config: RunConfig, seed: int) -> Backend:
     if config.backend.kind == "mock":
         return MockQABackend(noise_rate=config.backend.noise_rate, seed=seed)
     return _http_backend(config)
@@ -386,6 +385,8 @@ def cmd_ingest(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_sample(args, config: RunConfig, out: OutputDir) -> int:
+    if args.n < 0:
+        raise ConfigError(f"--n must be >= 0, got {args.n}")
     seed = config.seed("sample")
     picked = sample_passage_pool(
         args.passages, args.language, args.n, seed,
@@ -584,7 +585,7 @@ def cmd_filter(args, config: RunConfig, out: OutputDir) -> int:
 
 
 def cmd_assemble(args, config: RunConfig, out: OutputDir) -> int:
-    from .synthesis import assemble, load_run, size_sweep
+    from .synthesis import SynthesisError, assemble, load_run, size_sweep
 
     d_en = read_jsonl(Path(args.gold))
     synthetic: Dict[str, Dataset] = {}
@@ -594,7 +595,10 @@ def cmd_assemble(args, config: RunConfig, out: OutputDir) -> int:
             ds = run.filtered[lang]
             if lang in synthetic:
                 merged = synthetic[lang].examples + ds.examples
-                synthetic[lang] = Dataset(name=f"multi-{lang}", examples=merged)
+                try:
+                    synthetic[lang] = Dataset(name=f"multi-{lang}", examples=merged)
+                except CorpusError as e:  # an example id an earlier run also has
+                    raise ConfigError(f"--runs {run_dir}: {e}") from e
             else:
                 synthetic[lang] = ds
     assembled = assemble(d_en, synthetic, name=args.name)
@@ -605,7 +609,10 @@ def cmd_assemble(args, config: RunConfig, out: OutputDir) -> int:
             sizes = [int(s) for s in args.sizes.split(",")]
         except ValueError as e:
             raise ConfigError(f"--sizes must be integers, got {args.sizes!r}") from e
-        subsets = size_sweep(assembled, sizes, seed)
+        try:
+            subsets = size_sweep(assembled, sizes, seed)
+        except SynthesisError as e:  # its messages all start with "sizes"
+            raise SynthesisError(f"--{e}") from e
     out_path = out.path("assembled.jsonl")
     write_jsonl(assembled, out_path)
     counts = {lang: len(ds) for lang, ds in sorted(synthetic.items())}
@@ -639,6 +646,8 @@ def cmd_eval(args, config: RunConfig, out: OutputDir) -> int:
 def cmd_taxonomy(args, config: RunConfig, out: OutputDir) -> int:
     from .taxonomy import distribution, ring_csv
 
+    if not 0 <= args.other_threshold <= 1:
+        raise ConfigError(f"--other-threshold must be within [0, 1], got {args.other_threshold}")
     dataset = read_jsonl(Path(args.input))
     with make_translator(config) as translator:
         report = distribution(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .backends import BackendError, TranslationBackend, TranslationRequest, run_requests
+from .backends import Backend, BackendError, TranslationRequest, run_requests
 from .corpus import Dataset, Passage, QAExample
 
 ANSWER_INSTRUCTION = "I will write potential answers\nfor the following passages."
@@ -75,17 +75,8 @@ class ExemplarSet:
         return len(self.exemplars)
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
-    """A fully rendered prompt ending exactly at the cue to be completed."""
-
-    text: str
-    stage: str
-    target_language: str
-
-
 def translate_fields(
-    translator: TranslationBackend,
+    translator: Backend,
     examples: Sequence[QAExample],
     names: Sequence[str],
     source: str,
@@ -103,21 +94,19 @@ def translate_fields(
         TranslationRequest(text=getattr(ex, name), source=source, target=target)
         for target, ex, name in rows
     ]
-    texts = []
-    for (target, ex, name), (response, error) in zip(rows, run_requests(translator, reqs)):
-        if error is not None:
+    texts = run_requests(translator, reqs)
+    for (target, ex, name), text in zip(rows, texts):
+        if isinstance(text, BackendError):
             raise BackendError(
-                f"translation of {name!r} failed for example {ex.id!r} ({target}): {error}",
-                retryable=error.retryable,
-            ) from error
-        texts.append(response.text)
+                f"translation of {name!r} failed for example {ex.id!r} ({target}): {text}"
+            ) from text
     it = iter(texts)
     return [[{name: next(it) for name in names} for _ in examples] for _ in targets]
 
 
 def build_exemplars_en_only(
     d_en_n: Dataset,
-    translator: TranslationBackend,
+    translator: Backend,
     target_language: str,
 ) -> ExemplarSet:
     """Build exemplars for a language with no labeled data of its own.
@@ -155,7 +144,7 @@ def build_exemplars_en_only(
 
 def build_exemplars_fewshot(
     d_l_n: Dataset,
-    translator: TranslationBackend,
+    translator: Backend,
 ) -> ExemplarSet:
     """Build exemplars from a handful of labeled target-language examples.
 
@@ -195,7 +184,7 @@ def build_exemplars_fewshot(
 def render_answer_prompt(
     exemplars: ExemplarSet,
     target_passage: Passage,
-) -> RenderedPrompt:
+) -> str:
     """Render the stage-one prompt asking for an answer span in the passage.
 
     Layout: the instruction, one block per exemplar (Passage / Answer in
@@ -214,18 +203,14 @@ def render_answer_prompt(
         lines.append(f"{ANSWER_L_CUE} {ex.answer_l}")
     lines.append(f"{PASSAGE_LABEL}{target_passage.text}")
     lines.append(ANSWER_L_CUE)
-    return RenderedPrompt(
-        text="\n".join(lines),
-        stage="answer",
-        target_language=target_passage.language,
-    )
+    return "\n".join(lines)
 
 
 def render_question_prompt(
     exemplars: ExemplarSet,
     target_passage: Passage,
     predicted_answer: str,
-) -> RenderedPrompt:
+) -> str:
     """Render the stage-two prompt asking for the question behind an answer.
 
     Blocks are Passage / Answer / Question in English / Question in the
@@ -248,18 +233,14 @@ def render_question_prompt(
     lines.append(f"{PASSAGE_LABEL}{target_passage.text}")
     lines.append(f"{ANSWER_LABEL}{predicted_answer}")
     lines.append(QUESTION_L_CUE)
-    return RenderedPrompt(
-        text="\n".join(lines),
-        stage="question",
-        target_language=target_passage.language,
-    )
+    return "\n".join(lines)
 
 
 def render_roundtrip_prompt(
     exemplars: ExemplarSet,
     target_passage: Passage,
     question: str,
-) -> RenderedPrompt:
+) -> str:
     """Render the consistency-check prompt: re-answer a known question.
 
     Same shape as the answer prompt but with a Question line inserted into
@@ -282,11 +263,7 @@ def render_roundtrip_prompt(
     lines.append(f"{PASSAGE_LABEL}{target_passage.text}")
     lines.append(f"{QUESTION_LABEL}{question}")
     lines.append(ANSWER_L_CUE)
-    return RenderedPrompt(
-        text="\n".join(lines),
-        stage="answer",
-        target_language=target_passage.language,
-    )
+    return "\n".join(lines)
 
 
 def parse_completion(raw: str) -> str:

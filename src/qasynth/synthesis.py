@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .backends import GenerationBackend, GenerationRequest, TranslationBackend, run_requests
+from .backends import Backend, BackendError, GenerationRequest, run_requests
 from .corpus import (
     Dataset,
     Passage,
@@ -111,7 +111,11 @@ def merge_reports(first: FilterReport, second: FilterReport) -> FilterReport:
 
 @dataclass(frozen=True)
 class SynthesisRun:
-    """Outcome of one synthesis method over a set of languages."""
+    """Outcome of one synthesis method over a set of languages.
+
+    raw[lang] and filtered[lang] hold only lang's examples, and filtered ones
+    are also raw; a breach names the file save_run writes the set to.
+    """
 
     method: str
     scenario: str
@@ -121,20 +125,25 @@ class SynthesisRun:
     reports: Dict[str, FilterReport]
 
     def __post_init__(self):
-        if self.method not in ("mt", "pe", "pt"):
-            raise SynthesisError(f"unknown method {self.method!r}")
         for lang in self.languages:
             raw_ids = {ex.id for ex in self.raw[lang].examples}
-            for ex in self.filtered[lang].examples:
-                if ex.id not in raw_ids:
-                    raise SynthesisError(
-                        f"filtered example {ex.id!r} ({lang}) missing from raw"
-                    )
+            for part in ("raw", "filtered"):
+                for ex in getattr(self, part)[lang].examples:
+                    if ex.language != lang:
+                        raise SynthesisError(
+                            f"{lang}/{part}.jsonl: example {ex.id!r} is "
+                            f"{ex.language!r}, not {lang!r}"
+                        )
+                    if ex.id not in raw_ids:
+                        raise SynthesisError(
+                            f"{lang}/filtered.jsonl: example {ex.id!r} is missing "
+                            f"from {lang}/raw.jsonl"
+                        )
 
 
 def synth_mt(
     d_en: Dataset,
-    translator: TranslationBackend,
+    translator: Backend,
     languages: Sequence[str],
 ) -> SynthesisRun:
     """Translate the English dataset field-by-field into each target language.
@@ -182,16 +191,8 @@ def synth_mt(
     )
 
 
-def _render(render, *args) -> Union[str, PromptError]:
-    """A rendered prompt's text, or the PromptError that rendering raised."""
-    try:
-        return render(*args).text
-    except PromptError as e:
-        return e
-
-
 def _complete(
-    backend: GenerationBackend,
+    backend: Backend,
     prompts: Sequence[Union[str, Exception]],
     max_tokens: int,
     stop_sequences: Tuple[str, ...],
@@ -216,14 +217,11 @@ def _complete(
         if not isinstance(prompt, str):
             out.append(prompt)
             continue
-        response, error = next(results)
-        if error is None:
-            try:
-                out.append(parse_completion(response.text))
-            except PromptError as e:
-                out.append(e)
-        else:
-            out.append(error)
+        text = next(results)
+        try:
+            out.append(text if isinstance(text, BackendError) else parse_completion(text))
+        except PromptError as e:
+            out.append(e)
     return out
 
 
@@ -244,7 +242,7 @@ def _check_exemplars(
 def synth_pe(
     exemplars_by_language: Mapping[str, ExemplarSet],
     passages_by_language: Mapping[str, Sequence[Passage]],
-    backend: GenerationBackend,
+    backend: Backend,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     stop_sequences: Tuple[str, ...] = DEFAULT_STOP_SEQUENCES,
 ) -> SynthesisRun:
@@ -271,10 +269,7 @@ def synth_pe(
     passages = [p for lang in languages for p in passages_by_language[lang]]
     answers = _complete(
         backend,
-        [
-            _render(render_answer_prompt, exemplars_by_language[p.language], p)
-            for p in passages
-        ],
+        [render_answer_prompt(exemplars_by_language[p.language], p) for p in passages],
         max_tokens,
         stop_sequences,
     )
@@ -283,9 +278,7 @@ def synth_pe(
         [
             answer
             if isinstance(answer, Exception)
-            else _render(
-                render_question_prompt, exemplars_by_language[p.language], p, answer
-            )
+            else render_question_prompt(exemplars_by_language[p.language], p, answer)
             for p, answer in zip(passages, answers)
         ],
         max_tokens,
@@ -303,7 +296,7 @@ def synth_pt(
     passages_by_language: Mapping[str, Sequence[Passage]],
     model: Optional[ToyLM] = None,
     prompts_by_language: Optional[Mapping[str, SoftPrompt]] = None,
-    backend: Optional[GenerationBackend] = None,
+    backend: Optional[Backend] = None,
     max_tokens: int = 128,
     scenario: str = "english_only",
 ) -> SynthesisRun:
@@ -349,20 +342,17 @@ def synth_pt(
             for lang in languages
             for p in passages_by_language[lang]
         ]
-        outcomes = [
-            _split_completion(response, error)
-            for response, error in run_requests(backend, reqs)
-        ]
+        outcomes = [_split_completion(text) for text in run_requests(backend, reqs)]
     return _fold("pt", scenario, passages_by_language, outcomes)
 
 
-def _split_completion(response, error):
+def _split_completion(text: Union[str, BackendError]):
     """A remote pt completion as an (answer, question) pair, None or a BackendError."""
-    if error is not None:
-        return error
-    if "\n" not in response.text:
+    if isinstance(text, BackendError):
+        return text
+    if "\n" not in text:
         return None
-    answer, question = response.text.split("\n", 1)
+    answer, question = text.split("\n", 1)
     return answer.strip(), question.strip().split("\n")[0]
 
 
@@ -451,7 +441,7 @@ def filter_extractive(raw: Dataset) -> Tuple[Dataset, FilterReport]:
 
 def filter_roundtrip(
     examples: Dataset,
-    qa_backend: GenerationBackend,
+    qa_backend: Backend,
     exemplars: ExemplarSet,
     mode: str = "normalized",
     max_tokens: int = DEFAULT_MAX_TOKENS,
@@ -469,8 +459,7 @@ def filter_roundtrip(
     if mode not in ("normalized", "raw"):
         raise SynthesisError(f"mode must be 'normalized' or 'raw', got {mode!r}")
     prompts = [
-        _render(
-            render_roundtrip_prompt,
+        render_roundtrip_prompt(
             exemplars,
             Passage(
                 id=ex.id, text=ex.context, language=ex.language, source=ex.source_dataset
@@ -553,21 +542,22 @@ def size_sweep(
 ) -> Tuple[Dataset, ...]:
     """Nested subsamples of the synthetic (non-English) portion.
 
-    Every output keeps the full English portion; the synthetic portion is a
-    seeded random subset of the requested size, and smaller subsets are
-    prefixes of larger ones (nesting). Selected examples keep their original
-    dataset order.
+    sizes must be increasing. Every output keeps the full English portion;
+    the synthetic portion is a seeded random subset of the requested size,
+    and smaller subsets are prefixes of larger ones (nesting). Selected
+    examples keep their original dataset order. Every error message starts
+    with "sizes".
     """
-    if list(sizes) != sorted(sizes):
-        raise SynthesisError("sizes must be nondecreasing")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise SynthesisError(f"sizes must be increasing, got {list(sizes)}")
     if sizes and sizes[0] < 0:
         raise SynthesisError(f"sizes must be >= 0, got {sizes[0]}")
     english = [ex for ex in assembled.examples if ex.language == "en"]
     synthetic = [ex for ex in assembled.examples if ex.language != "en"]
     if sizes and sizes[-1] > len(synthetic):
         raise SynthesisError(
-            f"requested {sizes[-1]} synthetic examples; only "
-            f"{len(synthetic)} available"
+            f"sizes ask for {sizes[-1]} synthetic examples; only "
+            f"{len(synthetic)} are available"
         )
     import random as _random
 
@@ -589,7 +579,7 @@ def size_sweep(
 
 def filter_run(
     run: SynthesisRun,
-    qa_backend: Optional[GenerationBackend] = None,
+    qa_backend: Optional[Backend] = None,
     exemplars_by_language: Optional[Mapping[str, ExemplarSet]] = None,
     mode: str = "normalized",
 ) -> SynthesisRun:
@@ -660,38 +650,39 @@ def load_run(run_dir: Union[str, Path]) -> SynthesisRun:
     """Read a run directory written by save_run.
 
     A report.json that is not the object save_run writes raises
-    SynthesisError naming the file; a bad JSONL line raises CorpusError
+    SynthesisError naming the file, and so does a JSONL file holding an
+    example of another language; a bad JSONL line raises CorpusError
     naming the file and line.
     """
     run_dir = Path(run_dir)
     path = run_dir / "report.json"
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        method, languages = doc["method"], doc["languages"]
+        method, scenario, languages = doc["method"], doc["scenario"], doc["languages"]
+        if method not in ("mt", "pe", "pt"):
+            raise SynthesisError(f"unknown method {method!r}")
         if not isinstance(languages, list) or not all(map(is_language_code, languages)):
             raise SynthesisError(f"languages must be a list of language codes, got {languages!r}")
         languages = tuple(languages)
         report_docs = {lang: doc["reports"][lang] for lang in languages}
-
-        def read(part: str) -> Dict[str, Dataset]:
-            return {
-                lang: read_jsonl(run_dir / lang / f"{part}.jsonl", name=f"{method}-{lang}")
-                for lang in languages
-            }
-
-        return SynthesisRun(
-            method=method,
-            scenario=doc["scenario"],
-            languages=languages,
-            raw=read("raw"),
-            filtered=read("filtered"),
-            reports={
-                lang: FilterReport(**{**r, "notes": tuple(r.get("notes", ()))})
-                for lang, r in report_docs.items()
-            },
-        )
+        reports = {
+            lang: FilterReport(**{**r, "notes": tuple(r.get("notes", ()))})
+            for lang, r in report_docs.items()
+        }
     except KeyError as e:
         raise SynthesisError(f"{path}: missing key {e}") from e
     except (UnicodeDecodeError, json.JSONDecodeError, TypeError, AttributeError,
             SynthesisError) as e:
         raise SynthesisError(f"{path}: {e}") from e
+
+    def read(part: str) -> Dict[str, Dataset]:
+        return {
+            lang: read_jsonl(run_dir / lang / f"{part}.jsonl", name=f"{method}-{lang}")
+            for lang in languages
+        }
+
+    try:
+        return SynthesisRun(method, scenario, languages, read("raw"), read("filtered"), reports)
+    except SynthesisError as e:
+        # Its message starts with the dataset's file, relative to run_dir.
+        raise SynthesisError(f"{run_dir}/{e}") from e

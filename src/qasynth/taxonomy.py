@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .backends import TranslationBackend, TranslationRequest, run_requests
+from .backends import Backend, BackendError, TranslationRequest, run_requests
 from .corpus import Dataset
 
 OTHER = "Other"
@@ -131,7 +131,7 @@ def _build_view(
 
 def distribution(
     dataset: Dataset,
-    translator: TranslationBackend,
+    translator: Backend,
     pool_all_languages: bool = True,
     other_threshold: float = DEFAULT_OTHER_THRESHOLD,
 ) -> TaxonomyReport:
@@ -167,13 +167,13 @@ def distribution(
         if ex.language == "en":
             cat, sub = categorize(ex.question)
         else:
-            response, error = next(results)
-            if error is None:
-                cat, sub = categorize(response.text)
-            else:
+            text = next(results)
+            if isinstance(text, BackendError):
                 failures += 1
-                notes.append(f"translation failed: {ex.id}: {error}")
+                notes.append(f"translation failed: {ex.id}: {text}")
                 cat, sub = OTHER, OTHER
+            else:
+                cat, sub = categorize(text)
         records.append((ex.language, cat, sub))
 
     # One merge decision for every view, from the counts over all examples.

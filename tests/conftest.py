@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from qasynth.backends import (
+    Backend,
     BackendError,
-    GenerationBackend,
     GenerationRequest,
-    GenerationResponse,
     MockQABackend,
     TaggingTranslator,
     apply_stop_sequences,
@@ -43,7 +42,7 @@ def make_example(
     )
 
 
-class StaticGenerationBackend(GenerationBackend):
+class StaticBackend(Backend):
     """Replays canned completions in order; for plumbing tests."""
 
     def __init__(self, completions: Sequence[str]):
@@ -52,15 +51,12 @@ class StaticGenerationBackend(GenerationBackend):
 
     backend_id = "mock:static"
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
+    def generate(self, request: GenerationRequest) -> str:
         if self._calls >= len(self._completions):
-            raise BackendError("static backend exhausted", retryable=False)
+            raise BackendError("static backend exhausted")
         text = self._completions[self._calls]
         self._calls += 1
-        return GenerationResponse(
-            text=apply_stop_sequences(text, request.stop_sequences),
-            backend_id=self.backend_id,
-        )
+        return apply_stop_sequences(text, request.stop_sequences)
 
 
 @pytest.fixture

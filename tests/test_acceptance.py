@@ -15,13 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qasynth.backends import (
-    BackendError,
-    MockQABackend,
-    TaggingTranslator,
-    TranslationBackend,
-    TranslationResponse,
-)
+from qasynth.backends import Backend, BackendError, MockQABackend, TaggingTranslator
 from qasynth.cli import EXIT_OK, TuneConfig, main
 from qasynth.corpus import Dataset, Passage
 from qasynth.metrics import corpus_bleu, em, f1, normalize_answer
@@ -328,7 +322,7 @@ def test_uniform_logit_loss():
     finish("uniform-logit loss", problems, started, budget=1.0)
 
 
-class _ScriptedTranslator(TranslationBackend):
+class _ScriptedTranslator(Backend):
     backend_id = "mock:scripted"
 
     def __init__(self, mapping):
@@ -337,9 +331,7 @@ class _ScriptedTranslator(TranslationBackend):
     def translate(self, request):
         if request.text not in self.mapping:
             raise BackendError(f"no translation for {request.text!r}")
-        return TranslationResponse(
-            text=self.mapping[request.text], backend_id=self.backend_id
-        )
+        return self.mapping[request.text]
 
 
 def test_taxonomy_conservation():

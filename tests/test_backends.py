@@ -29,7 +29,7 @@ from qasynth.backends import (
 )
 from qasynth.corpus import Passage
 from qasynth.promptkit import render_answer_prompt, render_question_prompt
-from tests.conftest import StaticGenerationBackend
+from tests.conftest import StaticBackend
 from tests.test_promptkit import one_exemplar
 
 
@@ -108,7 +108,7 @@ class TestWireFormat:
             "stop": ["\nPassage:"],
         }
         assert sent["auth"] == "Bearer sekrit"
-        assert resp.text == " Lyon"
+        assert resp == " Lyon"
 
     def test_translate_request(self, server):
         url, handler = server
@@ -119,14 +119,14 @@ class TestWireFormat:
         assert sent["path"] == "/v1/translate"
         assert sent["body"] == {"text": "house", "source": "en", "target": "fr"}
         assert sent["auth"] is None
-        assert resp.text == "maison"
+        assert resp == "maison"
 
     def test_env_url_pickup(self, server, monkeypatch):
         url, handler = server
         handler.script.append((200, {"text": "ok"}))
         monkeypatch.setenv("QAM_BACKEND_URL", url)
         backend = HttpBackend(retry_base_delay=0.0)
-        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "ok"
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)) == "ok"
 
     def test_missing_url_fails_fast(self, monkeypatch):
         monkeypatch.delenv("QAM_BACKEND_URL", raising=False)
@@ -160,25 +160,23 @@ class TestRetries:
         url, handler = server
         handler.script.extend([(500, {}), (503, {}), (200, {"text": "third"})])
         backend = HttpBackend(base_url=url, retry_base_delay=0.0)
-        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "third"
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)) == "third"
         assert len(handler.requests_seen) == 3
 
     def test_5xx_exhausts_after_three(self, server):
         url, handler = server
         handler.script.extend([(500, {})] * 5)
         backend = HttpBackend(base_url=url, retry_base_delay=0.0)
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(BackendError):
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))
-        assert err.value.retryable
         assert len(handler.requests_seen) == 3
 
     def test_4xx_is_not_retried(self, server):
         url, handler = server
         handler.script.append((403, {}))
         backend = HttpBackend(base_url=url, retry_base_delay=0.0)
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(BackendError):
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))
-        assert not err.value.retryable
         assert len(handler.requests_seen) == 1
 
     def test_malformed_json_is_not_retried(self, server):
@@ -202,7 +200,7 @@ class TestRetries:
             [(429, {}, {"Retry-After": "0"}), (200, {"text": "second"})]
         )
         backend = HttpBackend(base_url=url, retry_base_delay=0.0)
-        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "second"
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)) == "second"
         assert len(handler.requests_seen) == 2
 
     def test_non_ascii_digit_retry_after_falls_back_to_backoff(self, server):
@@ -213,16 +211,15 @@ class TestRetries:
             [(429, {}, {"Retry-After": "\u00b2"}), (200, {"text": "second"})]
         )
         backend = HttpBackend(base_url=url, retry_base_delay=0.0)
-        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "second"
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)) == "second"
         assert len(handler.requests_seen) == 2
 
     def test_429_exhausts_after_three(self, server):
         url, handler = server
         handler.script.extend([(429, {})] * 5)
         backend = HttpBackend(base_url=url, retry_base_delay=0.0)
-        with pytest.raises(BackendError, match="429") as err:
+        with pytest.raises(BackendError, match="429"):
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))
-        assert err.value.retryable
         assert len(handler.requests_seen) == 3
 
     def test_retry_after_is_capped_at_timeout(self, server):
@@ -232,7 +229,7 @@ class TestRetries:
         )
         backend = HttpBackend(base_url=url, timeout=0.05, retry_base_delay=0.0)
         start = time.monotonic()
-        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "ok"
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)) == "ok"
         assert time.monotonic() - start < 5
 
     def test_backoff_jitter_leaves_global_random_alone(self, server):
@@ -241,15 +238,14 @@ class TestRetries:
         backend = HttpBackend(base_url=url, retry_base_delay=0.001)
         random.seed(1234)
         state = random.getstate()
-        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)).text == "ok"
+        assert backend.generate(GenerationRequest(prompt="p", max_tokens=4)) == "ok"
         assert random.getstate() == state
 
     def test_transport_failure_retried_then_raised(self):
-        # nothing listens on this port; connection errors are retryable
+        # nothing listens on this port
         backend = HttpBackend(base_url="http://127.0.0.1:9", retry_base_delay=0.0)
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(BackendError, match="^transport failure"):
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))
-        assert err.value.retryable
 
 
 class TestSessions:
@@ -292,7 +288,7 @@ class TestClose:
     def test_close_closes_every_thread_session(self, keepalive_url, recorded_connections):
         backend = HttpBackend(base_url=keepalive_url, parallelism=3)
         reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(6)]
-        assert [e for _, e in run_requests(backend, reqs)] == [None] * 6
+        assert all(isinstance(r, str) for r in run_requests(backend, reqs))
         backend._connection  # the calling thread's own connection
         assert len(recorded_connections) >= 2
         assert not all(c.closed for c in recorded_connections)
@@ -353,7 +349,7 @@ class TestPool:
                         for i in range(4)
                     ]
                     results = run_requests(backend, reqs)
-                    assert [r.text for r, _ in results] == [req.text[::-1] for req in reqs]
+                    assert results == [req.text[::-1] for req in reqs]
                 assert CountingKeepAlive.accepted == 2
                 assert CountingKeepAlive.open == 2
             deadline = time.monotonic() + 5
@@ -375,7 +371,7 @@ class TestPool:
         backend = Recording()
         for _ in range(2):
             results = run_requests(backend, reqs)
-            assert [e for _, e in results] == [None] * 3
+            assert all(isinstance(r, str) for r in results)
             assert threading.current_thread() not in threads
             assert len(set(threads)) <= 2
             assert all(t.is_alive() for t in threads)  # the pool outlives the call
@@ -426,7 +422,7 @@ class TestTransport:
                 base_url=f"http://127.0.0.1:{httpd.server_port}", retry_base_delay=60.0
             ) as backend:
                 texts = [
-                    backend.translate(TranslationRequest(text=f"t{i}", source="en", target="fi")).text
+                    backend.translate(TranslationRequest(text=f"t{i}", source="en", target="fi"))
                     for i in range(5)
                 ]
             elapsed = time.monotonic() - start
@@ -449,7 +445,7 @@ class TestTransport:
                 base_url="http://backend.invalid:8080/api", retry_base_delay=0.0
             ) as backend:
                 resp = backend.generate(GenerationRequest(prompt="p", max_tokens=4))
-        assert resp.text == "via proxy"
+        assert resp == "via proxy"
         (seen,) = ProxyHandler.requests_seen
         assert seen["path"] == "http://backend.invalid:8080/api/v1/generate"
         assert seen["headers"]["Host"] == "backend.invalid:8080"
@@ -483,9 +479,8 @@ class TestTransport:
             monkeypatch.setenv("https_proxy", f"127.0.0.1:{proxy.server_address[1]}")
             with HttpBackend(base_url="https://backend.invalid", timeout=5,
                              retry_base_delay=0.0) as backend:
-                with pytest.raises(BackendError, match="^transport failure: bad reply") as err:
+                with pytest.raises(BackendError, match="^transport failure: bad reply"):
                     backend.generate(GenerationRequest(prompt="p", max_tokens=4))
-        assert err.value.retryable
 
     def test_no_proxy_host_bypasses_proxy(self, server, monkeypatch):
         url, handler = server
@@ -495,7 +490,7 @@ class TestTransport:
             monkeypatch.setenv("no_proxy", "example.org,127.0.0.1")
             with HttpBackend(base_url=url, retry_base_delay=0.0) as backend:
                 resp = backend.generate(GenerationRequest(prompt="p", max_tokens=4))
-        assert resp.text == "direct"
+        assert resp == "direct"
         assert ProxyHandler.requests_seen == []
         assert handler.requests_seen[0]["path"] == "/v1/generate"
 
@@ -558,7 +553,7 @@ def wire():
 def translate_twice(url: str) -> list:
     with HttpBackend(base_url=url, timeout=5, retry_base_delay=0.0) as backend:
         return [
-            backend.translate(TranslationRequest(text=t, source="en", target="fi")).text
+            backend.translate(TranslationRequest(text=t, source="en", target="fi"))
             for t in ("a", "b")
         ]
 
@@ -577,9 +572,9 @@ class TestWireExchange:
                           (reply("second"), False)]
         with HttpBackend(base_url=url, timeout=5, retry_base_delay=0.0) as backend:
             request = TranslationRequest(text="a", source="en", target="fi")
-            assert backend.translate(request).text == "first"
+            assert backend.translate(request) == "first"
             assert recorded_connections[0].closed
-            assert backend.translate(request).text == "second"
+            assert backend.translate(request) == "second"
         assert handler.connections == 2
 
     def test_http_1_0_reply_is_read_to_eof(self, wire):
@@ -658,9 +653,8 @@ class TestWireExchange:
         url, handler = wire
         handler.script = [(raw, True)]
         with HttpBackend(base_url=url, timeout=5, retry_base_delay=0.0) as backend:
-            with pytest.raises(BackendError, match="^transport failure") as err:
+            with pytest.raises(BackendError, match="^transport failure"):
                 backend.translate(TranslationRequest(text="a", source="en", target="fi"))
-        assert err.value.retryable
         assert len(handler.heads) >= 3  # every attempt was made
 
     def test_100_headers_are_accepted(self, wire):
@@ -685,19 +679,16 @@ class TestReplyChecks:
         req = (GenerationRequest(prompt="p", max_tokens=4) if kind == "generate"
                else TranslationRequest(text="a", source="en", target="fi"))
         with HttpBackend(base_url=url, retry_base_delay=0.0) as backend:
-            ((response, error),) = run_requests(backend, [req])
-        assert response is None
-        assert isinstance(error, BackendError) and not error.retryable
+            (result,) = run_requests(backend, [req])
+        assert isinstance(result, BackendError)
         assert len(handler.requests_seen) == 1
 
     def test_empty_generation_is_a_reply(self, server):
         url, handler = server
         handler.script.append((200, {"text": ""}))
         with HttpBackend(base_url=url, retry_base_delay=0.0) as backend:
-            ((response, error),) = run_requests(
-                backend, [GenerationRequest(prompt="p", max_tokens=4)]
-            )
-        assert error is None and response.text == ""
+            results = run_requests(backend, [GenerationRequest(prompt="p", max_tokens=4)])
+        assert results == [""]
 
 
 class TestConcurrentClient:
@@ -720,8 +711,7 @@ class TestConcurrentClient:
                     results = run_requests(backend, reqs)
         finally:
             sys.setswitchinterval(old)
-        assert [error for _, error in results] == [None] * len(reqs)
-        assert [r.text for r, _ in results] == [req.text[::-1] for req in reqs]
+        assert results == [req.text[::-1] for req in reqs]
 
 
 class TestRequestTypes:
@@ -755,11 +745,11 @@ class TestTaggingTranslator:
     def test_tags_target(self):
         t = TaggingTranslator()
         out = t.translate(TranslationRequest(text="bonjour", source="fr", target="en"))
-        assert out.text == "[en] bonjour"
+        assert out == "[en] bonjour"
 
     def test_round_trip_is_stable_prefixing(self):
         t = TaggingTranslator()
-        once = t.translate(TranslationRequest(text="x", source="en", target="fi")).text
+        once = t.translate(TranslationRequest(text="x", source="en", target="fi"))
         assert once == "[fi] x"
 
 
@@ -770,10 +760,10 @@ class TestMockQA:
         backend = MockQABackend(noise_rate=0.0, seed=0)
         resp = backend.generate(
             GenerationRequest(
-                prompt=prompt.text, max_tokens=32, stop_sequences=("\nPassage:",)
+                prompt=prompt, max_tokens=32, stop_sequences=("\nPassage:",)
             )
         )
-        answer = resp.text.strip()
+        answer = resp.strip()
         assert answer == "1889"
         assert answer in passage.text
 
@@ -783,18 +773,18 @@ class TestMockQA:
         backend = MockQABackend(noise_rate=0.0, seed=0)
         resp = backend.generate(
             GenerationRequest(
-                prompt=prompt.text, max_tokens=32, stop_sequences=("\nPassage:",)
+                prompt=prompt, max_tokens=32, stop_sequences=("\nPassage:",)
             )
         )
-        assert resp.text.strip() == "What is mentioned about 1889?"
+        assert resp.strip() == "What is mentioned about 1889?"
 
     def test_deterministic_given_seed(self):
         passage = Passage(id="p", text="Il neige depuis 3 jours.", language="fr")
-        prompt = render_answer_prompt(one_exemplar(), passage).text
+        prompt = render_answer_prompt(one_exemplar(), passage)
         req = GenerationRequest(prompt=prompt, max_tokens=32)
-        a = MockQABackend(noise_rate=0.5, seed=4).generate(req).text
-        b = MockQABackend(noise_rate=0.5, seed=4).generate(req).text
-        c = MockQABackend(noise_rate=0.5, seed=5).generate(req).text
+        a = MockQABackend(noise_rate=0.5, seed=4).generate(req)
+        b = MockQABackend(noise_rate=0.5, seed=4).generate(req)
+        c = MockQABackend(noise_rate=0.5, seed=5).generate(req)
         assert a == b
         assert a != c or True  # different seeds may coincide on clean draws
 
@@ -806,12 +796,12 @@ class TestMockQA:
 
 class TestStaticBackend:
     def test_replays_in_order(self):
-        backend = StaticGenerationBackend(["first", "second"])
+        backend = StaticBackend(["first", "second"])
         req = GenerationRequest(prompt="p", max_tokens=4)
-        assert backend.generate(req).text == "first"
-        assert backend.generate(req).text == "second"
+        assert backend.generate(req) == "first"
+        assert backend.generate(req) == "second"
 
     def test_exhaustion_raises(self):
-        backend = StaticGenerationBackend([])
+        backend = StaticBackend([])
         with pytest.raises(BackendError):
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))

@@ -723,8 +723,8 @@ class TestStats:
 class TestAssemble:
     @pytest.mark.parametrize(
         "sizes, detail",
-        [("1,x", "--sizes"), ("-1", "sizes must be >= 0")],
-        ids=["not-an-integer", "negative"],
+        [("1,x", "--sizes"), ("-1", "sizes must be >= 0"), ("1,1", "--sizes must be increasing")],
+        ids=["not-an-integer", "negative", "not-increasing"],
     )
     def test_bad_sizes_exit_validation(self, tmp_path, gold_en, capsys, sizes, detail):
         write_jsonl(gold_en, tmp_path / "en.gold.jsonl")
@@ -1271,6 +1271,61 @@ def _exemplars_in_english(scenario):
     return setup
 
 
+def _assemble_mt_run(flags):
+    """assemble of an mt run of one fi example; flags(run) gives the flags
+    that name the run, and what the error names."""
+    def setup(tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps(GOOD_RECORD) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, {"languages": ["en", "fi"]})
+        run = str(tmp_path / "mt")
+        assert main(["synth", "--config", config, "--method", "mt", "--gold", str(gold),
+                     "--out", run]) == EXIT_OK
+        argv, where = flags(run)
+        return ["assemble", "--gold", str(gold), "--out", str(tmp_path / "o")] + argv, where
+    return setup
+
+
+def _taxonomy_threshold_above_1(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n", encoding="utf-8")
+    return (["taxonomy", "--input", str(path), "--other-threshold", "2",
+             "--out", str(tmp_path / "o")],
+            "--other-threshold must be within [0, 1]")
+
+
+def _sample_negative_n(tmp_path):
+    return (["sample", "--passages", write_pool(tmp_path), "--language", "fi", "--n", "-1",
+             "--out", str(tmp_path / "o")],
+            "--n must be >= 0")
+
+
+def _run_with_sw_example(command):
+    """filter (round trip off) or assemble of a pe run whose
+    fi/filtered.jsonl holds a "sw" example."""
+    def setup(tmp_path):
+        write_passage_file(tmp_path / "passages", "fi", ["Silta valmistui 1956."])
+        save_exemplars(fi_exemplars(), tmp_path / "fi.exemplars.json")
+        config = write_config(
+            tmp_path, {"languages": ["en", "fi"], "filters": {"roundtrip": "off"}}
+        )
+        run = tmp_path / "pe"
+        assert main(["synth", "--config", config, "--method", "pe",
+                     "--passages-dir", str(tmp_path / "passages"),
+                     "--exemplars-dir", str(tmp_path), "--out", str(run)]) == EXIT_OK
+        path = run / "fi" / "filtered.jsonl"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**record, "language": "sw"}) + "\n", encoding="utf-8")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps(GOOD_RECORD) + "\n", encoding="utf-8")
+        argv = {
+            "filter": ["filter", "--config", config, "--run", str(run)],
+            "assemble": ["assemble", "--gold", str(gold), "--runs", str(run)],
+        }[command]
+        return argv + ["--out", str(tmp_path / "o")], f"{path}: example 'pe-fi-p0' is 'sw'"
+    return setup
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "setup",
@@ -1306,6 +1361,13 @@ class TestMalformedInputs:
             _mt_gold_not_english,
             _exemplars_in_english("english_only"),
             _exemplars_in_english("few_shot"),
+            _assemble_mt_run(lambda run: (["--runs", run, "--sizes", "1,1"],
+                                          "--sizes must be increasing")),
+            _assemble_mt_run(lambda run: (["--runs", run, run], f"--runs {run}: ")),
+            _taxonomy_threshold_above_1,
+            _sample_negative_n,
+            _run_with_sw_example("filter"),
+            _run_with_sw_example("assemble"),
         ],
         ids=["report-no-method-filter", "report-no-method-assemble",
              "exemplars-no-scenario", "exemplars-set-language-differs-synth",
@@ -1319,7 +1381,11 @@ class TestMalformedInputs:
              "ingest-answers-strings", "ingest-answers-object",
              "synth-no-target-language", "tune-train-not-monolingual",
              "tune-dev-not-monolingual", "mt-gold-not-english",
-             "exemplars-en-english-only", "exemplars-en-few-shot"],
+             "exemplars-en-english-only", "exemplars-en-few-shot",
+             "assemble-sizes-not-increasing", "assemble-runs-repeated",
+             "taxonomy-threshold-above-1", "sample-n-negative",
+             "filter-run-example-in-another-language",
+             "assemble-run-example-in-another-language"],
     )
     def test_one_error_line_and_exit_1(self, tmp_path, capsys, setup):
         argv, where = setup(tmp_path)

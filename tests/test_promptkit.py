@@ -94,7 +94,7 @@ class TestRenderings:
         prompt = render_answer_prompt(
             one_exemplar(), Passage(id="p", text="Marie habite Paris.", language="fr")
         )
-        assert prompt.text == (
+        assert prompt == (
             "I will write potential answers\n"
             "for the following passages.\n"
             "  Passage: Jean habite Lyon.\n"
@@ -103,8 +103,6 @@ class TestRenderings:
             "  Passage: Marie habite Paris.\n"
             "  Answer in the original language:"
         )
-        assert prompt.stage == "answer"
-        assert prompt.target_language == "fr"
 
     def test_question_prompt_exact(self):
         prompt = render_question_prompt(
@@ -112,7 +110,7 @@ class TestRenderings:
             Passage(id="p", text="Marie habite Paris.", language="fr"),
             "Paris",
         )
-        assert prompt.text == (
+        assert prompt == (
             "I will write questions and answers\n"
             "for the following passages.\n"
             "  Passage: Jean habite Lyon.\n"
@@ -123,7 +121,6 @@ class TestRenderings:
             "  Answer: Paris\n"
             "  Question in the original language:"
         )
-        assert prompt.stage == "question"
 
     def test_roundtrip_prompt_exact(self):
         prompt = render_roundtrip_prompt(
@@ -131,7 +128,7 @@ class TestRenderings:
             Passage(id="p", text="Marie habite Paris.", language="fr"),
             "Ou habite Marie?",
         )
-        assert prompt.text == (
+        assert prompt == (
             "I will write potential answers\n"
             "for the following passages.\n"
             "  Passage: Jean habite Lyon.\n"
@@ -142,7 +139,6 @@ class TestRenderings:
             "  Question: Ou habite Marie?\n"
             "  Answer in the original language:"
         )
-        assert prompt.stage == "answer"
 
     def test_prompts_end_on_cue(self):
         es = one_exemplar()
@@ -152,8 +148,8 @@ class TestRenderings:
             render_question_prompt(es, passage, "Texte"),
             render_roundtrip_prompt(es, passage, "Quoi?"),
         ):
-            assert prompt.text.endswith("language:")
-            assert not prompt.text.endswith(" ")
+            assert prompt.endswith("language:")
+            assert not prompt.endswith(" ")
 
     def test_language_mismatch_rejected(self):
         with pytest.raises(PromptError):

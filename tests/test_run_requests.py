@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qasynth.backends import (
+    Backend,
     BackendError,
     MockQABackend,
-    TranslationBackend,
     TranslationRequest,
-    TranslationResponse,
     run_requests,
 )
 from qasynth.corpus import Dataset, Passage, QAExample
@@ -36,7 +35,7 @@ from tests.conftest import make_example
 from tests.test_synthesis import StubRoundtrip, fi_exemplars, fi_passages
 
 
-class CountingTranslator(TranslationBackend):
+class CountingTranslator(Backend):
     """Reverses the text; counts calls per (text, source, target); raises
     BackendError on the texts in fail_on. run_requests sends it at most
     parallelism requests at once."""
@@ -54,7 +53,7 @@ class CountingTranslator(TranslationBackend):
             self.calls[(request.text, request.source, request.target)] += 1
         if request.text in self.fail_on:
             raise BackendError(f"cannot translate {request.text!r}")
-        return TranslationResponse(text=request.text[::-1], backend_id=self.backend_id)
+        return request.text[::-1]
 
 
 def doubled(gold_en: Dataset) -> Dataset:
@@ -87,8 +86,7 @@ class TestRunRequests:
 
         reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(6)]
         results = run_requests(Waiting(parallelism=3), reqs)
-        assert [error for _, error in results] == [None] * 6
-        assert [r.text for r, _ in results] == [f"{i}t" for i in range(6)]
+        assert results == [f"{i}t" for i in range(6)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -105,15 +103,14 @@ class TestRunRequests:
 
         def serial(req):
             try:
-                return translator.translate(req), None
+                return translator.translate(req)
             except BackendError as e:
-                return None, e
+                return e
 
         expected = [serial(req) for req in reqs]
         translator.calls.clear()
         got = run_requests(translator, reqs)
-        assert [r for r, _ in got] == [r for r, _ in expected]
-        assert [(type(e), str(e)) for _, e in got] == [(type(e), str(e)) for _, e in expected]
+        assert [(type(r), str(r)) for r in got] == [(type(r), str(r)) for r in expected]
         assert sum(translator.calls.values()) == len(set(reqs))
 
 
@@ -170,7 +167,7 @@ class TestFailureSemantics:
     def test_program_fault_in_exemplars_is_raised_unwrapped(self, gold_en):
         # Only a BackendError is a failed call; anything else is a fault in
         # the program and reaches the caller as it was raised.
-        class Broken(TranslationBackend):
+        class Broken(Backend):
             def __init__(self, parallelism):
                 self.parallelism = parallelism
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qasynth.backends import (
+    Backend,
     BackendError,
-    GenerationBackend,
     MockQABackend,
     TaggingTranslator,
 )
@@ -33,7 +33,7 @@ from qasynth.synthesis import (
     synth_pe,
     synth_pt,
 )
-from tests.conftest import StaticGenerationBackend, make_example
+from tests.conftest import StaticBackend, make_example
 
 
 def fi_exemplars() -> ExemplarSet:
@@ -174,7 +174,7 @@ class TestSynthPE:
         assert slow.raw["fi"].examples == wide.raw["fi"].examples
 
     def test_backend_failure_becomes_empty_generation(self):
-        backend = StaticGenerationBackend([" torni\nPassage: x"])  # second call fails
+        backend = StaticBackend([" torni\nPassage: x"])  # second call fails
         run = synth_pe({"fi": fi_exemplars()}, {"fi": fi_passages(1)}, backend)
         report = run.reports["fi"]
         assert report.input_count == 1
@@ -189,7 +189,7 @@ class TestSynthPE:
 
 class TestSynthPT:
     def test_remote_path_convention(self):
-        backend = StaticGenerationBackend(
+        backend = StaticBackend(
             ["vastaus\nkysymys?", "no separator here", "\nkysymys?"]
         )
         run = synth_pt({"fi": fi_passages(3)}, backend=backend)
@@ -206,7 +206,7 @@ class TestSynthPT:
         assert report.dropped == {"empty_generation": 2}
 
     def test_remote_backend_failure_leaves_a_note(self):
-        backend = StaticGenerationBackend(["vastaus\nkysymys?", "no separator"])
+        backend = StaticBackend(["vastaus\nkysymys?", "no separator"])
         run = synth_pt({"fi": fi_passages(3)}, backend=backend)
         report = run.reports["fi"]
         assert report.dropped == {"empty_generation": 2}
@@ -338,18 +338,16 @@ class TestFilterExtractive:
         assert len(kept) == 0  # case differs; no normalization here
 
 
-class StubRoundtrip(GenerationBackend):
+class StubRoundtrip(Backend):
     """Returns scripted re-answers keyed by the question inside the prompt."""
 
     def __init__(self, answers_by_question):
         self.answers_by_question = answers_by_question
 
     def generate(self, request):
-        from qasynth.backends import GenerationResponse
-
         for question, answer in self.answers_by_question.items():
             if f"  Question: {question}\n" in request.prompt + "\n":
-                return GenerationResponse(text=f" {answer}", backend_id="stub")
+                return f" {answer}"
         raise BackendError("no scripted answer")
 
 
@@ -651,14 +649,14 @@ class TestFilterRun:
 
     def test_missing_exemplars_fail_before_any_call(self):
         run, _ = self._pe_run(3)
-        backend = StaticGenerationBackend([])
+        backend = StaticBackend([])
         with pytest.raises(SynthesisError, match="no exemplars"):
             filter_run(run, backend, {})
         assert backend._calls == 0
 
     def test_exemplars_in_another_language_fail_before_any_call(self):
         run, _ = self._pe_run(3)
-        backend = StaticGenerationBackend([])
+        backend = StaticBackend([])
         ar = fi_exemplars()
         ar = dataclasses.replace(ar, language="ar", exemplars=tuple(
             dataclasses.replace(e, language="ar") for e in ar.exemplars))

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasynth.backends import (
-    BackendError,
-    TranslationBackend,
-    TranslationResponse,
-)
+from qasynth.backends import Backend, BackendError
 from qasynth.corpus import Dataset, write_json
 from qasynth.taxonomy import (
     OTHER,
@@ -24,7 +20,7 @@ from qasynth.taxonomy import (
 from conftest import make_example
 
 
-class DictTranslator(TranslationBackend):
+class DictTranslator(Backend):
     """Scripted translator: exact source text to exact English text."""
 
     backend_id = "mock:dict-translator"
@@ -35,9 +31,7 @@ class DictTranslator(TranslationBackend):
     def translate(self, request):
         if request.text not in self.mapping:
             raise BackendError(f"no translation for {request.text!r}")
-        return TranslationResponse(
-            text=self.mapping[request.text], backend_id=self.backend_id
-        )
+        return self.mapping[request.text]
 
 
 def questions_dataset(specs):
@@ -150,7 +144,7 @@ class TestDistribution:
     def test_program_fault_is_raised_not_counted(self):
         # Only a BackendError is a failed translation; any other exception
         # is a fault in the program and must not turn into data.
-        class Broken(TranslationBackend):
+        class Broken(Backend):
             def __init__(self, parallelism):
                 self.parallelism = parallelism
 
