@@ -22,22 +22,17 @@ http.client only opens and closes the connections: it connects, wraps TLS
 and opens a proxy's CONNECT tunnel. The exchange itself is written here, on
 the connection's socket. The request head is rendered once per backend, so
 a call sends it, its Content-Length and the body in one write. The reply is
-parsed directly: only the headers that frame it and Retry-After are kept,
-within http.client's limits of 100 header lines of at most 65,536 bytes;
-interim 1xx replies are skipped; the body is read by Content-Length,
-chunked framing or to the end of the stream. A malformed reply raises
-OSError, a retryable transport failure like any socket error.
+read by recv, with no file object, and parsed within http.client's limits
+(_read_reply); a malformed reply raises OSError, retried like any socket
+error.
 
 run_requests is the one way stages fan requests out: it sends each distinct
 request once, over at most backend.parallelism threads, and returns results in
 input order. A backend with parallelism above 1 keeps one thread pool from its
 first fan-out until close(), so its threads, and their connections, serve
-every stage. A fan-out submits one worker per pool thread (never more than
-there are requests); each worker pulls the next request from a shared
-iterator and stores its result at the request's index, so the caller waits
-on the workers, not on one future per request. Only HttpBackend takes a
-parallelism; the mocks keep the base class's 1 and answer one request at a
-time, inline on the calling thread.
+every stage; each of its workers pulls the next request (Backend._fan_out).
+Only HttpBackend takes a parallelism; the mocks keep the base class's 1 and
+answer one request at a time, inline on the calling thread.
 
 BackendError means one thing: a backend call failed. run_requests alone
 decides what a failure means: a BackendError, or a reply it finds unusable
@@ -72,6 +67,9 @@ DEFAULT_TIMEOUT = 60.0
 MAX_ATTEMPTS = 3
 
 _DIGIT_RUN = re.compile(r"\d+")
+# One encoder for every request body: json.dumps builds a new JSONEncoder
+# on each call that passes an option, such as allow_nan.
+_encode_json = json.JSONEncoder(allow_nan=False).encode
 
 
 def __getattr__(name: str):
@@ -271,111 +269,124 @@ def _proxy_auth(proxy: urllib.parse.SplitResult) -> Dict[str, str]:
 # http.client's limits on a reply's head: header lines, and bytes in a line.
 _MAX_HEADERS = 100
 _MAX_LINE = 65536
-# Bodies are read in pieces of at most this many bytes, so a lying length
-# cannot make one huge allocation.
-_MAX_READ = 1 << 20
-_KEPT_HEADERS = frozenset(
-    (b"content-length", b"transfer-encoding", b"connection", b"retry-after")
-)
-_HEX_DIGITS = b"0123456789abcdefABCDEF"
+# A reply is received in pieces of at most this many bytes, so a lying
+# length cannot make one huge allocation; recv allocates all it asks for.
+_MAX_READ = 1 << 16
+_KEPT_HEADERS = frozenset({b"content-length", b"transfer-encoding", b"connection", b"retry-after"})
+_HEAD_END = re.compile(rb"\n\r?\n")  # a line's end, then an empty line
+_STATUS_LINE = re.compile(rb"\s*(HTTP/1\.\S*)\s+(\d{3})(?:\s|$)")  # as bytes.split reads it
 
 
-def _read_line(reply, what: str) -> bytes:
-    line = reply.readline(_MAX_LINE + 1)
-    if len(line) > _MAX_LINE:
-        raise OSError(f"{what} longer than {_MAX_LINE} bytes")
-    return line
+# Plain functions, not per-call closures: these run on a freshly woken, cache-cold thread.
+def _recv_more(sock, buf: bytes, what: str) -> bytes:
+    """buf, then the next bytes the socket brings; the stream's end raises."""
+    data = sock.recv(_MAX_READ)
+    if not data:
+        if what == "reply head" and not buf:
+            raise ConnectionResetError("connection closed without a reply")
+        raise OSError(f"connection closed inside the {what}")
+    return buf + data
 
 
-def _read_headers(reply) -> Dict[bytes, bytes]:
-    """Read header lines up to the blank line; returns the kept ones, by
-    lower-case name."""
-    kept = {}
-    for _ in range(_MAX_HEADERS + 1):
-        line = _read_line(reply, "header line")
-        if line in (b"\r\n", b"\n"):
-            return kept
-        if not line:
-            raise OSError("connection closed inside the reply head")
-        name, _, value = line.partition(b":")
-        name = name.lower()
-        if name in _KEPT_HEADERS:
-            kept[name] = value.strip()
-    raise OSError(f"got more than {_MAX_HEADERS} headers")
+def _read_head(sock, buf: bytes, what: str) -> Tuple[List[bytes], bytes]:
+    """Split buf, received further as needed, at its first empty line; an
+    unfinished head is held to the limits too, its last line counted."""
+    lines: List[bytes] = []
+    while True:
+        end = _HEAD_END.search(buf)
+        new = buf[: end.start() if end else len(buf)].split(b"\n")
+        if lines:
+            del new[0]  # buf starts with the line end of lines[-1]
+        lines += new
+        if len(lines) > _MAX_HEADERS + (1 if end else 2):
+            raise OSError(f"got more than {_MAX_HEADERS} headers")
+        if max(map(len, new), default=0) >= _MAX_LINE:
+            raise OSError(f"{what} line longer than {_MAX_LINE} bytes")
+        if end:
+            return lines, buf[end.end() :]
+        last = lines.pop()  # only the unfinished line is searched again
+        buf = _recv_more(sock, b"\n" + last if lines else last, what)
 
 
-def _read_exact(reply, n: int) -> bytes:
-    parts = []
-    while n > 0:
-        part = reply.read(min(n, _MAX_READ))
-        if not part:
+def _read_line(sock, buf: bytes, what: str) -> Tuple[bytes, bytes]:
+    """Split buf, received further as needed, after its first line end."""
+    while True:
+        i = buf.find(b"\n", 0, _MAX_LINE)
+        if i >= 0:
+            return buf[: i + 1], buf[i + 1 :]
+        if len(buf) >= _MAX_LINE:
+            raise OSError(f"{what} longer than {_MAX_LINE} bytes")
+        buf = _recv_more(sock, buf, what)
+
+
+def _read_rest(sock, part: bytes, n: int) -> bytes:
+    """part, then what the socket brings until there are n bytes."""
+    parts = [part]
+    while (n := n - len(parts[-1])) > 0:
+        parts.append(sock.recv(min(n, _MAX_READ)))
+        if not parts[-1]:
             raise OSError(f"connection closed with {n} body bytes still to come")
-        parts.append(part)
-        n -= len(part)
     return b"".join(parts)
 
 
-def _read_chunked(reply) -> bytes:
+def _read_chunked(sock, buf: bytes) -> bytes:
+    """The body in chunked framing that buf starts; its trailer is dropped."""
     parts = []
     while True:
-        line = _read_line(reply, "chunk size")
+        line, rest = _read_line(sock, buf, "chunk size")
         size = line.split(b";", 1)[0].strip()
-        if not size or size.strip(_HEX_DIGITS):
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
             raise OSError(f"bad chunk size {line!r}")
         n = int(size, 16)
         if n == 0:
-            break
-        parts.append(_read_exact(reply, n))
-        if _read_line(reply, "chunk end") not in (b"\r\n", b"\n"):
+            _read_head(sock, line + rest, "trailer")  # the last size line, then the trailer
+            return b"".join(parts)
+        parts.append(rest[:n] if len(rest) >= n else _read_rest(sock, rest, n))
+        line, buf = _read_line(sock, rest[n:], "chunk end")
+        if line not in (b"\r\n", b"\n"):
             raise OSError("chunk data longer than its size")
-    _read_headers(reply)  # the trailer
-    return b"".join(parts)
 
 
-def _read_reply(reply) -> Tuple[int, Optional[str], bytes, bool]:
-    """Read one HTTP/1.x reply from a binary file over the socket.
+def _read_reply(sock) -> Tuple[int, Optional[bytes], bytes, bool]:
+    """Read one HTTP/1.x reply off a socket: (status, Retry-After, body, keep_alive).
 
-    Returns (status, Retry-After, body, keep_alive). Interim 1xx replies are
-    skipped. The body is framed by chunked encoding, else Content-Length,
-    else the end of the stream; keep_alive is false after a body read to
-    the end, a Connection: close or an HTTP/1.0 reply. Every framing fault
-    raises OSError; no reply at all raises ConnectionResetError, so the
-    caller can tell a dropped keep-alive connection from a bad reply.
+    The body is framed by chunked encoding, else Content-Length, else the
+    end of the stream; keep_alive is false after a body read to the end, a
+    Connection: close or an HTTP/1.0 reply. Bytes received past the reply's
+    end are dropped. Every framing fault raises OSError; no reply at all
+    raises ConnectionResetError, so the caller can tell a dropped keep-alive
+    connection from a bad reply.
     """
-    while True:
-        line = _read_line(reply, "status line")
-        if not line:
-            raise ConnectionResetError("connection closed without a reply")
-        fields = line.split(None, 2)
-        if (
-            len(fields) < 2
-            or not fields[0].startswith(b"HTTP/1.")
-            or len(fields[1]) != 3
-            or not fields[1].isdigit()
-        ):
-            raise OSError(f"not an HTTP/1.x status line: {line!r}")
-        status = int(fields[1])
-        headers = _read_headers(reply)
-        if status >= 200:
-            break
+    buf, status = _recv_more(sock, b"", "reply head"), 100
+    while status < 200:  # interim 1xx replies are skipped
+        lines, buf = _read_head(sock, buf, "reply head")
+        status_line = _STATUS_LINE.match(lines[0])
+        if status_line is None:
+            raise OSError(f"not an HTTP/1.x status line: {lines[0]!r}")
+        status = int(status_line[2])
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(b":")
+        if name.lower() in _KEPT_HEADERS:
+            headers[name.lower()] = value.strip()
     connection = headers.get(b"connection", b"").lower()
-    keep_alive = fields[0] != b"HTTP/1.0" and b"close" not in connection
+    keep_alive = status_line[1] != b"HTTP/1.0" and b"close" not in connection
     length = headers.get(b"content-length")
     if status in (204, 304):
         body = b""
     elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
-        body = _read_chunked(reply)
+        body = _read_chunked(sock, buf)
     elif length is not None:
         if not length.isdigit():
             raise OSError(f"bad Content-Length {length!r}")
-        body = _read_exact(reply, int(length))
+        n = int(length)
+        body = buf[:n] if len(buf) >= n else _read_rest(sock, buf, n)
     else:
-        body = reply.read()
-        keep_alive = False
-    retry_after = headers.get(b"retry-after")
-    if retry_after is not None:
-        retry_after = retry_after.decode("latin-1")
-    return status, retry_after, body, keep_alive
+        parts = [buf, sock.recv(_MAX_READ)]
+        while parts[-1]:
+            parts.append(sock.recv(_MAX_READ))
+        body, keep_alive = b"".join(parts), False
+    return status, headers.get(b"retry-after"), body, keep_alive
 
 
 class HttpBackend(Backend):
@@ -385,10 +396,8 @@ class HttpBackend(Backend):
     callers keep the default (about 0.5s, then 1s, between the three
     attempts). parallelism, an integer >= 1, bounds the requests
     run_requests has in flight. Safe to call from several threads at once:
-    each thread keeps its own keep-alive connection. close(), or a with
-    block, shuts the pool down and closes the connections the backend
-    opened. backend_id is "http:" and the base URL, nothing more: two
-    models served at one URL share an id.
+    each thread keeps its own keep-alive connection. backend_id is "http:"
+    and the base URL, nothing more: two models served at one URL share an id.
     """
 
     def __init__(
@@ -499,16 +508,13 @@ class HttpBackend(Backend):
         """Exponential delay before retry number attempt (1-based), +-50% jitter."""
         return self.retry_base_delay * (2 ** (attempt - 1)) * self._jitter.uniform(0.5, 1.5)
 
-    def _retry_after(self, value: Optional[str]) -> Optional[float]:
-        """A delta-seconds Retry-After, capped at the timeout; None if absent."""
-        value = (value or "").strip()
-        # Headers are decoded as latin-1, and str.isdigit() also accepts
-        # digits such as "²" that float() rejects.
-        if not (value.isascii() and value.isdigit()):
+    def _retry_after(self, value: Optional[bytes]) -> Optional[float]:
+        """A delta-seconds Retry-After (ASCII digits), capped at the timeout; else None."""
+        if not (value and value.isdigit()):
             return None
         return min(float(value), self.timeout)
 
-    def _send(self, path: str, body: bytes) -> Tuple[int, Optional[str], bytes]:
+    def _send(self, path: str, body: bytes) -> Tuple[int, Optional[bytes], bytes]:
         """One POST; returns (status, Retry-After header, body).
 
         A server may close an idle keep-alive connection just as a request
@@ -523,36 +529,31 @@ class HttpBackend(Backend):
             self._head_start, path.encode("ascii"), self._head_end, len(body), body
         )
 
-        def exchange() -> Tuple[int, Optional[str], bytes]:
-            if conn.sock is None:
-                import http.client
+        for resend in (False, True):
+            try:
+                if conn.sock is None:
+                    import http.client
 
-                try:
-                    conn.connect()
-                except http.client.HTTPException as e:
-                    # http.client parses a proxy's reply to CONNECT itself.
-                    raise OSError(f"bad reply from the proxy to CONNECT: {e!r}") from e
-            conn.sock.sendall(request)
-            with conn.sock.makefile("rb") as reply:
-                status, retry_after, raw, keep_alive = _read_reply(reply)
+                    try:
+                        conn.connect()
+                    except http.client.HTTPException as e:
+                        # http.client parses a proxy's reply to CONNECT itself.
+                        raise OSError(f"bad reply from the proxy to CONNECT: {e!r}") from e
+                conn.sock.sendall(request)
+                status, retry_after, raw, keep_alive = _read_reply(conn.sock)
+            except BaseException as e:
+                # A failed exchange leaves the connection mid-request; the next
+                # one must start on a fresh socket.
+                conn.close()
+                if resend or not isinstance(e, (BrokenPipeError, ConnectionResetError)):
+                    raise
+                continue
             if not keep_alive:
                 conn.close()
             return status, retry_after, raw
 
-        try:
-            try:
-                return exchange()
-            except (BrokenPipeError, ConnectionResetError):
-                conn.close()
-                return exchange()
-        except BaseException:
-            # A failed exchange leaves the connection mid-request; the next
-            # one must start on a fresh socket.
-            conn.close()
-            raise
-
     def _post(self, path: str, payload: dict) -> str:
-        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+        data = _encode_json(payload).encode("utf-8")
         last_error: Optional[BackendError] = None
         delay: Optional[float] = None
         for attempt in range(MAX_ATTEMPTS):

@@ -387,6 +387,11 @@ def cmd_ingest(args, config: RunConfig, out: OutputDir) -> int:
 def cmd_sample(args, config: RunConfig, out: OutputDir) -> int:
     if args.n < 0:
         raise ConfigError(f"--n must be >= 0, got {args.n}")
+    if args.min_len > args.max_len:
+        raise ConfigError(
+            f"--min-len {args.min_len} is greater than --max-len {args.max_len}: "
+            "no passage length is within the window"
+        )
     seed = config.seed("sample")
     picked = sample_passage_pool(
         args.passages, args.language, args.n, seed,

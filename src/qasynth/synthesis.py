@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backends import Backend, BackendError, GenerationRequest, run_requests
 from .corpus import (
+    SCENARIOS,
     Dataset,
     Passage,
     QAExample,
@@ -661,6 +662,8 @@ def load_run(run_dir: Union[str, Path]) -> SynthesisRun:
         method, scenario, languages = doc["method"], doc["scenario"], doc["languages"]
         if method not in ("mt", "pe", "pt"):
             raise SynthesisError(f"unknown method {method!r}")
+        if scenario not in SCENARIOS:
+            raise SynthesisError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
         if not isinstance(languages, list) or not all(map(is_language_code, languages)):
             raise SynthesisError(f"languages must be a list of language codes, got {languages!r}")
         languages = tuple(languages)

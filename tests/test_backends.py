@@ -15,14 +15,19 @@ import sys
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasynth.backends import (
+    _MAX_LINE,
+    _MAX_READ,
     BackendError,
     GenerationRequest,
     HttpBackend,
     MockQABackend,
     TaggingTranslator,
     TranslationRequest,
+    _read_reply,
     apply_stop_sequences,
     mock_qa_generate,
     run_requests,
@@ -663,6 +668,146 @@ class TestWireExchange:
         handler.script = [(b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 99
                            + b"Content-Length: %d\r\n\r\n" % len(body) + body, False)]
         assert translate_twice(url) == ["ok", "ok"]
+
+    def test_bytes_past_a_keep_alive_reply_are_dropped(self, wire):
+        # One write carries the reply and a whole second one; the next call
+        # on the connection must get its own reply, not the stray one.
+        url, handler = wire
+        handler.script = [(reply("first") + reply("stray"), False), (reply("second"), False)]
+        assert translate_twice(url) == ["first", "second"]
+        assert handler.connections == 1
+
+
+class ScriptedSocket:
+    """Stands in for a socket: recv(n) returns the next scripted piece (at
+    most n bytes of it), then b"" for the end of the stream."""
+
+    def __init__(self, pieces):
+        self.pieces = [piece for piece in pieces if piece]
+
+    def recv(self, n: int) -> bytes:
+        assert 0 < n <= _MAX_READ
+        if not self.pieces:
+            return b""
+        piece = self.pieces.pop(0)
+        if len(piece) > n:
+            self.pieces.insert(0, piece[n:])
+            piece = piece[:n]
+        return piece
+
+
+class EndlessSocket:
+    """recv returns prefix, then repeats filler. A reader that never stops
+    asking gets the end of the stream after 16 MiB, so it fails instead of
+    filling memory."""
+
+    def __init__(self, prefix: bytes, filler: bytes):
+        self.pending = prefix
+        self.filler = filler
+        self.received = 0
+
+    def recv(self, n: int) -> bytes:
+        if self.received >= 1 << 24:
+            return b""
+        while len(self.pending) < n:
+            self.pending += self.filler * (n // len(self.filler) + 1)
+        piece, self.pending = self.pending[:n], self.pending[n:]
+        self.received += n
+        return piece
+
+
+# Each reply shape, and what _read_reply makes of it:
+# (status, Retry-After, body, keep_alive).
+REPLY_SHAPES = {
+    "content-length": (
+        reply("cl", b"Retry-After: 5") + b"HTTP/1.1 200 OK\r\n\r\njunk",
+        (200, b"5", b'{"text": "cl"}', True),
+    ),
+    "chunked-extension-trailer": (
+        reply("chunked", b"Transfer-Encoding: chunked") + b"junk",
+        (200, None, b'{"text": "chunked"}', True),
+    ),
+    "100-continue": (
+        b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n" + reply("final", b"Connection: close"),
+        (200, None, b'{"text": "final"}', False),
+    ),
+    "lf-only": (
+        b"HTTP/1.1 503 Busy\nRetry-After:  7 \nContent-Length: 2\n\n{}junk",
+        (503, b"7", b"{}", True),
+    ),
+    "http-1.0-to-eof": (
+        b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{\"text\": \"eof\"}",
+        (200, None, b'{"text": "eof"}', False),
+    ),
+    "http-1.0-with-length": (
+        b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}junk",
+        (200, None, b"{}", False),
+    ),
+    "100-headers": (
+        b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 99 + b"Content-Length: 2\r\n\r\n{}",
+        (200, None, b"{}", True),
+    ),
+    "204": (
+        b"HTTP/1.1 204 No Content\r\nContent-Length: 9\r\n\r\njunk",
+        (204, None, b"", True),
+    ),
+}
+
+
+class TestReadReply:
+    @pytest.mark.parametrize("shape", sorted(REPLY_SHAPES))
+    def test_every_split_point_reads_the_same_reply(self, shape):
+        raw, expected = REPLY_SHAPES[shape]
+        assert _read_reply(ScriptedSocket([raw])) == expected
+        for cut in range(1, len(raw)):
+            assert _read_reply(ScriptedSocket([raw[:cut], raw[cut:]])) == expected, cut
+        assert _read_reply(ScriptedSocket([raw[i : i + 1] for i in range(len(raw))])) == expected
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_partition_reads_the_same_reply(self, data):
+        shape = data.draw(st.sampled_from(sorted(REPLY_SHAPES)))
+        raw, expected = REPLY_SHAPES[shape]
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(raw) - 1), max_size=12)))
+        bounds = [0, *cuts, len(raw)]
+        pieces = [raw[start:end] for start, end in zip(bounds, bounds[1:])]
+        assert _read_reply(ScriptedSocket(pieces)) == expected
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [b"", b"HTTP/1.1 200 OK\r\nX-Long: ",
+         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\n"],
+        ids=["status-line", "header-line", "chunk-size-line"],
+    )
+    def test_a_line_that_never_ends_is_refused(self, prefix):
+        sock = EndlessSocket(prefix, b"a")
+        with pytest.raises(OSError, match="longer than 65536 bytes"):
+            _read_reply(sock)
+        assert sock.received <= len(prefix) + _MAX_LINE + _MAX_READ
+
+    def test_chunk_data_longer_than_its_size_is_refused(self):
+        raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabcd\r\n0\r\n\r\n"
+        with pytest.raises(OSError, match="chunk data longer than its size"):
+            _read_reply(ScriptedSocket([raw]))
+
+    def test_a_head_that_never_ends_is_refused(self):
+        sock = EndlessSocket(b"HTTP/1.1 200 OK\r\n", b"X-Filler: 1\r\n")
+        with pytest.raises(OSError, match="more than 100 headers"):
+            _read_reply(sock)
+        assert sock.received <= _MAX_READ
+
+    @pytest.mark.parametrize("raw", [b"", b"HTTP/1.1 100 Continue\r\n\r\n"],
+                             ids=["nothing", "after-100-continue"])
+    def test_no_reply_is_a_reset(self, raw):
+        with pytest.raises(ConnectionResetError):
+            _read_reply(ScriptedSocket([raw]))
+
+    def test_a_reply_cut_inside_its_head_is_not_a_reset(self):
+        raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+        for cut in range(1, len(raw) + 1):
+            with pytest.raises(OSError) as caught:
+                _read_reply(ScriptedSocket([raw[:cut]]))
+            assert not isinstance(caught.value, ConnectionResetError), cut
 
 
 class TestReplyChecks:

@@ -307,6 +307,23 @@ class TestSample:
             == EXIT_VALIDATION
         )
 
+    @pytest.mark.parametrize("pool_passages", [1, None], ids=["one-passage-pool", "no-pool"])
+    def test_empty_length_window_is_refused_before_the_pool_is_read(
+        self, tmp_path, capsys, pool_passages
+    ):
+        # A window with no length in it is a bad option, not a shortage of
+        # passages; a pool path that does not exist shows the pool is never
+        # opened.
+        pool = (write_pool(tmp_path, pool_passages) if pool_passages
+                else str(tmp_path / "missing.ndjson"))
+        out = tmp_path / "o"
+        assert main(["sample", "--passages", pool, "--language", "fi", "--n", "1",
+                     "--min-len", "600", "--max-len", "100", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: --min-len 600 is greater than --max-len 100")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_manifest_records_length_window(self, tmp_path):
         pool = write_pool(tmp_path)
         out = tmp_path / "out"
@@ -987,6 +1004,20 @@ class TestFilterCommand:
         assert report["input_count"] == 12
         assert report["kept_count"] + sum(report["dropped"].values()) == 12
         assert once["counts"]["fi"]["filtered"] == report["kept_count"]
+
+    def test_unknown_scenario_in_report_is_rejected(self, tmp_path, capsys):
+        config = self._pe_run(tmp_path)
+        report = tmp_path / "pe" / "report.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        doc["scenario"] = "bogus"
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["filter", "--config", config, "--run", str(tmp_path / "pe"),
+                     "--out", str(tmp_path / "f")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}: unknown scenario 'bogus'")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "f").exists()
 
     def test_language_that_leaves_the_run_directory_is_rejected(self, tmp_path, capsys):
         # A report.json naming "../esc" must not make filter read runs/esc

@@ -593,6 +593,8 @@ class TestLoadRun:
             (lambda doc: doc["reports"]["fi"].update(kept_count=4), "do not conserve"),
             (lambda doc: doc["reports"]["fi"]["dropped"].update(odd=0), "unknown drop reason"),
             (lambda doc: doc.update(method="xx"), "unknown method"),
+            (lambda doc: doc.update(scenario="bogus"), "unknown scenario 'bogus'"),
+            (lambda doc: doc.update(scenario=["few_shot"]), "unknown scenario"),
         ],
     )
     def test_bad_report_names_the_file(self, tmp_path, gold_en, tagging_translator,
