@@ -10,13 +10,12 @@ Wire format of the HTTP backend:
     POST {base_url}/v1/translate  {"text", "source", "target"}                               -> {"text"}
 The base URL, http(s)://host[:port][/path], comes from the constructor or the
 QAM_BACKEND_URL environment variable; an optional bearer token from the
-constructor or QAM_BACKEND_TOKEN. Each thread sends over one keep-alive
-connection, kept until close(); a keep-alive connection the server dropped is
-reopened and the request resent once, without using an attempt. Transport
-failures, 5xx and 429 responses are retried up to 3 attempts with jittered
-exponential backoff; a 429 with a delta-seconds Retry-After waits that long
-instead (capped at the timeout). Other 4xx and malformed payloads fail
-immediately.
+constructor or QAM_BACKEND_TOKEN. Connections are kept alive until close();
+one the server dropped is reopened and the request resent once, without
+using an attempt. Transport failures, 5xx and 429 responses are retried up to
+3 attempts with jittered exponential backoff; a 429 with a delta-seconds
+Retry-After waits that long instead (capped at the timeout). Other 4xx and
+malformed payloads fail immediately.
 
 http.client only opens and closes the connections: it connects, wraps TLS
 and opens a proxy's CONNECT tunnel. The exchange itself is written here, on
@@ -27,12 +26,12 @@ read by recv, with no file object, and parsed within http.client's limits
 error.
 
 run_requests is the one way stages fan requests out: it sends each distinct
-request once, over at most backend.parallelism threads, and returns results in
-input order. A backend with parallelism above 1 keeps one thread pool from its
-first fan-out until close(), so its threads, and their connections, serve
-every stage; each of its workers pulls the next request (Backend._fan_out).
-Only HttpBackend takes a parallelism; the mocks keep the base class's 1 and
-answer one request at a time, inline on the calling thread.
+request once, through backend.replies, and returns results in input order.
+The mocks answer one request at a time, inline. HttpBackend.replies sends
+from the calling thread too: one selectors loop keeps up to parallelism
+requests in flight, each on its own keep-alive connection, and a connection
+gets its next request as soon as its reply has been read. No thread is
+started.
 
 BackendError means one thing: a backend call failed. run_requests alone
 decides what a failure means: a BackendError, or a reply it finds unusable
@@ -45,15 +44,14 @@ given a bad URL, token, proxy or parallelism, raises ValueError before any
 call.
 
 Importing this module loads no HTTP code: HttpBackend loads http.client,
-ssl, urllib.request and base64 when it is built, and concurrent.futures loads
-at the first fan-out. Both happen on the calling thread, never first in a
-pool thread.
+selectors, ssl, urllib.request and base64 when it is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -115,6 +113,9 @@ class TranslationRequest:
             raise ValueError("empty text to translate")
 
 
+Request = Union[GenerationRequest, TranslationRequest]
+
+
 def apply_stop_sequences(text: str, stop_sequences: Sequence[str]) -> str:
     """Truncate text at the earliest occurrence of any stop sequence."""
     cut = len(text)
@@ -129,66 +130,23 @@ class Backend:
     """The backend contract: generate and translate return the reply text
     or raise BackendError; a backend implements the ones it serves.
 
-    parallelism is the most requests run_requests sends to this backend at
-    once; with parallelism above 1 they are sent by up to that many
-    workers, each pulling the next request, on a pool of that many
-    threads made at the first fan-out and kept until close(). A backend that
-    holds connections also releases them in close(); using it as a context
+    replies() answers a list of requests; this base class calls generate or
+    translate for each one in turn, on the calling thread. A backend that
+    holds connections releases them in close(); using it as a context
     manager closes it on exit."""
 
-    parallelism = 1
-    _pool = None
-    _pool_lock = threading.Lock()
-
-    def _fan_out(self, fn, items: list) -> list:
-        """[fn(item) for item in items], with at most parallelism calls in
-        flight.
-
-        With parallelism above 1, min(parallelism, len(items)) pool workers
-        each pull the next item and store fn's result at its index, so the
-        caller waits once per worker, not once per item. Once a call raises,
-        or the caller's wait is interrupted (Ctrl-C), no worker takes another
-        item; every worker has finished when the exception is re-raised.
-        """
-        if self.parallelism <= 1 or not items:
-            return [fn(item) for item in items]
-        with self._pool_lock:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(max_workers=self.parallelism)
-            pool = self._pool
-        results = [None] * len(items)
-        pending = enumerate(items)
-        pending_lock = threading.Lock()
-        stop = False
-
-        def work() -> None:
-            nonlocal stop
-            while True:
-                with pending_lock:
-                    job = None if stop else next(pending, None)
-                if job is None:
-                    return
-                index, item = job
-                try:
-                    results[index] = fn(item)
-                except BaseException:
-                    stop = True
-                    raise
-
-        workers = []
-        try:
-            for _ in range(min(self.parallelism, len(items))):
-                workers.append(pool.submit(work))
-            for worker in workers:
-                worker.result()
-        except BaseException:
-            stop = True
-            from concurrent.futures import wait
-
-            wait(workers)
-            raise
+    def replies(self, requests: Sequence[Request]) -> List[Union[str, BackendError]]:
+        """The reply text, or the BackendError its call raised, for each
+        request in order. Any other exception stops at once and propagates."""
+        results: List[Union[str, BackendError]] = []
+        for req in requests:
+            try:
+                if isinstance(req, GenerationRequest):
+                    results.append(self.generate(req))
+                else:
+                    results.append(self.translate(req))
+            except BackendError as e:
+                results.append(e)
         return results
 
     def generate(self, request: GenerationRequest) -> str:
@@ -198,11 +156,7 @@ class Backend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Shut the pool down; a later fan-out makes a fresh one."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
+        """Release what the backend holds; the mocks hold nothing."""
 
     def __enter__(self):
         return self
@@ -275,6 +229,7 @@ _MAX_READ = 1 << 16
 _KEPT_HEADERS = frozenset({b"content-length", b"transfer-encoding", b"connection", b"retry-after"})
 _HEAD_END = re.compile(rb"\n\r?\n")  # a line's end, then an empty line
 _STATUS_LINE = re.compile(rb"\s*(HTTP/1\.\S*)\s+(\d{3})(?:\s|$)")  # as bytes.split reads it
+_EVENT_READ = 1  # selectors.EVENT_READ, without importing selectors here
 
 
 # Plain functions, not per-call closures: these run on a freshly woken, cache-cold thread.
@@ -389,15 +344,34 @@ def _read_reply(sock) -> Tuple[int, Optional[bytes], bytes, bool]:
     return status, headers.get(b"retry-after"), body, keep_alive
 
 
+class _Exchange:
+    """One request on its way through HttpBackend.replies."""
+
+    __slots__ = ("index", "path", "message", "attempt", "resent", "due", "conn")
+
+    def __init__(self, index: int, path: str, message: bytes):
+        self.index = index
+        self.path = path
+        self.message = message  # the request head and body, sent in one write
+        self.attempt = 0
+        self.resent = False  # this attempt was already resent on a fresh connection
+        self.due = 0.0  # when the reply must have started, or the backoff ends
+        self.conn = None  # the connection to resend it on, reopened
+
+
 class HttpBackend(Backend):
     """Client for the documented JSON-over-HTTP backend protocol.
 
+    replies() sends from the calling thread over at most parallelism
+    keep-alive connections; generate and translate send one request the same
+    way. Safe to call from several threads at once: idle connections wait in
+    one list until close(), and each call checks out its own, opening more
+    only when it needs them.
+
     retry_base_delay exists so tests can shrink the backoff; production
     callers keep the default (about 0.5s, then 1s, between the three
-    attempts). parallelism, an integer >= 1, bounds the requests
-    run_requests has in flight. Safe to call from several threads at once:
-    each thread keeps its own keep-alive connection. backend_id is "http:"
-    and the base URL, nothing more: two models served at one URL share an id.
+    attempts). parallelism is an integer >= 1. backend_id is "http:" and the
+    base URL, nothing more: two models served at one URL share an id.
     """
 
     def __init__(
@@ -408,9 +382,9 @@ class HttpBackend(Backend):
         retry_base_delay: float = 0.5,
         parallelism: int = 1,
     ):
-        # The transport loads here, on the constructing thread, so a pool
-        # thread never runs an import first. http.client also loads ssl.
+        # The transport loads here, not at import. http.client also loads ssl.
         import http.client
+        import selectors
         import ssl
 
         if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
@@ -451,20 +425,24 @@ class HttpBackend(Backend):
             else:
                 target = self.base_url
                 headers.update(_proxy_auth(proxy))
-        # Every request head is the same but for its path and Content-Length:
-        # "POST <target><path> HTTP/1.1", then these headers.
-        self._head_start = f"POST {target}".encode("ascii")
-        self._head_end = "".join(
+        # Each path's request head, up to its Content-Length value.
+        head_end = "".join(
             [" HTTP/1.1\r\n"]
             + [f"{name}: {value}\r\n" for name, value in headers.items()]
             + ["Content-Length: "]
-        ).encode("ascii")
+        )
+        self._heads = {
+            path: f"POST {target}{path}{head_end}".encode("ascii")
+            for path in ("/v1/generate", "/v1/translate")
+        }
         # One TLS context for every connection: building one reads the
         # system trust store.
         self._tls = ssl.create_default_context() if self._https else None
-        self._local = threading.local()
-        self._connections: List[http.client.HTTPConnection] = []
-        self._connections_lock = threading.Lock()
+        # poll takes no system call to watch or unwatch a socket, and a call
+        # watches only a few.
+        self._selector = getattr(selectors, "PollSelector", selectors.DefaultSelector)
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         # Private, so backoff jitter never draws from (or moves) the global RNG.
         self._jitter = random.Random()
 
@@ -472,36 +450,22 @@ class HttpBackend(Backend):
     def backend_id(self) -> str:
         return f"http:{self.base_url}"
 
-    @property
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection: an HTTPConnection carries one request
-        at a time."""
-        conn = getattr(self._local, "connection", None)
-        if conn is None:
-            import http.client
+    def _new_connection(self) -> http.client.HTTPConnection:
+        """An unopened connection to the server, or to the proxy before it."""
+        import http.client
 
-            if self._https:
-                conn = http.client.HTTPSConnection(
-                    *self._address, timeout=self.timeout, context=self._tls
-                )
-                if self._tunnel is not None:
-                    conn.set_tunnel(*self._tunnel)
-            else:
-                conn = http.client.HTTPConnection(*self._address, timeout=self.timeout)
-            self._local.connection = conn
-            with self._connections_lock:
-                self._connections.append(conn)
+        if not self._https:
+            return http.client.HTTPConnection(*self._address, timeout=self.timeout)
+        conn = http.client.HTTPSConnection(*self._address, timeout=self.timeout, context=self._tls)
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
         return conn
 
     def close(self) -> None:
-        """Shut the pool down, then close every connection this backend
-        opened."""
-        super().close()
-        with self._connections_lock:
-            connections, self._connections = self._connections, []
-            # A later call opens (and tracks) a fresh connection.
-            self._local = threading.local()
-        for conn in connections:
+        """Close every idle connection; a later call opens fresh ones."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
             conn.close()
 
     def _backoff(self, attempt: int) -> float:
@@ -514,100 +478,211 @@ class HttpBackend(Backend):
             return None
         return min(float(value), self.timeout)
 
-    def _send(self, path: str, body: bytes) -> Tuple[int, Optional[bytes], bytes]:
-        """One POST; returns (status, Retry-After header, body).
+    def _exchange(self, index: int, req: Request) -> _Exchange:
+        if isinstance(req, GenerationRequest):
+            path = "/v1/generate"
+            payload = {
+                "prompt": req.prompt,
+                "max_tokens": req.max_tokens,
+                "temperature": 0,
+                "stop": list(req.stop_sequences),
+            }
+        else:
+            path = "/v1/translate"
+            payload = {"text": req.text, "source": req.source, "target": req.target}
+        body = _encode_json(payload).encode("utf-8")
+        return _Exchange(index, path, b"%s%d\r\n\r\n%s" % (self._heads[path], len(body), body))
 
-        A server may close an idle keep-alive connection just as a request
-        goes out. That shows as a reset, a broken pipe or a reply that never
-        starts (a ConnectionResetError); the request is then sent again at
-        once on a fresh connection, and only a second failure counts.
-        Resending is safe because decoding is greedy: a repeated request gets
-        the same reply.
+    def replies(self, requests: Sequence[Request]) -> List[Union[str, BackendError]]:
+        """Send every request; the reply text or BackendError for each, in order.
+
+        One loop on the calling thread keeps at most parallelism requests in
+        flight or waiting out a backoff: a waiting request keeps its slot. A
+        connection gets the next request as soon as its reply has been read.
+        select finds the connections whose reply has started, and
+        _read_reply reads each to its end within the socket's timeout; a
+        reply that has not started timeout seconds after its send is a
+        transport failure. Retries follow the module docstring. A stale
+        keep-alive connection shows as a broken pipe, or as a reset before
+        any byte of the reply: the request is resent at once on that
+        connection, reopened, without using an attempt. Decoding is greedy,
+        so a resent request gets the same reply.
+
+        Any exception but a BackendError (a fault in the program, or Ctrl-C)
+        sends no further request: every connection this call holds is
+        closed, and the exception propagates unchanged.
         """
-        conn = self._connection
-        request = b"%s%s%s%d\r\n\r\n%s" % (
-            self._head_start, path.encode("ascii"), self._head_end, len(body), body
-        )
+        results: List = [None] * len(requests)
+        slots = min(self.parallelism, len(requests))
+        todo = 0  # the index of the first request not yet begun
+        held: list = []  # every connection this call checked out
+        free: list = []  # those with no request on them
+        ready: List[_Exchange] = []  # to send now
+        waiting: List[_Exchange] = []  # waiting out a backoff
+        inflight: dict = {}  # connection -> its exchange, in the order sent
+        https = self._https
+        selector = self._selector()
 
-        for resend in (False, True):
-            try:
-                if conn.sock is None:
-                    import http.client
+        def watch(conn) -> None:
+            if conn.sock is not None:
+                selector.register(conn.sock, _EVENT_READ, conn)
 
-                    try:
-                        conn.connect()
-                    except http.client.HTTPException as e:
-                        # http.client parses a proxy's reply to CONNECT itself.
-                        raise OSError(f"bad reply from the proxy to CONNECT: {e!r}") from e
-                conn.sock.sendall(request)
-                status, retry_after, raw, keep_alive = _read_reply(conn.sock)
-            except BaseException as e:
-                # A failed exchange leaves the connection mid-request; the next
-                # one must start on a fresh socket.
+        def drop(conn) -> None:
+            if conn.sock is not None:
+                selector.unregister(conn.sock)
                 conn.close()
-                if resend or not isinstance(e, (BrokenPipeError, ConnectionResetError)):
-                    raise
-                continue
-            if not keep_alive:
-                conn.close()
-            return status, retry_after, raw
 
-    def _post(self, path: str, payload: dict) -> str:
-        data = _encode_json(payload).encode("utf-8")
-        last_error: Optional[BackendError] = None
-        delay: Optional[float] = None
-        for attempt in range(MAX_ATTEMPTS):
-            if attempt > 0:
-                time.sleep(self._backoff(attempt) if delay is None else delay)
-            delay = None
-            try:
-                status, retry_after, raw = self._send(path, data)
-            except OSError as e:
-                last_error = BackendError(f"transport failure: {e}")
-                continue
+        def retry(ex: _Exchange, error: BackendError, delay: Optional[float] = None) -> None:
+            ex.attempt += 1
+            if ex.attempt >= MAX_ATTEMPTS:
+                results[ex.index] = error
+                return
+            ex.resent = False
+            ex.due = time.monotonic() + (self._backoff(ex.attempt) if delay is None else delay)
+            waiting.append(ex)
+
+        def fail(ex: _Exchange, conn, error: OSError) -> None:
+            # A failed exchange leaves the connection mid-request; the next
+            # one must start on a fresh socket.
+            drop(conn)
+            if not ex.resent and isinstance(error, (BrokenPipeError, ConnectionResetError)):
+                ex.resent, ex.conn = True, conn
+                ready.append(ex)
+                return
+            free.append(conn)
+            retry(ex, BackendError(f"transport failure: {error}"))
+
+        def settle(ex: _Exchange, status: int, retry_after: Optional[bytes], raw: bytes) -> None:
+            path = ex.path
             if 500 <= status < 600:
-                last_error = BackendError(f"server error {status} from {path}")
-                continue
-            if status == 429:
-                last_error = BackendError(f"rate limited (status 429) by {path}")
-                delay = self._retry_after(retry_after)
-                continue
-            if status != 200:
-                raise BackendError(f"unexpected status {status} from {path}")
-            try:
-                body = json.loads(raw)
-            except ValueError as e:
-                raise BackendError(f"malformed JSON from {path}: {e}")
-            if not isinstance(body, dict) or "text" not in body or not isinstance(body["text"], str):
-                raise BackendError(f"malformed payload from {path}: expected {{'text': str}}")
-            return body["text"]
-        assert last_error is not None
-        raise last_error
+                retry(ex, BackendError(f"server error {status} from {path}"))
+            elif status == 429:
+                error = BackendError(f"rate limited (status 429) by {path}")
+                retry(ex, error, self._retry_after(retry_after))
+            elif status != 200:
+                results[ex.index] = BackendError(f"unexpected status {status} from {path}")
+            else:
+                try:
+                    body = json.loads(raw)
+                except ValueError as e:
+                    results[ex.index] = BackendError(f"malformed JSON from {path}: {e}")
+                    return
+                if isinstance(body, dict) and isinstance(body.get("text"), str):
+                    results[ex.index] = body["text"]
+                else:
+                    results[ex.index] = BackendError(
+                        f"malformed payload from {path}: expected {{'text': str}}"
+                    )
+
+        try:
+            while True:
+                if waiting:
+                    now = time.monotonic()
+                    for ex in [ex for ex in waiting if ex.due <= now]:
+                        waiting.remove(ex)
+                        ready.append(ex)
+                while todo < len(requests) and len(inflight) + len(waiting) + len(ready) < slots:
+                    ready.append(self._exchange(todo, requests[todo]))
+                    todo += 1
+                while ready:
+                    ex = ready.pop()
+                    conn, ex.conn = ex.conn, None
+                    if conn is None and free:
+                        conn = free.pop()
+                    elif conn is None:
+                        conn = self._checkout()
+                        held.append(conn)
+                        watch(conn)
+                    try:
+                        if conn.sock is None:
+                            self._connect(conn)
+                            watch(conn)
+                        conn.sock.sendall(ex.message)
+                    except OSError as e:
+                        fail(ex, conn, e)
+                        continue
+                    ex.due = time.monotonic() + self.timeout
+                    inflight[conn] = ex
+                if not inflight and not waiting:
+                    if todo == len(requests):
+                        return results
+                    continue
+                # Every request waits the same timeout, so the one sent first
+                # is the first to time out.
+                deadline = next(iter(inflight.values())).due if inflight else math.inf
+                if waiting:
+                    deadline = min(deadline, min(ex.due for ex in waiting))
+                # Bytes TLS has already decrypted are not seen by select.
+                started = [conn for conn in inflight if conn.sock.pending()] if https else None
+                if not started:
+                    timeout = max(deadline - time.monotonic(), 0)
+                    if inflight:
+                        started = [key.data for key, _ in selector.select(timeout)]
+                    else:
+                        time.sleep(timeout)
+                for conn in started or ():
+                    ex = inflight.pop(conn, None)
+                    if ex is None:
+                        # An idle connection the server closed, or wrote to
+                        # unasked: it is of no further use.
+                        drop(conn)
+                        continue
+                    try:
+                        status, retry_after, raw, keep_alive = _read_reply(conn.sock)
+                    except OSError as e:
+                        fail(ex, conn, e)
+                        continue
+                    if not keep_alive:
+                        drop(conn)
+                    free.append(conn)
+                    settle(ex, status, retry_after, raw)
+                now = time.monotonic()
+                if now >= deadline:
+                    for conn, ex in [item for item in inflight.items() if item[1].due <= now]:
+                        del inflight[conn]
+                        fail(ex, conn, TimeoutError("timed out"))
+        except BaseException:
+            for conn in held:
+                conn.close()
+            raise
+        finally:
+            selector.close()
+            with self._idle_lock:
+                self._idle += held
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle connection, else a new one."""
+        with self._idle_lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._new_connection()
+
+    @staticmethod
+    def _connect(conn) -> None:
+        """Open conn; if that fails, conn is left closed."""
+        import http.client
+
+        try:
+            conn.connect()
+        except http.client.HTTPException as e:
+            # http.client parses a proxy's reply to CONNECT itself.
+            conn.close()
+            raise OSError(f"bad reply from the proxy to CONNECT: {e!r}") from e
+        except OSError:
+            conn.close()  # a failed tunnel or TLS handshake leaves the socket open
+            raise
+
+    def _reply(self, request: Request) -> str:
+        (reply,) = self.replies([request])
+        if isinstance(reply, BackendError):
+            raise reply
+        return reply
 
     def generate(self, request: GenerationRequest) -> str:
-        text = self._post(
-            "/v1/generate",
-            {
-                "prompt": request.prompt,
-                "max_tokens": request.max_tokens,
-                "temperature": 0,
-                "stop": list(request.stop_sequences),
-            },
-        )
-        return apply_stop_sequences(text, request.stop_sequences)
+        return apply_stop_sequences(self._reply(request), request.stop_sequences)
 
     def translate(self, request: TranslationRequest) -> str:
-        return self._post(
-            "/v1/translate",
-            {
-                "text": request.text,
-                "source": request.source,
-                "target": request.target,
-            },
-        )
-
-
-Request = Union[GenerationRequest, TranslationRequest]
+        return self._reply(request)
 
 
 def run_requests(
@@ -617,35 +692,33 @@ def run_requests(
     input, in order.
 
     Decoding is greedy, so identical requests are interchangeable and share
-    one call and one result. Distinct requests fan out over at most
-    backend.parallelism threads. A request whose call raises BackendError
-    gets that error: the caller decides whether that aborts its stage or
-    drops one item. A reply no stage can use is a BackendError too: a text
-    that is not encodable as UTF-8 (a lone surrogate, say), or a
+    one call and one result; backend.replies sends the distinct ones. A
+    request whose call failed gets its BackendError: the caller decides
+    whether that aborts its stage or drops one item. A generation is cut at
+    its first stop sequence. A reply no stage can use is a BackendError too:
+    a text that is not encodable as UTF-8 (a lone surrogate, say), or a
     translation that is empty or only whitespace. An empty generation is a
     valid reply. Any other exception is a fault in the program, not in the
     backend: no further request is sent and it propagates to the caller.
     """
     distinct = list(dict.fromkeys(reqs))
-
-    def call(req: Request) -> Union[str, BackendError]:
-        try:
-            if isinstance(req, GenerationRequest):
-                text = backend.generate(req)
-            else:
-                text = backend.translate(req)
-                if not text.strip():
-                    raise BackendError(f"empty translation {text!r}")
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError as e:
-                raise BackendError(f"reply text cannot be written as UTF-8: {e}") from None
-            return text
-        except BackendError as e:
-            return e
-
-    by_request = dict(zip(distinct, backend._fan_out(call, distinct)))
+    by_request = dict(zip(distinct, map(_checked, distinct, backend.replies(distinct))))
     return [by_request[req] for req in reqs]
+
+
+def _checked(req: Request, reply: Union[str, BackendError]) -> Union[str, BackendError]:
+    """The reply as a stage may use it, or the BackendError it is."""
+    if isinstance(reply, BackendError):
+        return reply
+    if isinstance(req, GenerationRequest):
+        reply = apply_stop_sequences(reply, req.stop_sequences)
+    elif not reply.strip():
+        return BackendError(f"empty translation {reply!r}")
+    try:
+        reply.encode("utf-8")
+    except UnicodeEncodeError as e:
+        return BackendError(f"reply text cannot be written as UTF-8: {e}")
+    return reply
 
 
 class TaggingTranslator(Backend):

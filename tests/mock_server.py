@@ -1,0 +1,166 @@
+"""A stdlib HTTP server that serves in-process backends over the wire
+protocol, so tests can run HttpBackend against the mocks.
+
+    with MockServer(noise_rate=0.5, seed=3) as server:
+        with HttpBackend(base_url=server.url, parallelism=4) as backend:
+            ...
+
+POST /v1/generate answers with generator.generate, by default
+MockQABackend(noise_rate, seed); POST /v1/translate with
+translator.translate, by default TaggingTranslator. ReversingTranslator
+reverses the text instead, so every reply names its request. A BackendError
+the served backend raises becomes a 422 reply, which the client does not
+retry.
+
+The server counts the requests it receives: `served` in all, `seen` per
+prompt or text, and the peak number in flight at once. `intercept(server,
+handler, payload)`, if given, sees each request first. It returns True once
+it has dealt with the request itself, by replying with `send_reply` or
+`server.answer`, or by sending nothing; otherwise the request is answered
+as usual. `release` is set when the server stops, so an interceptor that
+holds a request open can wait on it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import threading
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from qasynth import backends
+from qasynth.backends import (
+    Backend,
+    BackendError,
+    GenerationRequest,
+    HttpBackend,
+    MockQABackend,
+    TaggingTranslator,
+    TranslationRequest,
+)
+
+
+class ReversingTranslator(Backend):
+    """Translates by reversing the text."""
+
+    backend_id = "mock:reversing-translator"
+
+    def translate(self, request: TranslationRequest) -> str:
+        return request.text[::-1]
+
+
+def send_reply(handler, status: int, payload, headers=()) -> None:
+    """Write one JSON reply, framed by Content-Length, on handler's connection."""
+    raw = json.dumps(payload).encode()
+    handler.send_response(status)
+    for name, value in headers:
+        handler.send_header(name, value)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(raw)))
+    handler.end_headers()
+    handler.wfile.write(raw)
+
+
+class MockServer:
+    def __init__(self, generator=None, translator=None, noise_rate=0.0, seed=0, intercept=None):
+        self.generator = generator or MockQABackend(noise_rate=noise_rate, seed=seed)
+        self.translator = translator or TaggingTranslator()
+        self.intercept = intercept
+        self.lock = threading.Lock()
+        self.release = threading.Event()
+        self.reset()
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # Without this, small replies wait on delayed ACKs.
+            disable_nagle_algorithm = True
+
+            def do_POST(self):
+                server._handle(self)
+
+            def log_message(self, *args):
+                pass
+
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._httpd.daemon_threads = True
+        # A client that hangs up before its reply is written is no failure here.
+        self._httpd.handle_error = lambda request, address: None
+        self.url = f"http://127.0.0.1:{self._httpd.server_port}"
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+
+    def reset(self) -> None:
+        with self.lock:
+            self.served = 0
+            self.seen = Counter()
+            self.inflight = 0
+            self.peak_inflight = 0
+
+    def __enter__(self) -> "MockServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release.set()
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+    def _handle(self, handler) -> None:
+        payload = json.loads(handler.rfile.read(int(handler.headers["Content-Length"])))
+        with self.lock:
+            self.served += 1
+            self.seen[payload.get("prompt", payload.get("text"))] += 1
+            self.inflight += 1
+            self.peak_inflight = max(self.peak_inflight, self.inflight)
+        try:
+            if self.intercept is None or not self.intercept(self, handler, payload):
+                self.answer(handler, payload)
+        finally:
+            with self.lock:
+                self.inflight -= 1
+
+    def answer(self, handler, payload: dict) -> None:
+        """Reply as the served backend does."""
+        try:
+            if handler.path == "/v1/generate":
+                text = self.generator.generate(GenerationRequest(
+                    payload["prompt"], payload["max_tokens"], tuple(payload["stop"])))
+            elif handler.path == "/v1/translate":
+                text = self.translator.translate(TranslationRequest(
+                    payload["text"], payload["source"], payload["target"]))
+            else:
+                send_reply(handler, 404, {"error": "not found"})
+                return
+        except BackendError as e:
+            send_reply(handler, 422, {"error": str(e)})
+        else:
+            send_reply(handler, 200, {"text": text})
+
+
+@contextlib.contextmanager
+def http_backend(parallelism: int, **server_args):
+    """(backend, server): an HttpBackend at parallelism, with no backoff,
+    against a MockServer(**server_args)."""
+    with MockServer(**server_args) as server:
+        with HttpBackend(base_url=server.url, parallelism=parallelism,
+                         retry_base_delay=0.0) as backend:
+            yield backend, server
+
+
+def raise_on_reply(monkeypatch, needle: bytes) -> None:
+    """Make HttpBackend raise RuntimeError("boom") once it has read a reply
+    whose body contains needle: a fault in the program, mid-fan-out."""
+    read = backends._read_reply
+
+    def reading(sock):
+        reply = read(sock)
+        if needle in reply[2]:
+            raise RuntimeError("boom")
+        return reply
+
+    monkeypatch.setattr(backends, "_read_reply", reading)

@@ -35,6 +35,7 @@ from qasynth.backends import (
 from qasynth.corpus import Passage
 from qasynth.promptkit import render_answer_prompt, render_question_prompt
 from tests.conftest import StaticBackend
+from tests.mock_server import MockServer, ReversingTranslator, http_backend, send_reply
 from tests.test_promptkit import one_exemplar
 
 
@@ -253,17 +254,6 @@ class TestRetries:
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))
 
 
-class TestSessions:
-    def test_one_session_per_thread(self):
-        backend = HttpBackend(base_url="http://127.0.0.1:9")
-        seen = []
-        worker = threading.Thread(target=lambda: seen.append(backend._connection))
-        worker.start()
-        worker.join(timeout=5)
-        assert backend._connection is backend._connection
-        assert seen[0] is not backend._connection
-
-
 class EchoHandler(BaseHTTPRequestHandler):
     """Translates by reversing the text, so every reply names its request."""
 
@@ -291,10 +281,16 @@ def keepalive_url():
 
 class TestClose:
     def test_close_closes_every_thread_session(self, keepalive_url, recorded_connections):
+        # Fan-outs from two threads; close() closes what both opened.
         backend = HttpBackend(base_url=keepalive_url, parallelism=3)
         reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(6)]
-        assert all(isinstance(r, str) for r in run_requests(backend, reqs))
-        backend._connection  # the calling thread's own connection
+        results = []
+        worker = threading.Thread(target=lambda: results.append(run_requests(backend, reqs)))
+        worker.start()
+        results.append(run_requests(backend, reqs))
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert results == [[req.text[::-1] for req in reqs]] * 2
         assert len(recorded_connections) >= 2
         assert not all(c.closed for c in recorded_connections)
         backend.close()
@@ -341,8 +337,8 @@ class CountingKeepAlive(EchoHandler):
         super().do_POST()
 
 
-class TestPool:
-    def test_fan_outs_share_one_pool_and_its_connections(self):
+class TestConnections:
+    def test_fan_outs_share_the_idle_connections(self):
         CountingKeepAlive.accepted = CountingKeepAlive.open = 0
         with serving(CountingKeepAlive, ThreadingHTTPServer) as httpd:
             with HttpBackend(
@@ -362,27 +358,138 @@ class TestPool:
                 time.sleep(0.01)
             assert CountingKeepAlive.open == 0
 
-    def test_close_ends_the_pool_threads_and_a_later_fan_out_starts_new_ones(self):
-        threads = []
-
-        class Recording(MockQABackend):
-            parallelism = 2
-
-            def generate(self, request):
-                threads.append(threading.current_thread())
-                return super().generate(request)
-
+    def test_close_closes_every_connection_and_a_later_fan_out_opens_new_ones(
+        self, recorded_connections
+    ):
+        # The fan-out runs on the calling thread: the client starts none.
         reqs = [GenerationRequest(prompt=f"[fi] p{i}", max_tokens=8) for i in range(3)]
-        backend = Recording()
-        for _ in range(2):
+        with http_backend(2) as (backend, server):
+            for round_ in range(2):
+                before = set(threading.enumerate())
+                results = run_requests(backend, reqs)
+                assert all(isinstance(r, str) for r in results)
+                started = set(threading.enumerate()) - before
+                assert all("process_request" in t.name for t in started)  # the server's
+                assert len(recorded_connections) == 2 * (round_ + 1)
+                assert not any(c.closed for c in recorded_connections[-2:])
+                backend.close()
+                assert all(c.closed for c in recorded_connections)
+
+    def test_threads_calling_at_once_each_get_their_own_connections(self):
+        # Four requests meet at the server: two threads fan out at
+        # parallelism 2 at the same time, each over its own two connections.
+        barrier = threading.Barrier(4, timeout=5)
+
+        def wait(server, handler, payload):
+            barrier.wait()
+
+        texts = [[f"a{i}" for i in range(4)], [f"b{i}" for i in range(4)]]
+        results = {}
+        with http_backend(2, translator=ReversingTranslator(), intercept=wait) as (
+            backend, server
+        ):
+            def fan_out(batch):
+                reqs = [TranslationRequest(text=t, source="en", target="fi") for t in batch]
+                results[batch[0]] = run_requests(backend, reqs)
+
+            worker = threading.Thread(target=fan_out, args=(texts[1],))
+            worker.start()
+            fan_out(texts[0])
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert len(backend._idle) == 4
+        assert results == {batch[0]: [t[::-1] for t in batch] for batch in texts}
+        assert server.peak_inflight == 4
+
+
+class TestMultiplexing:
+    """One loop on the calling thread serves every connection: a request
+    that waits or fails holds up none of the others."""
+
+    @pytest.mark.parametrize(
+        "status, base_delay", [(503, 1.0), (429, 0.0)], ids=["503-backoff", "429-retry-after"]
+    )
+    def test_a_backoff_does_not_stall_the_other_connection(self, status, base_delay):
+        # "slow" first gets a 503 (a backoff of 0.5-1.5 s) or a 429 with
+        # Retry-After: 1. Eight 20 ms requests fit in that wait, and the
+        # waiting request keeps its slot, so they go one at a time.
+        log = []  # (text, arrival time, requests in flight then)
+        backoff_from = []
+
+        def script(server, handler, payload):
+            log.append((payload["text"], time.monotonic(), server.inflight))
+            if payload["text"] == "slow" and server.seen["slow"] == 1:
+                send_reply(handler, status, {}, [("Retry-After", "1")])
+                backoff_from.append(time.monotonic())
+                return True
+            time.sleep(0.02)
+
+        texts = ["slow"] + [f"t{i}" for i in range(8)]
+        reqs = [TranslationRequest(text=t, source="en", target="fi") for t in texts]
+        with MockServer(translator=ReversingTranslator(), intercept=script) as server:
+            with HttpBackend(base_url=server.url, parallelism=2,
+                             retry_base_delay=base_delay) as backend:
+                results = run_requests(backend, reqs)
+        assert results == [t[::-1] for t in texts]
+        _, retried = [at for text, at, _ in log if text == "slow"]
+        assert all(at < retried for text, at, _ in log if text != "slow")
+        # Well inside the wait, only one request is in flight at a time.
+        inside = [n for text, at, n in log if backoff_from[0] + 0.05 < at < retried]
+        assert inside and set(inside) == {1}
+        assert server.peak_inflight <= 2
+
+    def test_a_reply_that_never_starts_times_out_alone(self):
+        def hang(server, handler, payload):
+            if payload["text"] == "stuck":
+                server.release.wait(10)
+                handler.close_connection = True
+                return True
+
+        texts = ["stuck"] + [f"t{i}" for i in range(8)]
+        reqs = [TranslationRequest(text=t, source="en", target="fi") for t in texts]
+        with MockServer(translator=ReversingTranslator(), intercept=hang) as server:
+            with HttpBackend(base_url=server.url, parallelism=2, timeout=0.3,
+                             retry_base_delay=0.0) as backend:
+                start = time.monotonic()
+                results = run_requests(backend, reqs)
+                elapsed = time.monotonic() - start
+        assert isinstance(results[0], BackendError)
+        assert str(results[0]) == "transport failure: timed out"
+        assert results[1:] == [t[::-1] for t in texts[1:]]
+        assert server.seen["stuck"] == 3
+        assert 0.9 <= elapsed < 3
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_every_request_to_a_closed_port_fails_in_transport(self, parallelism):
+        # Each request in turn uses up its attempts while no connection is
+        # open; the fan-out still sends every one.
+        reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(5)]
+        with HttpBackend(base_url="http://127.0.0.1:9", parallelism=parallelism,
+                         retry_base_delay=0.001) as backend:
             results = run_requests(backend, reqs)
-            assert all(isinstance(r, str) for r in results)
-            assert threading.current_thread() not in threads
-            assert len(set(threads)) <= 2
-            assert all(t.is_alive() for t in threads)  # the pool outlives the call
-            backend.close()
-            assert not any(t.is_alive() for t in threads)
-            threads.clear()
+        assert all(isinstance(r, BackendError) for r in results)
+        assert all(str(r).startswith("transport failure: ") for r in results)
+
+    def test_a_stale_keep_alive_connection_is_resent_once(self):
+        def one_reply_per_connection(server, handler, payload):
+            # As a server whose keep-alive timeout ran out: the reply does
+            # not say Connection: close, but the connection is closed.
+            server.answer(handler, payload)
+            handler.close_connection = True
+            return True
+
+        texts = [f"t{i}" for i in range(8)]
+        reqs = [TranslationRequest(text=t, source="en", target="fi") for t in texts]
+        with MockServer(translator=ReversingTranslator(),
+                        intercept=one_reply_per_connection) as server:
+            with HttpBackend(base_url=server.url, parallelism=2,
+                             retry_base_delay=5.0) as backend:
+                start = time.monotonic()
+                results = run_requests(backend, reqs)
+                elapsed = time.monotonic() - start
+        assert results == [t[::-1] for t in texts]
+        assert server.seen == {t: 1 for t in texts}
+        assert elapsed < 2  # one backoff would sleep 2.5 s or more
 
 
 class OneReplyPerConnection(EchoHandler):
@@ -501,7 +608,7 @@ class TestTransport:
 
     def test_https_url_builds_tls_connection_lazily(self):
         with HttpBackend(base_url="https://backend.invalid/api") as backend:
-            conn = backend._connection
+            conn = backend._new_connection()
             assert isinstance(conn, http.client.HTTPSConnection)
             assert (conn.host, conn.port, conn.sock) == ("backend.invalid", 443, None)
 

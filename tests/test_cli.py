@@ -56,7 +56,43 @@ def gold_en_path(tmp_path, gold_en) -> str:
     return str(path)
 
 
+HELP = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text(encoding="utf-8"))
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_is_byte_identical_to_the_golden_text(self, command, capsys, monkeypatch):
+        # The golden text is what the parser printed at 80 columns when
+        # main still built a new parser on every call.
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(([] if command == "qasynth" else [command]) + ["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == HELP[command]
+
+    def test_main_reuses_one_parser_across_commands(self, tmp_path, monkeypatch, squad_raw):
+        import qasynth.cli as cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+        cli._shared_parser.cache_clear()
+        pool = write_pool(tmp_path)
+        (tmp_path / "squad.json").write_bytes(squad_raw)
+        sample = ["sample", "--passages", pool, "--language", "fi", "--n", "2"]
+        assert main(sample + ["--min-len", "5", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["frobnicate"]) == EXIT_USAGE
+        assert main(["stats", "--input", str(tmp_path / "squad.json"),
+                     "--format", "squad", "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert main(sample + ["--out", str(tmp_path / "b")]) == EXIT_OK
+        assert len(built) == 1
+        # Each call parsed its own flags: the second sample has the default window.
+        windows = [tuple(read_manifest(tmp_path / d)["inputs"][k] for k in ("min_len", "max_len"))
+                   for d in ("a", "b")]
+        assert windows == [("5", "510"), ("200", "510")]
+        assert read_manifest(tmp_path / "s")["inputs"]["format"] == "squad"
+
     def test_version_prints_and_exits(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

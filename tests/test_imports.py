@@ -1,7 +1,7 @@
 """What a command loads: qasynth.tuner and numpy only where the toy model
 runs (tune, and synth --method pt with --prompts-dir), the HTTP stack only
 where an HttpBackend is built, promptkit, synthesis and taxonomy only in the
-commands that run them, and never requests.
+commands that run them, and never requests or concurrent.futures.
 
 Each check starts a fresh interpreter, because this test session itself has
 long since imported all of them.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,12 +23,16 @@ from qasynth.cli import EXIT_OK, main, save_exemplars
 from qasynth.corpus import parse_squad_json
 from qasynth.tuner import init_prompt, save_prompt
 
+from mock_server import MockServer
 from test_cli import TINY_TUNER, write_config, write_passage_file, write_pool, write_tune_corpus
+from test_cli import gold_en_path  # noqa: F401  (a fixture)
 from test_synthesis import fi_exemplars, fi_passages
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HTTP_STACK = ("concurrent.futures", "email.parser", "http.client", "ssl", "urllib.request")
+HTTP_STACK = ("email.parser", "http.client", "selectors", "ssl", "urllib.request")
+# Loaded by no qasynth code path: the fan-out has no thread pool.
+NEVER = ("concurrent.futures", "requests")
 LAYERS = ("qasynth.promptkit", "qasynth.synthesis", "qasynth.taxonomy", "qasynth.tuner")
 
 # Runs each argv given as JSON on the command line through cli.main, then
@@ -37,7 +42,7 @@ PROBE = f"""
 import json, sys
 import qasynth.cli
 
-WATCHED = ("numpy", "requests") + {HTTP_STACK!r} + {LAYERS!r}
+WATCHED = ("numpy",) + {NEVER!r} + {HTTP_STACK!r} + {LAYERS!r}
 
 def loaded():
     return sorted(m for m in WATCHED if m in sys.modules)
@@ -110,15 +115,45 @@ import json, sys
 from qasynth.backends import HttpBackend
 
 def loaded():
-    return sorted(m for m in {HTTP_STACK!r} if m in sys.modules)
+    return sorted(m for m in {HTTP_STACK!r} + {NEVER!r} if m in sys.modules)
 
 before = loaded()
 HttpBackend(base_url="http://127.0.0.1:9", parallelism=2).close()
 print(json.dumps({{"before": before, "after": loaded()}}))
 """)
     assert report["before"] == []
-    # concurrent.futures waits for the first fan-out.
-    assert report["after"] == ["email.parser", "http.client", "ssl", "urllib.request"]
+    assert report["after"] == list(HTTP_STACK)
+
+
+def test_http_commands_load_no_thread_pool(tmp_path, gold_en_path):
+    # exemplars and synth fan out over HTTP at parallelism 2.
+    write_passage_file(tmp_path / "passages", "fi", [p.text for p in fi_passages(4)])
+    save_exemplars(fi_exemplars(), tmp_path / "fi.exemplars.json")
+    with MockServer() as server:
+        config = write_config(tmp_path, {"languages": ["en", "fi"], "backend": {
+            "kind": "http", "url": server.url, "parallelism": 2}})
+        argvs = [
+            ["exemplars", "--config", config, "--gold", gold_en_path, "--language", "fi",
+             "--out", str(tmp_path / "exemplars")],
+            ["synth", "--config", config, "--method", "pe",
+             "--passages-dir", str(tmp_path / "passages"),
+             "--exemplars-dir", str(tmp_path), "--out", str(tmp_path / "pe")],
+        ]
+        report = run_fresh(argvs, tmp_path)
+    assert report["codes"] == [EXIT_OK] * 2
+    assert server.served == 15 + 8  # 5 shots x 3 fields, then 4 passages x 2 stages
+    assert report["after_import"] == []
+    assert report["after_command"] == [
+        sorted(HTTP_STACK + ("qasynth.promptkit",)),
+        sorted(HTTP_STACK + ("qasynth.promptkit", "qasynth.synthesis")),
+    ]
+
+
+def test_no_source_file_imports_concurrent_futures():
+    # The commands above cover some code paths; this covers the rest.
+    for path in (SRC / "qasynth").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(import|from)\s+concurrent\b", text, re.M), path.name
 
 
 def test_every_module_is_an_attribute_of_the_package():

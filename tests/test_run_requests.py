@@ -1,13 +1,18 @@
 """The request runner: dedup, order, fan-out bounded by the backend's
-parallelism, and the failure semantics of every stage built on it."""
+parallelism, and the failure semantics of every stage built on it. The
+fan-out runs over HTTP against tests/mock_server.py; the mocks answer
+serially, inline."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import os
 import signal
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 from qasynth.backends import (
     Backend,
     BackendError,
+    HttpBackend,
     MockQABackend,
     TranslationRequest,
     run_requests,
@@ -32,21 +38,27 @@ from qasynth.synthesis import (
 )
 from qasynth.taxonomy import distribution
 from tests.conftest import make_example
+from tests.mock_server import (
+    MockServer,
+    ReversingTranslator,
+    http_backend,
+    raise_on_reply,
+)
 from tests.test_synthesis import StubRoundtrip, fi_exemplars, fi_passages
+
+REFUSED = "unexpected status 422 from /v1/translate"  # a served BackendError, over HTTP
 
 
 class CountingTranslator(Backend):
     """Reverses the text; counts calls per (text, source, target); raises
-    BackendError on the texts in fail_on. run_requests sends it at most
-    parallelism requests at once."""
+    BackendError on the texts in fail_on."""
 
     backend_id = "mock:counting"
 
-    def __init__(self, fail_on=(), parallelism=1):
+    def __init__(self, fail_on=()):
         self.fail_on = set(fail_on)
-        self.parallelism = parallelism
         self.calls = Counter()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # a MockServer calls it from several threads
 
     def translate(self, request):
         with self._lock:
@@ -71,52 +83,61 @@ def doubled(gold_en: Dataset) -> Dataset:
 
 class TestRunRequests:
     def test_empty(self):
-        assert run_requests(CountingTranslator(parallelism=4), []) == []
+        assert run_requests(CountingTranslator(), []) == []
+        with http_backend(4) as (backend, server):
+            assert run_requests(backend, []) == []
+        assert server.served == 0
 
     def test_fans_out_to_parallelism(self):
-        # Every call waits until the backend's `parallelism` calls are in
-        # flight at once; a runner with less fan-out breaks the barrier and
-        # records errors.
+        # Every request waits at the server until the backend's
+        # `parallelism` requests are in flight at once; a client with less
+        # fan-out breaks the barrier and gets no replies.
         barrier = threading.Barrier(3, timeout=5)
 
-        class Waiting(CountingTranslator):
-            def translate(self, request):
-                barrier.wait()
-                return super().translate(request)
+        def wait(server, handler, payload):
+            barrier.wait()
 
         reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(6)]
-        results = run_requests(Waiting(parallelism=3), reqs)
+        with http_backend(3, translator=ReversingTranslator(), intercept=wait) as (backend, server):
+            results = run_requests(backend, reqs)
         assert results == [f"{i}t" for i in range(6)]
+        assert server.peak_inflight == 3
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        picks=st.lists(st.integers(0, 5), max_size=20),
-        failing=st.sets(st.integers(0, 5)),
-        parallelism=st.integers(1, 4),
-    )
-    def test_equals_serial_map(self, picks, failing, parallelism):
+    def test_equals_serial_map(self):
         texts = [f"text {i}" for i in range(6)]
-        reqs = [TranslationRequest(text=texts[i], source="en", target="fi") for i in picks]
-        translator = CountingTranslator(
-            fail_on={texts[i] for i in failing}, parallelism=parallelism
+        translator = CountingTranslator()
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            picks=st.lists(st.integers(0, 5), max_size=20),
+            failing=st.sets(st.integers(0, 5)),
+            parallelism=st.integers(1, 4),
         )
+        def check(picks, failing, parallelism):
+            reqs = [TranslationRequest(text=texts[i], source="en", target="fi") for i in picks]
+            translator.fail_on = {texts[i] for i in failing}
 
-        def serial(req):
-            try:
-                return translator.translate(req)
-            except BackendError as e:
-                return e
+            def serial(req):
+                try:
+                    return translator.translate(req)
+                except BackendError:
+                    return BackendError(REFUSED)
 
-        expected = [serial(req) for req in reqs]
-        translator.calls.clear()
-        got = run_requests(translator, reqs)
-        assert [(type(r), str(r)) for r in got] == [(type(r), str(r)) for r in expected]
-        assert sum(translator.calls.values()) == len(set(reqs))
+            expected = [serial(req) for req in reqs]
+            server.reset()
+            with HttpBackend(base_url=server.url, parallelism=parallelism) as backend:
+                got = run_requests(backend, reqs)
+            assert [(type(r), str(r)) for r in got] == [(type(r), str(r)) for r in expected]
+            assert server.seen == Counter(req.text for req in set(reqs))
+            assert server.peak_inflight <= parallelism
+
+        with MockServer(translator=translator) as server:
+            check()
 
 
 class TestDedup:
     def test_synth_mt_one_call_per_distinct_request(self, gold_en):
-        translator = CountingTranslator(parallelism=4)
+        translator = CountingTranslator()
         run = synth_mt(doubled(gold_en), translator, ["fi", "ar"])
         distinct = {
             (getattr(ex, name), "en", lang)
@@ -130,7 +151,7 @@ class TestDedup:
 
     def test_failing_duplicate_is_sent_once(self, gold_en):
         bad = gold_en.examples[1].question
-        translator = CountingTranslator(fail_on={bad}, parallelism=4)
+        translator = CountingTranslator(fail_on={bad})
         with pytest.raises(BackendError):
             synth_mt(doubled(gold_en), translator, ["fi"])
         assert translator.calls[(bad, "en", "fi")] == 1
@@ -139,45 +160,38 @@ class TestDedup:
 class TestFailureSemantics:
     def test_synth_mt_raises_first_failure_in_order(self, gold_en):
         bad = gold_en.examples[1].question
-        messages = set()
-        for parallelism in (1, 4):
+        failure = "translation of 'question' failed for example 'en-1' (ar): "
+        with pytest.raises(BackendError) as err:
+            synth_mt(gold_en, CountingTranslator(fail_on={bad}), ["fi", "ar"])
+        assert str(err.value) == f"{failure}cannot translate {bad!r}"
+        with http_backend(4, translator=CountingTranslator(fail_on={bad})) as (backend, _):
             with pytest.raises(BackendError) as err:
-                synth_mt(gold_en, CountingTranslator(fail_on={bad}, parallelism=parallelism),
-                         ["fi", "ar"])
-            messages.add(str(err.value))
-        assert messages == {
-            f"translation of 'question' failed for example 'en-1' (ar): "
-            f"cannot translate {bad!r}"
-        }
+                synth_mt(gold_en, backend, ["fi", "ar"])
+        assert str(err.value) == failure + REFUSED
 
     def test_build_exemplars_raises_first_failure_in_order(self, gold_en):
         bad = {gold_en.examples[3].answer, gold_en.examples[2].context}
-        messages = set()
-        for parallelism in (1, 4):
+        failure = "translation of 'context' failed for example 'en-2' (fi): "
+        with pytest.raises(BackendError) as err:
+            build_exemplars_en_only(gold_en, CountingTranslator(fail_on=bad), "fi")
+        assert str(err.value) == (
+            f"{failure}cannot translate {gold_en.examples[2].context!r}"
+        )
+        with http_backend(4, translator=CountingTranslator(fail_on=bad)) as (backend, _):
             with pytest.raises(BackendError) as err:
-                build_exemplars_en_only(
-                    gold_en, CountingTranslator(fail_on=bad, parallelism=parallelism), "fi"
-                )
-            messages.add(str(err.value))
-        assert messages == {
-            f"translation of 'context' failed for example 'en-2' (fi): "
-            f"cannot translate {gold_en.examples[2].context!r}"
-        }
+                build_exemplars_en_only(gold_en, backend, "fi")
+        assert str(err.value) == failure + REFUSED
 
     def test_program_fault_in_exemplars_is_raised_unwrapped(self, gold_en):
         # Only a BackendError is a failed call; anything else is a fault in
         # the program and reaches the caller as it was raised.
         class Broken(Backend):
-            def __init__(self, parallelism):
-                self.parallelism = parallelism
-
             def translate(self, request):
                 raise RuntimeError("boom")
 
-        for parallelism in (1, 4):
-            with Broken(parallelism) as translator, pytest.raises(RuntimeError) as err:
-                build_exemplars_en_only(gold_en, translator, "fi")
-            assert type(err.value) is RuntimeError and str(err.value) == "boom"
+        with Broken() as translator, pytest.raises(RuntimeError) as err:
+            build_exemplars_en_only(gold_en, translator, "fi")
+        assert type(err.value) is RuntimeError and str(err.value) == "boom"
 
     def test_synth_mt_program_fault_is_raised_unwrapped(self, gold_en):
         class BrokenOnQuestion(CountingTranslator):
@@ -186,40 +200,31 @@ class TestFailureSemantics:
                     raise RuntimeError("boom")
                 return super().translate(request)
 
-        for parallelism in (1, 4):
-            translator = BrokenOnQuestion(parallelism=parallelism)
-            with translator, pytest.raises(RuntimeError) as err:
-                synth_mt(gold_en, translator, ["fi", "ar"])
-            assert type(err.value) is RuntimeError and str(err.value) == "boom"
+        translator = BrokenOnQuestion()
+        with translator, pytest.raises(RuntimeError) as err:
+            synth_mt(gold_en, translator, ["fi", "ar"])
+        assert type(err.value) is RuntimeError and str(err.value) == "boom"
 
-    def test_synth_pe_program_fault_stops_the_fan_out(self):
+    def test_synth_pe_program_fault_stops_the_fan_out(self, monkeypatch, recorded_connections):
         passages = [
             Passage(id=f"fi-p{i}", text=f"Silta valmistui vuonna {1000 + i}.", language="fi")
             for i in range(200)
         ]
 
-        class FaultOnFirst(MockQABackend):
-            def __init__(self, parallelism):
-                super().__init__()
-                self.parallelism = parallelism
-                self.calls = []
+        def slow(server, handler, payload):
+            time.sleep(0.002)
 
-            def generate(self, request):
-                self.calls.append(request.prompt)
-                if request.prompt.rsplit("  Passage: ", 1)[1].startswith(passages[0].text):
-                    raise RuntimeError("boom")
-                time.sleep(0.002)
-                return super().generate(request)
-
+        # The client faults on reading the reply for the first passage.
+        raise_on_reply(monkeypatch, b'" 1000')
         for parallelism in (1, 4):
-            backend = FaultOnFirst(parallelism)
-            with backend, pytest.raises(RuntimeError, match="^boom$"):
-                synth_pe({"fi": fi_exemplars()}, {"fi": passages}, backend)
-            # The fault is on the first request: a worker that had already
-            # taken one may finish it, but no worker takes another.
-            assert 1 <= len(backend.calls) < 20
-            if parallelism == 1:
-                assert len(backend.calls) == 1
+            with http_backend(parallelism, intercept=slow) as (backend, server):
+                with pytest.raises(RuntimeError, match="^boom$"):
+                    synth_pe({"fi": fi_exemplars()}, {"fi": passages}, backend)
+                # Requests already in flight were sent, but no more.
+                assert 1 <= server.served < 20
+                if parallelism == 1:
+                    assert server.served == 1
+                assert all(c.closed for c in recorded_connections)
 
     def test_filter_roundtrip_one_note_per_failed_item(self):
         examples = Dataset(
@@ -229,166 +234,133 @@ class TestFailureSemantics:
                 for i, q in enumerate(["Milloin?", "Kuka?", "Milloin?", "Miksi?"])
             ),
         )
-        backend = StubRoundtrip({"Milloin?": "1956"})
-        backend.parallelism = 4
-        kept, report = filter_roundtrip(examples, backend, fi_exemplars())
+        with http_backend(4, generator=StubRoundtrip({"Milloin?": "1956"})) as (backend, _):
+            kept, report = filter_roundtrip(examples, backend, fi_exemplars())
         assert [ex.id for ex in kept.examples] == ["pe-fi-0", "pe-fi-2"]
         assert report.dropped == {"roundtrip_mismatch": 2}
         assert [note.split(":")[0] for note in report.notes] == ["pe-fi-1", "pe-fi-3"]
 
     def test_synth_pe_one_note_per_failed_item(self):
         class FailOnPassage(MockQABackend):
-            parallelism = 4
-
             def generate(self, request):
                 if "Kaupungissa" in request.prompt.rsplit("  Passage: ", 1)[1]:
                     raise BackendError("refused")
                 return super().generate(request)
 
         passages = fi_passages(10)
-        run = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, FailOnPassage())
+        with http_backend(4, generator=FailOnPassage()) as (backend, _):
+            run = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, backend)
         report = run.reports["fi"]
         failed = [p.id for p in passages if "Kaupungissa" in p.text]
         assert report.dropped == {"empty_generation": len(failed)}
-        assert list(report.notes) == [f"{pid}: refused" for pid in failed]
+        assert list(report.notes) == [
+            f"{pid}: unexpected status 422 from /v1/generate" for pid in failed
+        ]
         assert len(run.raw["fi"]) == 10 - len(failed)
 
 
 class TestParallelismInvariance:
-    """A backend's parallelism changes how many requests are in flight,
-    never the output."""
+    """Over HTTP, a backend's parallelism changes how many requests are in
+    flight, never the output: every stage matches the serial mocks."""
 
     def test_every_stage(self, gold_en):
         passages = {"fi": fi_passages(12)}
 
-        def outputs(p):
-            backend = MockQABackend(noise_rate=0.5, seed=3)
-            backend.parallelism = p
-            mt = synth_mt(gold_en, CountingTranslator(parallelism=p), ["fi", "ar"])
-            pe = synth_pe({"fi": fi_exemplars()}, passages, backend)
+        def outputs(generator, translator):
+            mt = synth_mt(gold_en, translator, ["fi", "ar"])
+            pe = synth_pe({"fi": fi_exemplars()}, passages, generator)
             extracted, _ = filter_extractive(pe.raw["fi"])
-            rt = filter_roundtrip(extracted, backend, fi_exemplars())
-            pt = synth_pt(passages, backend=backend)
+            rt = filter_roundtrip(extracted, generator, fi_exemplars())
+            pt = synth_pt(passages, backend=generator)
             mixed = Dataset(
                 name="tax",
                 examples=gold_en.examples + mt.raw["fi"].examples + mt.raw["ar"].examples,
             )
-            tax = distribution(mixed, CountingTranslator(parallelism=p))
+            tax = distribution(mixed, translator)
             return (mt.raw, mt.reports, pe.raw, pe.reports, rt, pt.raw, pt.reports,
                     tax.to_dict())
 
-        serial = outputs(1)
+        serial = outputs(MockQABackend(noise_rate=0.5, seed=3), ReversingTranslator())
         assert serial[4][0].examples  # non-vacuous: the round trip keeps something
-        assert outputs(4) == serial
+        with MockServer(noise_rate=0.5, seed=3, translator=ReversingTranslator()) as server:
+            for parallelism in (1, 4):
+                server.reset()
+                with HttpBackend(base_url=server.url, parallelism=parallelism) as backend:
+                    assert outputs(backend, backend) == serial
+                assert server.peak_inflight <= parallelism
 
 
-def run_bounded(fn, timeout=60):
-    """fn() on a helper thread joined with a timeout: its result, or the
-    exception it raised."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["result"] = fn()
-        except BaseException as e:  # handed to the test thread below
-            outcome["error"] = e
-
-    thread = threading.Thread(target=target)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), f"still running after {timeout} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
+@contextlib.contextmanager
+def no_unclosed_sockets():
+    """Fail if a socket is garbage-collected unclosed inside the block."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestFanOut:
-    """Backend._fan_out: pool workers pull the next item from a shared
-    iterator, and stop pulling once a call raises or the caller is
-    interrupted."""
+    """HttpBackend.replies: one loop on the calling thread keeps at most
+    parallelism requests in flight, and stops sending once the program
+    faults or the caller is interrupted."""
 
     def test_stress_every_item_once_in_order_within_parallelism(self):
-        # More workers than this host's CPUs and a short switch interval:
-        # a lost update on the shared iterator shows as an item run twice
-        # or never, or as more than parallelism calls in flight.
-        n, parallelism = 5000, 8
-        ran = Counter()
-        lock = threading.Lock()
-        inflight = peak = 0
-
-        def fn(item):
-            nonlocal inflight, peak
-            with lock:
-                ran[item] += 1
-                inflight += 1
-                peak = max(peak, inflight)
-            time.sleep(0)
-            with lock:
-                inflight -= 1
-            return -item
-
-        backend = CountingTranslator(parallelism=parallelism)
+        # More connections than this host's CPUs, and a short switch
+        # interval for the server's threads: a lost or doubled request, or a
+        # reply handed to the wrong request, shows in the counts or results.
+        n, parallelism = 2000, 8
+        reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(n)]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        sys.setswitchinterval(1e-5)
         try:
-            results = run_bounded(lambda: backend._fan_out(fn, list(range(n))))
+            with http_backend(parallelism, translator=ReversingTranslator()) as (backend, server):
+                results = run_requests(backend, reqs)
         finally:
             sys.setswitchinterval(interval)
-            backend.close()
-        assert ran == Counter(range(n))
-        assert results == [-i for i in range(n)]
-        assert 1 < peak <= parallelism
+        assert server.seen == Counter(req.text for req in reqs)
+        assert results == [req.text[::-1] for req in reqs]
+        assert 1 < server.peak_inflight <= parallelism
 
-    def test_a_raising_call_stops_the_hand_out_and_reaches_the_caller(self):
-        ran = []
-        lock = threading.Lock()
-        inflight = 0
+    def test_a_raising_call_stops_the_hand_out_and_reaches_the_caller(
+        self, monkeypatch, recorded_connections
+    ):
+        def delay(server, handler, payload):
+            # Request t0 is answered while the others are still in flight.
+            time.sleep(0.005 if payload["text"] == "t0" else 0.02)
 
-        def fn(item):
-            nonlocal inflight
-            with lock:
-                ran.append(item)
-                inflight += 1
-            try:
-                if item == 0:
-                    # Raised while the other workers are mid-call.
-                    time.sleep(0.005)
-                    raise RuntimeError("boom")
-                time.sleep(0.02)
-                return item
-            finally:
-                with lock:
-                    inflight -= 1
+        raise_on_reply(monkeypatch, b'"0t"')
+        reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(1000)]
+        with no_unclosed_sockets():
+            with http_backend(4, translator=ReversingTranslator(), intercept=delay) as (
+                backend, server
+            ):
+                with pytest.raises(RuntimeError, match="^boom$"):
+                    run_requests(backend, reqs)
+                # Every connection with a reply outstanding is closed at once.
+                assert len(recorded_connections) == 4
+                assert all(c.closed for c in recorded_connections)
+            assert server.seen["t0"] == 1 and server.served < 20
 
-        backend = CountingTranslator(parallelism=4)
-        try:
-            with pytest.raises(RuntimeError, match="^boom$"):
-                run_bounded(lambda: backend._fan_out(fn, list(range(1000))))
-            assert inflight == 0  # every worker finished before the raise
-            assert 0 in ran and len(ran) < 20
-        finally:
-            backend.close()
-
-    def test_sigint_stops_after_the_calls_in_flight(self):
-        # A real signal: _thread.interrupt_main() only sets a flag, which
-        # does not wake a main thread blocked in one long wait. Only the main
-        # thread takes the signal, so the fan-out runs on it; 300 calls of
+    def test_sigint_stops_after_the_calls_in_flight(self, recorded_connections):
+        # A real signal, which only the main thread takes: the server sends
+        # it on request t5, while the fan-out waits in select. 300 calls of
         # 10 ms at parallelism 2 end within 1.5 s even if nothing stops them.
-        ran = []
-
-        def fn(item):
-            ran.append(item)
-            if item == 5:
+        def interrupt(server, handler, payload):
+            if payload["text"] == "t5":
                 os.kill(os.getpid(), signal.SIGINT)
             time.sleep(0.01)
-            return item
 
-        backend = CountingTranslator(parallelism=2)
+        reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(300)]
         handler = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
-            with pytest.raises(KeyboardInterrupt):
-                backend._fan_out(fn, list(range(300)))
+            with no_unclosed_sockets():
+                with http_backend(2, translator=ReversingTranslator(), intercept=interrupt) as (
+                    backend, server
+                ):
+                    with pytest.raises(KeyboardInterrupt):
+                        run_requests(backend, reqs)
+                    assert all(c.closed for c in recorded_connections)
         finally:
             signal.signal(signal.SIGINT, handler)
-            backend.close()
-        assert 5 in ran and len(ran) < 20
+        assert server.seen["t5"] == 1 and server.served < 20

@@ -34,6 +34,7 @@ from qasynth.synthesis import (
     synth_pt,
 )
 from tests.conftest import StaticBackend, make_example
+from tests.mock_server import http_backend
 
 
 def fi_exemplars() -> ExemplarSet:
@@ -166,8 +167,8 @@ class TestSynthPE:
     def test_parallelism_preserves_order(self, mock_backend):
         passages = fi_passages(8)
         slow = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, mock_backend)
-        mock_backend.parallelism = 4
-        wide = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, mock_backend)
+        with http_backend(4, generator=mock_backend) as (backend, _):
+            wide = synth_pe({"fi": fi_exemplars()}, {"fi": passages}, backend)
         assert [e.id for e in slow.raw["fi"].examples] == [
             e.id for e in wide.raw["fi"].examples
         ]

@@ -18,6 +18,7 @@ from qasynth.taxonomy import (
 )
 
 from conftest import make_example
+from mock_server import http_backend, raise_on_reply
 
 
 class DictTranslator(Backend):
@@ -141,20 +142,20 @@ class TestDistribution:
         assert report.pooled[OTHER].count == 2
         assert sum(s.count for s in report.pooled.values()) == 3
 
-    def test_program_fault_is_raised_not_counted(self):
+    def test_program_fault_is_raised_not_counted(self, monkeypatch):
         # Only a BackendError is a failed translation; any other exception
         # is a fault in the program and must not turn into data.
         class Broken(Backend):
-            def __init__(self, parallelism):
-                self.parallelism = parallelism
-
             def translate(self, request):
                 raise RuntimeError("boom")
 
         ds = questions_dataset([("en", "What is this?"), ("fi", "kuka?"), ("fi", "missä?")])
-        for parallelism in (1, 4):
-            with Broken(parallelism) as translator, pytest.raises(RuntimeError, match="^boom$"):
-                distribution(ds, translator)
+        with Broken() as translator, pytest.raises(RuntimeError, match="^boom$"):
+            distribution(ds, translator)
+        # Over HTTP, the same fault while a reply is read.
+        raise_on_reply(monkeypatch, b"")
+        with http_backend(4) as (translator, _), pytest.raises(RuntimeError, match="^boom$"):
+            distribution(ds, translator)
 
     def test_pooled_is_sum_of_per_language_views(self):
         ds = questions_dataset(
