@@ -32,7 +32,7 @@ def english_gold() -> Dataset:
         )
         for i, (c, q, a) in enumerate(rows)
     )
-    return Dataset(name="demo-gold", examples=examples, scenario="english_only")
+    return Dataset(name="demo-gold", examples=examples)
 
 
 def main():
@@ -81,7 +81,6 @@ def main():
                 source_dataset="demo",
             ),
         ),
-        scenario="few_shot",
     )
     few = build_exemplars_fewshot(fi_gold, translator)
     print(f"\nfew-shot exemplar, English side is translated back: "

@@ -40,7 +40,7 @@ def english_gold(n: int) -> Dataset:
         )
         for i in range(n)
     )
-    return Dataset(name="gold-en", examples=examples, scenario="english_only")
+    return Dataset(name="gold-en", examples=examples)
 
 
 def finnish_passages(n: int) -> list:

@@ -390,6 +390,12 @@ class HttpBackend(Backend):
         if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
             raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
         self.parallelism = parallelism
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout < math.inf
+        ):
+            raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
         url = base_url or os.environ.get("QAM_BACKEND_URL")
         if not url:
             raise ValueError("no backend URL: pass base_url or set QAM_BACKEND_URL")

@@ -136,16 +136,10 @@ class Dataset:
 
     name: str
     examples: Tuple[QAExample, ...]
-    scenario: str = "few_shot"
 
     def __post_init__(self):
         if not self.name:
             raise CorpusError("dataset name must be non-empty")
-        if self.scenario not in SCENARIOS:
-            raise CorpusError(
-                f"dataset {self.name!r}: scenario {self.scenario!r} not one of "
-                f"{SCENARIOS}"
-            )
         seen = set()
         for ex in self.examples:
             if ex.id in seen:
@@ -467,7 +461,6 @@ def subsample_fewshot(
     return Dataset(
         name=f"{dataset.name}-{language}-fewshot{n}",
         examples=tuple(picked),
-        scenario="few_shot",
     )
 
 
@@ -546,7 +539,6 @@ def write_jsonl(dataset: Dataset, path: Union[str, Path]) -> None:
 def read_jsonl(
     path: Union[str, Path],
     name: Optional[str] = None,
-    scenario: str = "few_shot",
 ) -> Dataset:
     """Read a JSONL dataset written by write_jsonl.
 
@@ -569,8 +561,4 @@ def read_jsonl(
             examples.append(QAExample(**obj))
         except CorpusError as e:
             raise CorpusError(f"{path}:{lineno}: {e}")
-    return Dataset(
-        name=name or path.stem,
-        examples=tuple(examples),
-        scenario=scenario,
-    )
+    return Dataset(name=name or path.stem, examples=tuple(examples))

@@ -437,7 +437,7 @@ def filter_extractive(raw: Dataset) -> Tuple[Dataset, FilterReport]:
         kept_count=len(kept),
         dropped={k: v for k, v in dropped.items() if v},
     )
-    return Dataset(name=raw.name, examples=tuple(kept), scenario=raw.scenario), report
+    return Dataset(name=raw.name, examples=tuple(kept)), report
 
 
 def filter_roundtrip(
@@ -494,10 +494,7 @@ def filter_roundtrip(
         dropped={"roundtrip_mismatch": mismatches} if mismatches else {},
         notes=tuple(notes),
     )
-    return (
-        Dataset(name=examples.name, examples=tuple(kept), scenario=examples.scenario),
-        report,
-    )
+    return Dataset(name=examples.name, examples=tuple(kept)), report
 
 
 def assemble(
@@ -533,7 +530,7 @@ def assemble(
     add_all(d_en)
     for lang in sorted(synthetic_by_language):
         add_all(synthetic_by_language[lang])
-    return Dataset(name=name, examples=tuple(examples), scenario="few_shot")
+    return Dataset(name=name, examples=tuple(examples))
 
 
 def size_sweep(
@@ -568,13 +565,7 @@ def size_sweep(
     for size in sizes:
         chosen = sorted(order[:size])
         examples = english + [synthetic[i] for i in chosen]
-        out.append(
-            Dataset(
-                name=f"{assembled.name}-n{size}",
-                examples=tuple(examples),
-                scenario=assembled.scenario,
-            )
-        )
+        out.append(Dataset(name=f"{assembled.name}-n{size}", examples=tuple(examples)))
     return tuple(out)
 
 

@@ -83,7 +83,7 @@ def gold_en() -> Dataset:
                 source_dataset="fixture",
             )
         )
-    return Dataset(name="gold-en", examples=tuple(examples), scenario="english_only")
+    return Dataset(name="gold-en", examples=tuple(examples))
 
 
 @pytest.fixture

@@ -19,14 +19,28 @@ it has dealt with the request itself, by replying with `send_reply` or
 `server.answer`, or by sending nothing; otherwise the request is answered
 as usual. `release` is set when the server stops, so an interceptor that
 holds a request open can wait on it.
+
+`faults=seed` serves a seeded fault schedule in place of the interceptor:
+`server.fault(body, arrival)` names what the arrival-th request with that
+body gets, one of FAULTS or None for a good reply. The draw is a hash of
+the seed, the body and the arrival number, so whether a retry succeeds is
+fixed. About half the arrivals get a fault.
+
+`tls=True` serves over HTTPS with the self-signed certificate for
+IP:127.0.0.1 in tests/tls, which `SSL_CERT_FILE=TLS_CERT` makes a client
+trust. It was made, and is remade, with
+    openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes -days 36500 -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1 -keyout tests/tls/key.pem -out tests/tls/cert.pem
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
+import ssl
 import threading
 from collections import Counter
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from qasynth import backends
@@ -41,6 +55,15 @@ from qasynth.backends import (
 )
 
 
+TLS_CERT = str(Path(__file__).with_name("tls") / "cert.pem")
+TLS_KEY = str(Path(__file__).with_name("tls") / "key.pem")
+
+# What a scheduled fault does to a request: reply 503; reply 429 with
+# Retry-After: 0; close before the status line; close inside a reply whose
+# Content-Length promises more; reply as usual, with Connection: close.
+FAULTS = ("503", "429", "close", "cut", "close-after-reply")
+
+
 class ReversingTranslator(Backend):
     """Translates by reversing the text."""
 
@@ -50,8 +73,9 @@ class ReversingTranslator(Backend):
         return request.text[::-1]
 
 
-def send_reply(handler, status: int, payload, headers=()) -> None:
-    """Write one JSON reply, framed by Content-Length, on handler's connection."""
+def send_reply(handler, status: int, payload, headers=(), cut: bool = False) -> None:
+    """Write one JSON reply, framed by Content-Length, on handler's connection;
+    with cut, only half its body, and then close the connection."""
     raw = json.dumps(payload).encode()
     handler.send_response(status)
     for name, value in headers:
@@ -59,14 +83,25 @@ def send_reply(handler, status: int, payload, headers=()) -> None:
     handler.send_header("Content-Type", "application/json")
     handler.send_header("Content-Length", str(len(raw)))
     handler.end_headers()
+    if cut:
+        raw = raw[: len(raw) // 2]
+        handler.close_connection = True
     handler.wfile.write(raw)
 
 
+class _ThreadingServer(ThreadingHTTPServer):
+    # A fault schedule makes a fan-out reconnect many times at once; with
+    # socketserver's backlog of 5, a dropped connect waits a second to retry.
+    request_queue_size = 64
+
+
 class MockServer:
-    def __init__(self, generator=None, translator=None, noise_rate=0.0, seed=0, intercept=None):
+    def __init__(self, generator=None, translator=None, noise_rate=0.0, seed=0, intercept=None,
+                 faults=None, tls=False):
         self.generator = generator or MockQABackend(noise_rate=noise_rate, seed=seed)
         self.translator = translator or TaggingTranslator()
         self.intercept = intercept
+        self.faults = faults
         self.lock = threading.Lock()
         self.release = threading.Event()
         self.reset()
@@ -83,11 +118,18 @@ class MockServer:
             def log_message(self, *args):
                 pass
 
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._httpd = _ThreadingServer(("127.0.0.1", 0), Handler)
         self._httpd.daemon_threads = True
         # A client that hangs up before its reply is written is no failure here.
         self._httpd.handle_error = lambda request, address: None
-        self.url = f"http://127.0.0.1:{self._httpd.server_port}"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            # The handshake runs on the first read, in the request's own thread.
+            self._httpd.socket = context.wrap_socket(
+                self._httpd.socket, server_side=True, do_handshake_on_connect=False)
+        scheme = "https" if tls else "http"
+        self.url = f"{scheme}://127.0.0.1:{self._httpd.server_port}"
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
@@ -96,6 +138,7 @@ class MockServer:
         with self.lock:
             self.served = 0
             self.seen = Counter()
+            self.arrivals = Counter()  # per request body
             self.inflight = 0
             self.peak_inflight = 0
 
@@ -110,22 +153,45 @@ class MockServer:
         self._thread.join(timeout=5)
         assert not self._thread.is_alive()
 
+    def fault(self, body: bytes, arrival: int):
+        """The scheduled fault for the arrival-th request (1-based) with this
+        body: one of FAULTS, or None."""
+        if self.faults is None:
+            return None
+        digest = hashlib.sha256(b"%d|%d|%s" % (self.faults, arrival, body)).digest()
+        pick = digest[0] % (2 * len(FAULTS))
+        return FAULTS[pick] if pick < len(FAULTS) else None
+
     def _handle(self, handler) -> None:
-        payload = json.loads(handler.rfile.read(int(handler.headers["Content-Length"])))
+        body = handler.rfile.read(int(handler.headers["Content-Length"]))
+        payload = json.loads(body)
         with self.lock:
             self.served += 1
             self.seen[payload.get("prompt", payload.get("text"))] += 1
+            self.arrivals[body] += 1
+            fault = self.fault(body, self.arrivals[body])
             self.inflight += 1
             self.peak_inflight = max(self.peak_inflight, self.inflight)
         try:
-            if self.intercept is None or not self.intercept(self, handler, payload):
+            if fault == "503":
+                send_reply(handler, 503, {})
+            elif fault == "429":
+                send_reply(handler, 429, {}, [("Retry-After", "0")])
+            elif fault == "close":
+                handler.close_connection = True
+            elif fault == "cut":
+                self.answer(handler, payload, cut=True)
+            elif fault == "close-after-reply":
+                self.answer(handler, payload, [("Connection", "close")])
+            elif self.intercept is None or not self.intercept(self, handler, payload):
                 self.answer(handler, payload)
         finally:
             with self.lock:
                 self.inflight -= 1
 
-    def answer(self, handler, payload: dict) -> None:
-        """Reply as the served backend does."""
+    def answer(self, handler, payload: dict, headers=(), cut: bool = False) -> None:
+        """Reply as the served backend does, with these extra headers; with
+        cut, close the connection halfway through the body."""
         try:
             if handler.path == "/v1/generate":
                 text = self.generator.generate(GenerationRequest(
@@ -139,7 +205,7 @@ class MockServer:
         except BackendError as e:
             send_reply(handler, 422, {"error": str(e)})
         else:
-            send_reply(handler, 200, {"text": text})
+            send_reply(handler, 200, {"text": text}, headers, cut)
 
 
 @contextlib.contextmanager

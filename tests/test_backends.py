@@ -6,6 +6,7 @@ import base64
 import contextlib
 import http.client
 import json
+import math
 import random
 import re
 import socketserver
@@ -35,7 +36,14 @@ from qasynth.backends import (
 from qasynth.corpus import Passage
 from qasynth.promptkit import render_answer_prompt, render_question_prompt
 from tests.conftest import StaticBackend
-from tests.mock_server import MockServer, ReversingTranslator, http_backend, send_reply
+from tests.mock_server import (
+    FAULTS,
+    TLS_CERT,
+    MockServer,
+    ReversingTranslator,
+    http_backend,
+    send_reply,
+)
 from tests.test_promptkit import one_exemplar
 
 
@@ -160,6 +168,11 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="parallelism must be an integer >= 1"):
             HttpBackend(base_url="http://127.0.0.1:9", parallelism=parallelism)
 
+    @pytest.mark.parametrize("timeout", [-1, 0, math.nan, math.inf, "5", True])
+    def test_rejects_bad_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
+            HttpBackend(base_url="http://127.0.0.1:9", timeout=timeout)
+
 
 class TestRetries:
     def test_5xx_then_success(self, server):
@@ -252,6 +265,84 @@ class TestRetries:
         backend = HttpBackend(base_url="http://127.0.0.1:9", retry_base_delay=0.0)
         with pytest.raises(BackendError, match="^transport failure"):
             backend.generate(GenerationRequest(prompt="p", max_tokens=4))
+
+
+# The start of the BackendError each scheduled fault leaves when a request's
+# attempts run out.
+FAULT_ERRORS = {
+    "503": "server error 503 from /v1/translate",
+    "429": "rate limited (status 429) by /v1/translate",
+    "close": "transport failure: connection closed without a reply",
+    "cut": "transport failure: connection closed with ",
+}
+
+
+def retry_model(server, body: bytes):
+    """(the error prefix, or None for the reply; the number of arrivals) for
+    one request under the documented rules: up to 3 counted attempts, and
+    one free resend per attempt when the connection closes before the
+    status line."""
+    arrivals = attempts = 0
+    resent = False
+    while True:
+        arrivals += 1
+        fault = server.fault(body, arrivals)
+        if fault in (None, "close-after-reply"):
+            return None, arrivals
+        if fault == "close" and not resent:
+            resent = True
+            continue
+        attempts += 1
+        resent = False
+        if attempts == 3:
+            return FAULT_ERRORS[fault], arrivals
+
+
+class TestRetryRules:
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    def test_a_fault_schedule_gets_the_replies_and_sends_the_model_predicts(self, parallelism):
+        texts = [f"text {i}" for i in range(40)]
+        reqs = [TranslationRequest(text=t, source="en", target="fi") for t in texts]
+        bodies = [json.dumps({"text": t, "source": "en", "target": "fi"}).encode() for t in texts]
+        drawn, outcomes = set(), set()
+        for seed in range(6):
+            with MockServer(translator=ReversingTranslator(), faults=seed) as server:
+                with HttpBackend(base_url=server.url, parallelism=parallelism, timeout=5,
+                                 retry_base_delay=0.0) as backend:
+                    results = run_requests(backend, reqs)
+            expected = [retry_model(server, body) for body in bodies]
+            for text, result, (error, _) in zip(texts, results, expected):
+                if error is None:
+                    assert result == text[::-1], (seed, text)
+                else:
+                    assert isinstance(result, BackendError), (seed, text)
+                    assert str(result).startswith(error), (seed, text, result)
+                outcomes.add(error)
+            assert server.seen == {t: n for t, (_, n) in zip(texts, expected)}
+            assert server.peak_inflight <= parallelism
+            drawn |= {server.fault(body, k) for body, (_, n) in zip(bodies, expected)
+                      for k in range(1, n + 1)}
+        # Every fault was served, and both replies and errors came back.
+        assert drawn == {None, *FAULTS}
+        assert None in outcomes and len(outcomes) >= 3
+
+
+class TestTLS:
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_replies_over_tls(self, monkeypatch, parallelism):
+        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("SSL_CERT_FILE", TLS_CERT)
+        # Replies of up to 41 KB span several TLS records.
+        texts = [f"t{i} " + "x" * (700 * i) for i in range(60)]
+        reqs = [TranslationRequest(text=t, source="en", target="fi") for t in texts]
+        with MockServer(translator=ReversingTranslator(), tls=True) as server:
+            assert server.url.startswith("https://")
+            with HttpBackend(base_url=server.url, parallelism=parallelism, timeout=5) as backend:
+                results = run_requests(backend, reqs)
+        assert results == [t[::-1] for t in texts]
+        assert server.peak_inflight <= parallelism
 
 
 class EchoHandler(BaseHTTPRequestHandler):

@@ -85,10 +85,6 @@ class TestDataset:
         groups = gold_multi.by_language()
         assert {k: len(v) for k, v in groups.items()} == {"en": 2, "fi": 3, "ar": 1}
 
-    def test_bad_scenario_rejected(self):
-        with pytest.raises(CorpusError):
-            Dataset(name="d", examples=(), scenario="mystery")
-
 
 class TestParseSquad:
     def test_minimal_document(self, squad_raw):
@@ -379,7 +375,6 @@ class TestSubsampleFewshot:
         out = subsample_fewshot(gold_multi, "fi", 2, seed=0)
         assert len(out) == 2
         assert all(ex.language == "fi" for ex in out.examples)
-        assert out.scenario == "few_shot"
 
     def test_full_split_is_permutation(self, gold_multi):
         out = subsample_fewshot(gold_multi, "fi", 3, seed=5)
@@ -412,7 +407,7 @@ class TestStatsAndSerialization:
         ds, _ = parse_squad_json(squad_raw, "fix", "en")
         path = tmp_path / "out.jsonl"
         write_jsonl(ds, path)
-        back = read_jsonl(path, name=ds.name, scenario=ds.scenario)
+        back = read_jsonl(path, name=ds.name)
         assert back.examples == ds.examples
         assert back.name == ds.name
         # equality ignores the alternatives, so compare them on their own

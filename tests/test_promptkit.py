@@ -40,7 +40,7 @@ def one_exemplar(language="fr") -> ExemplarSet:
 
 class TestBuilders:
     def test_en_only_field_mapping(self, gold_en, tagging_translator):
-        small = Dataset(name="en1", examples=gold_en.examples[:1], scenario="english_only")
+        small = Dataset(name="en1", examples=gold_en.examples[:1])
         es = build_exemplars_en_only(small, tagging_translator, "fr")
         ex = es.exemplars[0]
         src = gold_en.examples[0]
@@ -60,7 +60,7 @@ class TestBuilders:
         ]
 
     def test_en_only_empty_dataset(self, tagging_translator):
-        empty = Dataset(name="none", examples=(), scenario="english_only")
+        empty = Dataset(name="none", examples=())
         es = build_exemplars_en_only(empty, tagging_translator, "fr")
         assert es.exemplars == ()
 

@@ -116,7 +116,6 @@ class TestSynthMT:
                 )
                 for i, ex in enumerate(gold_en.examples)
             ),
-            scenario="english_only",
         )
         run = synth_mt(doubled, tagging_translator, ["fi", "ar", "bn"])
         total = sum(len(ds) for ds in run.raw.values())
@@ -432,7 +431,6 @@ class TestAssembleAndSweep:
         ds = self._assembled(gold_en, tagging_translator)
         langs = [ex.language for ex in ds.examples]
         assert langs == ["en"] * 5 + ["ar"] * 5 + ["fi"] * 5
-        assert ds.scenario == "few_shot"
 
     def test_ids_namespaced(self, gold_en, tagging_translator):
         ds = self._assembled(gold_en, tagging_translator)
