@@ -28,10 +28,11 @@ error.
 run_requests is the one way stages fan requests out: it sends each distinct
 request once, through backend.replies, and returns results in input order.
 The mocks answer one request at a time, inline. HttpBackend.replies sends
-from the calling thread too: one selectors loop keeps up to parallelism
-requests in flight, each on its own keep-alive connection, and a connection
-gets its next request as soon as its reply has been read. No thread is
-started.
+from the calling thread too, over up to parallelism lanes. A lane holds one
+keep-alive connection and takes the next request as soon as its last one is
+done. Each request's exchange (send, wait, read, retry) is one generator
+that yields whenever it must wait, and one selectors loop resumes each lane
+when its reply starts or its wait is due. No thread is started.
 
 BackendError means one thing: a backend call failed. run_requests alone
 decides what a failure means: a BackendError, or a reply it finds unusable
@@ -344,29 +345,16 @@ def _read_reply(sock) -> Tuple[int, Optional[bytes], bytes, bool]:
     return status, headers.get(b"retry-after"), body, keep_alive
 
 
-class _Exchange:
-    """One request on its way through HttpBackend.replies."""
-
-    __slots__ = ("index", "path", "message", "attempt", "resent", "due", "conn")
-
-    def __init__(self, index: int, path: str, message: bytes):
-        self.index = index
-        self.path = path
-        self.message = message  # the request head and body, sent in one write
-        self.attempt = 0
-        self.resent = False  # this attempt was already resent on a fresh connection
-        self.due = 0.0  # when the reply must have started, or the backoff ends
-        self.conn = None  # the connection to resend it on, reopened
-
-
 class HttpBackend(Backend):
     """Client for the documented JSON-over-HTTP backend protocol.
 
-    replies() sends from the calling thread over at most parallelism
-    keep-alive connections; generate and translate send one request the same
-    way. Safe to call from several threads at once: idle connections wait in
-    one list until close(), and each call checks out its own, opening more
-    only when it needs them.
+    replies() sends from the calling thread over at most parallelism lanes,
+    each with its own keep-alive connection; a lane runs its requests one
+    after another, each as an _exchange generator, and the loop in replies
+    resumes them. generate and translate send one request the same way.
+    Safe to call from several threads at once: idle connections wait in one
+    list until close(), and each call checks out its own, opening more only
+    when it needs them.
 
     retry_base_delay exists so tests can shrink the backoff; production
     callers keep the default (about 0.5s, then 1s, between the three
@@ -484,7 +472,19 @@ class HttpBackend(Backend):
             return None
         return min(float(value), self.timeout)
 
-    def _exchange(self, index: int, req: Request) -> _Exchange:
+    def _exchange(self, conn, req: Request):
+        """One request's whole exchange on conn: a generator that returns
+        the reply text, or the BackendError its last attempt ended in.
+
+        It yields (sock, due) to wait for the reply to start on sock;
+        replies throws TimeoutError into it at due. It yields (None, due) to
+        wait out a backoff until due. Retries follow the module docstring.
+        A stale keep-alive connection shows as a broken pipe, or as a reset
+        before any byte of the reply: the request is resent at once on conn,
+        reopened, without using an attempt. Decoding is greedy, so a resent
+        request gets the same reply. conn is left either closed or open with
+        no request on it.
+        """
         if isinstance(req, GenerationRequest):
             path = "/v1/generate"
             payload = {
@@ -497,164 +497,119 @@ class HttpBackend(Backend):
             path = "/v1/translate"
             payload = {"text": req.text, "source": req.source, "target": req.target}
         body = _encode_json(payload).encode("utf-8")
-        return _Exchange(index, path, b"%s%d\r\n\r\n%s" % (self._heads[path], len(body), body))
+        # The request head and body, sent in one write.
+        message = b"%s%d\r\n\r\n%s" % (self._heads[path], len(body), body)
+        attempt = 0
+        resent = False  # this attempt was already resent on a fresh connection
+        while True:
+            try:
+                if conn.sock is None:
+                    self._connect(conn)
+                conn.sock.sendall(message)
+                yield conn.sock, time.monotonic() + self.timeout
+                status, retry_after, raw, keep_alive = _read_reply(conn.sock)
+            except OSError as e:
+                # A failed exchange leaves the connection mid-request; the
+                # next one must start on a fresh socket.
+                conn.close()
+                if not resent and isinstance(e, (BrokenPipeError, ConnectionResetError)):
+                    resent = True
+                    continue
+                error, delay = BackendError(f"transport failure: {e}"), None
+            else:
+                if not keep_alive:
+                    conn.close()
+                if status == 200:
+                    try:
+                        reply = json.loads(raw)
+                    except ValueError as e:
+                        return BackendError(f"malformed JSON from {path}: {e}")
+                    if isinstance(reply, dict) and isinstance(reply.get("text"), str):
+                        return reply["text"]
+                    return BackendError(f"malformed payload from {path}: expected {{'text': str}}")
+                if status == 429:
+                    error = BackendError(f"rate limited (status 429) by {path}")
+                    delay = self._retry_after(retry_after)
+                elif 500 <= status < 600:
+                    error, delay = BackendError(f"server error {status} from {path}"), None
+                else:
+                    return BackendError(f"unexpected status {status} from {path}")
+            attempt += 1
+            if attempt == MAX_ATTEMPTS:
+                return error
+            resent = False
+            yield None, time.monotonic() + (self._backoff(attempt) if delay is None else delay)
 
     def replies(self, requests: Sequence[Request]) -> List[Union[str, BackendError]]:
         """Send every request; the reply text or BackendError for each, in order.
 
-        One loop on the calling thread keeps at most parallelism requests in
-        flight or waiting out a backoff: a waiting request keeps its slot. A
-        connection gets the next request as soon as its reply has been read.
-        select finds the connections whose reply has started, and
-        _read_reply reads each to its end within the socket's timeout; a
-        reply that has not started timeout seconds after its send is a
-        transport failure. Retries follow the module docstring. A stale
-        keep-alive connection shows as a broken pipe, or as a reset before
-        any byte of the reply: the request is resent at once on that
-        connection, reopened, without using an attempt. Decoding is greedy,
-        so a resent request gets the same reply.
+        The calling thread runs min(parallelism, len(requests)) lanes. A
+        lane holds one keep-alive connection and takes the next request as
+        soon as its last one is done, running each as an _exchange
+        generator. One loop selects on the sockets the lanes wait on,
+        resumes each lane whose reply has started (_read_reply reads it to
+        its end within the socket's timeout), and resumes the others when
+        what they wait for is due: a reply that has not started timeout
+        seconds after its send is a transport failure. A lane waiting out a
+        backoff keeps its slot.
 
         Any exception but a BackendError (a fault in the program, or Ctrl-C)
         sends no further request: every connection this call holds is
         closed, and the exception propagates unchanged.
         """
         results: List = [None] * len(requests)
-        slots = min(self.parallelism, len(requests))
-        todo = 0  # the index of the first request not yet begun
-        held: list = []  # every connection this call checked out
-        free: list = []  # those with no request on them
-        ready: List[_Exchange] = []  # to send now
-        waiting: List[_Exchange] = []  # waiting out a backoff
-        inflight: dict = {}  # connection -> its exchange, in the order sent
-        https = self._https
+        jobs = enumerate(requests)
+
+        def lane(conn):
+            for index, req in jobs:
+                results[index] = yield from self._exchange(conn, req)
+
+        conns = [self._checkout() for _ in range(min(self.parallelism, len(requests)))]
+        # Each lane -> the socket it waits to read (None in a backoff) and
+        # when that wait is due. A lane's socket stays registered from one
+        # request to the next.
+        waits = {lane(conn): (None, 0.0) for conn in conns}
         selector = self._selector()
-
-        def watch(conn) -> None:
-            if conn.sock is not None:
-                selector.register(conn.sock, _EVENT_READ, conn)
-
-        def drop(conn) -> None:
-            if conn.sock is not None:
-                selector.unregister(conn.sock)
-                conn.close()
-
-        def retry(ex: _Exchange, error: BackendError, delay: Optional[float] = None) -> None:
-            ex.attempt += 1
-            if ex.attempt >= MAX_ATTEMPTS:
-                results[ex.index] = error
-                return
-            ex.resent = False
-            ex.due = time.monotonic() + (self._backoff(ex.attempt) if delay is None else delay)
-            waiting.append(ex)
-
-        def fail(ex: _Exchange, conn, error: OSError) -> None:
-            # A failed exchange leaves the connection mid-request; the next
-            # one must start on a fresh socket.
-            drop(conn)
-            if not ex.resent and isinstance(error, (BrokenPipeError, ConnectionResetError)):
-                ex.resent, ex.conn = True, conn
-                ready.append(ex)
-                return
-            free.append(conn)
-            retry(ex, BackendError(f"transport failure: {error}"))
-
-        def settle(ex: _Exchange, status: int, retry_after: Optional[bytes], raw: bytes) -> None:
-            path = ex.path
-            if 500 <= status < 600:
-                retry(ex, BackendError(f"server error {status} from {path}"))
-            elif status == 429:
-                error = BackendError(f"rate limited (status 429) by {path}")
-                retry(ex, error, self._retry_after(retry_after))
-            elif status != 200:
-                results[ex.index] = BackendError(f"unexpected status {status} from {path}")
-            else:
-                try:
-                    body = json.loads(raw)
-                except ValueError as e:
-                    results[ex.index] = BackendError(f"malformed JSON from {path}: {e}")
-                    return
-                if isinstance(body, dict) and isinstance(body.get("text"), str):
-                    results[ex.index] = body["text"]
-                else:
-                    results[ex.index] = BackendError(
-                        f"malformed payload from {path}: expected {{'text': str}}"
-                    )
-
         try:
-            while True:
-                if waiting:
-                    now = time.monotonic()
-                    for ex in [ex for ex in waiting if ex.due <= now]:
-                        waiting.remove(ex)
-                        ready.append(ex)
-                while todo < len(requests) and len(inflight) + len(waiting) + len(ready) < slots:
-                    ready.append(self._exchange(todo, requests[todo]))
-                    todo += 1
-                while ready:
-                    ex = ready.pop()
-                    conn, ex.conn = ex.conn, None
-                    if conn is None and free:
-                        conn = free.pop()
-                    elif conn is None:
-                        conn = self._checkout()
-                        held.append(conn)
-                        watch(conn)
-                    try:
-                        if conn.sock is None:
-                            self._connect(conn)
-                            watch(conn)
-                        conn.sock.sendall(ex.message)
-                    except OSError as e:
-                        fail(ex, conn, e)
-                        continue
-                    ex.due = time.monotonic() + self.timeout
-                    inflight[conn] = ex
-                if not inflight and not waiting:
-                    if todo == len(requests):
-                        return results
-                    continue
-                # Every request waits the same timeout, so the one sent first
-                # is the first to time out.
-                deadline = next(iter(inflight.values())).due if inflight else math.inf
-                if waiting:
-                    deadline = min(deadline, min(ex.due for ex in waiting))
-                # Bytes TLS has already decrypted are not seen by select.
-                started = [conn for conn in inflight if conn.sock.pending()] if https else None
+            while waits:
+                started = set()
+                if self._https:  # bytes TLS has already decrypted are not seen by select
+                    started = {gen for gen, (sock, _) in waits.items()
+                               if sock is not None and sock.pending()}
                 if not started:
-                    timeout = max(deadline - time.monotonic(), 0)
-                    if inflight:
-                        started = [key.data for key, _ in selector.select(timeout)]
+                    timeout = max(min(due for _, due in waits.values()) - time.monotonic(), 0)
+                    if selector.get_map():
+                        started = {key.data for key, _ in selector.select(timeout)}
                     else:
                         time.sleep(timeout)
-                for conn in started or ():
-                    ex = inflight.pop(conn, None)
-                    if ex is None:
-                        # An idle connection the server closed, or wrote to
-                        # unasked: it is of no further use.
-                        drop(conn)
-                        continue
-                    try:
-                        status, retry_after, raw, keep_alive = _read_reply(conn.sock)
-                    except OSError as e:
-                        fail(ex, conn, e)
-                        continue
-                    if not keep_alive:
-                        drop(conn)
-                    free.append(conn)
-                    settle(ex, status, retry_after, raw)
                 now = time.monotonic()
-                if now >= deadline:
-                    for conn, ex in [item for item in inflight.items() if item[1].due <= now]:
-                        del inflight[conn]
-                        fail(ex, conn, TimeoutError("timed out"))
+                for gen, (watched, due) in list(waits.items()):
+                    if gen not in started and due > now:
+                        continue
+                    del waits[gen]
+                    try:
+                        if gen in started or watched is None:
+                            sock, due = next(gen)
+                        else:
+                            sock, due = gen.throw(TimeoutError("timed out"))
+                    except StopIteration:
+                        sock = None
+                    else:
+                        waits[gen] = sock, due
+                    if sock is not watched:
+                        if watched is not None:
+                            selector.unregister(watched)
+                        if sock is not None:
+                            selector.register(sock, _EVENT_READ, gen)
+            return results
         except BaseException:
-            for conn in held:
+            for conn in conns:
                 conn.close()
             raise
         finally:
             selector.close()
             with self._idle_lock:
-                self._idle += held
+                self._idle += conns
 
     def _checkout(self) -> http.client.HTTPConnection:
         """An idle connection, else a new one."""

@@ -20,11 +20,11 @@ it has dealt with the request itself, by replying with `send_reply` or
 as usual. `release` is set when the server stops, so an interceptor that
 holds a request open can wait on it.
 
-`faults=seed` serves a seeded fault schedule in place of the interceptor:
-`server.fault(body, arrival)` names what the arrival-th request with that
-body gets, one of FAULTS or None for a good reply. The draw is a hash of
-the seed, the body and the arrival number, so whether a retry succeeds is
-fixed. About half the arrivals get a fault.
+`faults=seed` serves a seeded fault schedule: `server.fault(body, arrival)`
+names what the arrival-th request with that body gets, one of FAULTS, or
+None for the usual handling. The draw is a hash of the seed, the body and
+the arrival number, so whether a retry succeeds is fixed. About half the
+arrivals get a fault, and those never reach the interceptor.
 
 `tls=True` serves over HTTPS with the self-signed certificate for
 IP:127.0.0.1 in tests/tls, which `SSL_CERT_FILE=TLS_CERT` makes a client
@@ -40,8 +40,8 @@ import json
 import ssl
 import threading
 from collections import Counter
-from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 from qasynth import backends
 from qasynth.backends import (

@@ -301,11 +301,11 @@ def retry_model(server, body: bytes):
 class TestRetryRules:
     @pytest.mark.parametrize("parallelism", [1, 2, 8])
     def test_a_fault_schedule_gets_the_replies_and_sends_the_model_predicts(self, parallelism):
-        texts = [f"text {i}" for i in range(40)]
+        texts = [f"text {i}" for i in range(60)]
         reqs = [TranslationRequest(text=t, source="en", target="fi") for t in texts]
         bodies = [json.dumps({"text": t, "source": "en", "target": "fi"}).encode() for t in texts]
         drawn, outcomes = set(), set()
-        for seed in range(6):
+        for seed in range(10):
             with MockServer(translator=ReversingTranslator(), faults=seed) as server:
                 with HttpBackend(base_url=server.url, parallelism=parallelism, timeout=5,
                                  retry_base_delay=0.0) as backend:
