@@ -32,7 +32,6 @@ def gold() -> Dataset:
 class PhraseTranslator(Backend):
     """Fixed phrase table standing in for a real translation service."""
 
-    backend_id = "demo:phrase-table"
     TABLE = {
         "Milloin torni valmistui?": "When was the tower completed?",
         "Mika virtaa kaupungin halki?": "What flows through the city?",

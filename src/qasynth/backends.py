@@ -358,8 +358,7 @@ class HttpBackend(Backend):
 
     retry_base_delay exists so tests can shrink the backoff; production
     callers keep the default (about 0.5s, then 1s, between the three
-    attempts). parallelism is an integer >= 1. backend_id is "http:" and the
-    base URL, nothing more: two models served at one URL share an id.
+    attempts). parallelism is an integer >= 1.
     """
 
     def __init__(
@@ -439,10 +438,6 @@ class HttpBackend(Backend):
         self._idle_lock = threading.Lock()
         # Private, so backoff jitter never draws from (or moves) the global RNG.
         self._jitter = random.Random()
-
-    @property
-    def backend_id(self) -> str:
-        return f"http:{self.base_url}"
 
     def _new_connection(self) -> http.client.HTTPConnection:
         """An unopened connection to the server, or to the proxy before it."""
@@ -690,8 +685,6 @@ class TaggingTranslator(Backend):
     in rendered prompts and exemplar tests.
     """
 
-    backend_id = "mock:tagging-translator"
-
     def translate(self, request: TranslationRequest) -> str:
         return f"[{request.target}] {request.text}"
 
@@ -773,10 +766,6 @@ class MockQABackend(Backend):
             raise ValueError("noise_rate must be within [0, 1]")
         self.noise_rate = noise_rate
         self.seed = seed
-
-    @property
-    def backend_id(self) -> str:
-        return f"mock:qa-generate(noise={self.noise_rate},seed={self.seed})"
 
     # Cue literals mirror the prompt templates; a test pins them together.
     _ANSWER_CUE = "Answer in the original language:"

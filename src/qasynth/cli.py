@@ -39,6 +39,7 @@ from .backends import (
     split_backend_url,
 )
 from .corpus import (
+    SCENARIOS,
     CorpusError,
     Dataset,
     Passage,
@@ -194,7 +195,7 @@ class RunConfig:
         if len(set(self.languages)) != len(self.languages):
             raise ConfigError(f"languages must be distinct, got {list(self.languages)!r}")
         object.__setattr__(self, "languages", tuple(self.languages))
-        if self.scenario not in ("english_only", "few_shot"):
+        if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"scenario must be 'english_only' or 'few_shot', got {self.scenario!r}"
             )

@@ -323,7 +323,7 @@ def _json_lines(path: Path) -> Iterable[Tuple[int, int, object]]:
 
 
 def _pool_passages(
-    path: Path, language: str, source: str
+    path: Path, language: str
 ) -> Iterator[Tuple[int, Passage]]:
     """(byte offset, passage) for each line of an NDJSON passage pool.
 
@@ -342,7 +342,7 @@ def _pool_passages(
         seen[pid] = None
         try:
             passage = Passage(
-                id=pid, text=obj["text"], language=language, source=source or path.name
+                id=pid, text=obj["text"], language=language, source=path.name
             )
         except CorpusError as e:
             raise CorpusError(f"{path}:{lineno}: {e}")
@@ -352,14 +352,13 @@ def _pool_passages(
 def load_passage_pool(
     path: Union[str, Path],
     language: str,
-    source: str = "",
 ) -> Tuple[Passage, ...]:
     """Load an NDJSON passage pool: one {"id": ..., "text": ...} per line.
 
-    Blank lines are ignored. Any malformed line raises CorpusError naming
-    its 1-based line number.
+    A passage's source is the pool's file name. Blank lines are ignored. Any
+    malformed line raises CorpusError naming its 1-based line number.
     """
-    return tuple(p for _, p in _pool_passages(Path(path), language, source))
+    return tuple(p for _, p in _pool_passages(Path(path), language))
 
 
 def write_passages(passages: Iterable[Passage], path: Union[str, Path]) -> None:
@@ -421,7 +420,7 @@ def sample_passage_pool(
     path = Path(path)
     offsets = array("q")
     total = 0
-    for offset, passage in _pool_passages(path, language, ""):
+    for offset, passage in _pool_passages(path, language):
         total += 1
         if min_len <= len(passage.text) <= max_len:
             offsets.append(offset)

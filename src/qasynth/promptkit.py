@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .backends import Backend, BackendError, TranslationRequest, run_requests
-from .corpus import Dataset, Passage, QAExample
+from .corpus import SCENARIOS, Dataset, Passage, QAExample
 
 ANSWER_INSTRUCTION = "I will write potential answers\nfor the following passages."
 QUESTION_INSTRUCTION = "I will write questions and answers\nfor the following passages."
@@ -26,9 +26,6 @@ ANSWER_LABEL = "  Answer: "
 QUESTION_EN_LABEL = "  Question in English: "
 QUESTION_L_CUE = "  Question in the original language:"
 QUESTION_LABEL = "  Question: "
-
-SCENARIO_ENGLISH_ONLY = "english_only"
-SCENARIO_FEW_SHOT = "few_shot"
 
 
 class PromptError(ValueError):
@@ -62,7 +59,7 @@ class ExemplarSet:
     scenario: str
 
     def __post_init__(self):
-        if self.scenario not in (SCENARIO_ENGLISH_ONLY, SCENARIO_FEW_SHOT):
+        if self.scenario not in SCENARIOS:
             raise PromptError(f"unknown scenario {self.scenario!r}")
         for ex in self.exemplars:
             if ex.language != self.language:
@@ -138,7 +135,7 @@ def build_exemplars_en_only(
     return ExemplarSet(
         language=target_language,
         exemplars=exemplars,
-        scenario=SCENARIO_ENGLISH_ONLY,
+        scenario="english_only",
     )
 
 
@@ -177,7 +174,7 @@ def build_exemplars_fewshot(
     return ExemplarSet(
         language=language,
         exemplars=exemplars,
-        scenario=SCENARIO_FEW_SHOT,
+        scenario="few_shot",
     )
 
 

@@ -54,8 +54,10 @@ FILTER_REASONS = (
     "empty_generation",
 )
 
-DEFAULT_STOP_SEQUENCES = ("\nPassage:",)
-DEFAULT_MAX_TOKENS = 64
+# The request sizes of pe's two stages and the round trip, then of pt.
+MAX_TOKENS = 64
+STOP_SEQUENCES = ("\nPassage:",)
+PT_MAX_TOKENS = 128
 
 
 class SynthesisError(ValueError):
@@ -152,51 +154,39 @@ def synth_mt(
     context, question, and answer are translated independently, so the
     translated answer generally is not a substring of the translated context;
     answer_start is therefore dropped. No filtering is applied to translated
-    data. Target languages exclude English. Every translation of every
-    language goes through one run_requests call (promptkit.translate_fields);
-    the first failure in (language, example, field) order aborts the run.
+    data. The targets are the distinct languages other than English. Every
+    translation of every language goes through one run_requests call
+    (promptkit.translate_fields); the first failure in (language, example,
+    field) order aborts the run. Each translated context is a passage whose
+    outcome is the translated (answer, question), folded like pe and pt.
     """
     for ex in d_en.examples:
         if ex.language != "en":
             raise SynthesisError(
                 f"example {ex.id!r} is {ex.language!r}; synth_mt needs English input"
             )
-    targets = sorted(l for l in languages if l != "en")
+    targets = sorted(set(languages) - {"en"})
     translated = translate_fields(
         translator, d_en.examples, ("context", "question", "answer"), "en", targets
     )
-    raw = {
-        lang: Dataset(
-            name=f"mt-{lang}",
-            examples=tuple(
-                QAExample(
-                    id=f"mt-{lang}-{ex.id}",
-                    answer_start=None,
-                    language=lang,
-                    provenance="mt",
-                    source_dataset=d_en.name,
-                    **fields,
-                )
-                for ex, fields in zip(d_en.examples, per_example)
-            ),
-        )
+    contexts = {
+        lang: [
+            Passage(id=ex.id, text=fields["context"], language=lang, source=d_en.name)
+            for ex, fields in zip(d_en.examples, per_example)
+        ]
         for lang, per_example in zip(targets, translated)
     }
-    return SynthesisRun(
-        method="mt",
-        scenario="english_only",
-        languages=tuple(targets),
-        raw=raw,
-        filtered=dict(raw),
-        reports={lang: FilterReport(len(raw[lang]), len(raw[lang]), {}) for lang in targets},
-    )
+    outcomes = [
+        (fields["answer"], fields["question"])
+        for per_example in translated
+        for fields in per_example
+    ]
+    return _fold("mt", "english_only", contexts, outcomes)
 
 
 def _complete(
     backend: Backend,
     prompts: Sequence[Union[str, Exception]],
-    max_tokens: int,
-    stop_sequences: Tuple[str, ...],
 ) -> List[Union[str, Exception]]:
     """Generate and parse one completion per prompt, in one run_requests call.
 
@@ -207,7 +197,7 @@ def _complete(
     """
     reqs = [
         GenerationRequest(
-            prompt=prompt, max_tokens=max_tokens, stop_sequences=stop_sequences
+            prompt=prompt, max_tokens=MAX_TOKENS, stop_sequences=STOP_SEQUENCES
         )
         for prompt in prompts
         if isinstance(prompt, str)
@@ -244,8 +234,6 @@ def synth_pe(
     exemplars_by_language: Mapping[str, ExemplarSet],
     passages_by_language: Mapping[str, Sequence[Passage]],
     backend: Backend,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    stop_sequences: Tuple[str, ...] = DEFAULT_STOP_SEQUENCES,
 ) -> SynthesisRun:
     """Two-stage prompted generation over unlabeled passages per language.
 
@@ -271,8 +259,6 @@ def synth_pe(
     answers = _complete(
         backend,
         [render_answer_prompt(exemplars_by_language[p.language], p) for p in passages],
-        max_tokens,
-        stop_sequences,
     )
     questions = _complete(
         backend,
@@ -282,8 +268,6 @@ def synth_pe(
             else render_question_prompt(exemplars_by_language[p.language], p, answer)
             for p, answer in zip(passages, answers)
         ],
-        max_tokens,
-        stop_sequences,
     )
 
     outcomes = [
@@ -298,7 +282,6 @@ def synth_pt(
     model: Optional[ToyLM] = None,
     prompts_by_language: Optional[Mapping[str, SoftPrompt]] = None,
     backend: Optional[Backend] = None,
-    max_tokens: int = 128,
     scenario: str = "english_only",
 ) -> SynthesisRun:
     """Generate QA pairs by greedy decoding from tuned prompts.
@@ -334,12 +317,12 @@ def synth_pt(
                 model,
                 prompts_by_language[lang],
                 [encode_context(p.text, lang) for p in passages_by_language[lang]],
-                max_tokens,
+                PT_MAX_TOKENS,
             )
         ]
     else:
         reqs = [
-            GenerationRequest(prompt=f"[{lang}] {p.text}", max_tokens=max_tokens)
+            GenerationRequest(prompt=f"[{lang}] {p.text}", max_tokens=PT_MAX_TOKENS)
             for lang in languages
             for p in passages_by_language[lang]
         ]
@@ -365,10 +348,12 @@ def _fold(
 ) -> SynthesisRun:
     """Turn one generation outcome per passage into a raw SynthesisRun.
 
-    outcomes follow sorted-language, then passage order. An (answer,
-    question) pair with both sides non-empty becomes an example; anything
-    else is dropped as empty_generation, and an exception also leaves the
-    note "<passage id>: <error>".
+    A passage is the context an outcome was generated from or translated
+    into, and an example's source_dataset is its passage's source
+    ("unlabeled" if empty). outcomes follow sorted-language, then passage
+    order. An (answer, question) pair with both sides non-empty becomes an
+    example; anything else is dropped as empty_generation, and an exception
+    also leaves the note "<passage id>: <error>".
     """
     languages = sorted(passages_by_language)
     outcomes = iter(outcomes)
@@ -445,8 +430,6 @@ def filter_roundtrip(
     qa_backend: Backend,
     exemplars: ExemplarSet,
     mode: str = "normalized",
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    stop_sequences: Tuple[str, ...] = DEFAULT_STOP_SEQUENCES,
 ) -> Tuple[Dataset, FilterReport]:
     """Consistency filter: re-answer each generated question and compare.
 
@@ -469,7 +452,7 @@ def filter_roundtrip(
         )
         for ex in examples.examples
     ]
-    predictions = _complete(qa_backend, prompts, max_tokens, stop_sequences)
+    predictions = _complete(qa_backend, prompts)
     kept: List[QAExample] = []
     mismatches = 0
     notes: List[str] = []

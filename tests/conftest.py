@@ -49,8 +49,6 @@ class StaticBackend(Backend):
         self._completions = list(completions)
         self._calls = 0
 
-    backend_id = "mock:static"
-
     def generate(self, request: GenerationRequest) -> str:
         if self._calls >= len(self._completions):
             raise BackendError("static backend exhausted")

@@ -13,11 +13,13 @@ the served backend raises becomes a 422 reply, which the client does not
 retry.
 
 The server counts the requests it receives: `served` in all, `seen` per
-prompt or text, and the peak number in flight at once. `intercept(server,
-handler, payload)`, if given, sees each request first. It returns True once
-it has dealt with the request itself, by replying with `send_reply` or
-`server.answer`, or by sending nothing; otherwise the request is answered
-as usual. `release` is set when the server stops, so an interceptor that
+prompt or text, and the peak number in flight at once. A request stops
+being in flight just before its reply body is written, since the client
+may send its next request as soon as it has read that body.
+`intercept(server, handler, payload)`, if given, sees each request first.
+It returns True once it has dealt with the request itself, by replying with
+`send_reply` or `server.answer`, or by sending nothing; otherwise the
+request is answered as usual. `release` is set when the server stops, so an interceptor that
 holds a request open can wait on it.
 
 `faults=seed` serves a seeded fault schedule: `server.fault(body, arrival)`
@@ -67,15 +69,15 @@ FAULTS = ("503", "429", "close", "cut", "close-after-reply")
 class ReversingTranslator(Backend):
     """Translates by reversing the text."""
 
-    backend_id = "mock:reversing-translator"
-
     def translate(self, request: TranslationRequest) -> str:
         return request.text[::-1]
 
 
 def send_reply(handler, status: int, payload, headers=(), cut: bool = False) -> None:
-    """Write one JSON reply, framed by Content-Length, on handler's connection;
-    with cut, only half its body, and then close the connection."""
+    """Write one JSON reply, framed by Content-Length, on the connection of a
+    MockServer handler; with cut, only half its body, and then close the
+    connection. The request is done, no longer in flight, before the body
+    is written."""
     raw = json.dumps(payload).encode()
     handler.send_response(status)
     for name, value in headers:
@@ -86,6 +88,7 @@ def send_reply(handler, status: int, payload, headers=(), cut: bool = False) -> 
     if cut:
         raw = raw[: len(raw) // 2]
         handler.close_connection = True
+    handler.done()
     handler.wfile.write(raw)
 
 
@@ -172,6 +175,17 @@ class MockServer:
             fault = self.fault(body, self.arrivals[body])
             self.inflight += 1
             self.peak_inflight = max(self.peak_inflight, self.inflight)
+        finished = []
+
+        def done() -> None:
+            # Once per request: send_reply calls it, and so does the finally
+            # below for a request that got no reply.
+            if not finished:
+                finished.append(True)
+                with self.lock:
+                    self.inflight -= 1
+
+        handler.done = done
         try:
             if fault == "503":
                 send_reply(handler, 503, {})
@@ -186,8 +200,7 @@ class MockServer:
             elif self.intercept is None or not self.intercept(self, handler, payload):
                 self.answer(handler, payload)
         finally:
-            with self.lock:
-                self.inflight -= 1
+            done()
 
     def answer(self, handler, payload: dict, headers=(), cut: bool = False) -> None:
         """Reply as the served backend does, with these extra headers; with

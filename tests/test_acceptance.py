@@ -323,8 +323,6 @@ def test_uniform_logit_loss():
 
 
 class _ScriptedTranslator(Backend):
-    backend_id = "mock:scripted"
-
     def __init__(self, mapping):
         self.mapping = mapping
 

@@ -3,7 +3,9 @@
 Every artifact's sha256 must match tests/golden/digests.json, so a change
 that alters any byte of the chain's output names the file it altered. Every
 command's manifest must list exactly the files under its --out and exactly
-its own flags.
+its own flags. The same chain served over HTTP by tests/mock_server.py must
+make the same bytes, but for the backend in the config files beside the
+runs.
 
 The tune command and the toy-model pt path run on numpy, so their bytes
 depend on the numpy version, its BLAS library and the CPU architecture.
@@ -31,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from qasynth.cli import EXIT_OK, main
+from mock_server import MockServer
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 TOY_DIGESTS = Path(__file__).parent / "golden" / "toy_digests.json"
@@ -106,10 +109,10 @@ FINNISH = [
 ]
 
 
-def write_inputs(root: Path) -> None:
+def write_inputs(root: Path, config: dict) -> None:
     (root / "squad.json").write_text(json.dumps(SQUAD), encoding="utf-8")
     (root / "predictions.json").write_text(json.dumps(PREDICTIONS), encoding="utf-8")
-    (root / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
     with (root / "pool.ndjson").open("w", encoding="utf-8") as fh:
         for i in range(14):
             sentence = FINNISH[i % len(FINNISH)].format(n=1900 + 7 * i)
@@ -159,8 +162,8 @@ def toy_chain(root: Path):
     ])
 
 
-def run_chain(root: Path) -> None:
-    write_inputs(root)
+def run_chain(root: Path, config: dict = CONFIG) -> None:
+    write_inputs(root, config)
     for step, _, argv in chain(root):
         assert main(argv) == EXIT_OK, step
 
@@ -238,6 +241,49 @@ def test_toy_model_artifacts_match_golden_digests(chain_root):
     run_toy_chain(chain_root)
     print(f"checked the tune/pt digests for {key!r}")
     assert_digests_match(golden[key], digests(chain_root, toy_chain))
+
+
+# The chain's artifacts that embed the run config, so they name its backend.
+CONFIG_ARTIFACTS = [f"{step}/{name}" for step in ("synth-mt", "synth-pe", "synth-pt", "filter")
+                    for name in ("config.json", "report.json")]
+
+
+@pytest.fixture(scope="module")
+def http_chains(tmp_path_factory) -> dict:
+    """{parallelism: (root, served, peak in flight)} for the chain run with an
+    http backend against a MockServer that serves what the mock config does:
+    noise 0.5 and seed 2, which is seeds.synth for every command that
+    generates."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+            mp.delenv(name, raising=False)
+            mp.delenv(name.upper(), raising=False)
+        for parallelism in (1, 2, 8):
+            root = tmp_path_factory.mktemp(f"http-chain-{parallelism}")
+            with MockServer(noise_rate=0.5, seed=2) as server:
+                backend = {"kind": "http", "url": server.url, "parallelism": parallelism}
+                run_chain(root, {**CONFIG, "backend": backend})
+            runs[parallelism] = (root, server.served, server.peak_inflight)
+    return runs
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 8])
+def test_http_chain_makes_the_mock_chains_bytes(chain_root, http_chains, parallelism):
+    root, served, peak_inflight = http_chains[parallelism]
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    found = digests(root)
+    for name in CONFIG_ARTIFACTS:
+        assert found.pop(name) != golden.pop(name), name
+        over_http, mocked = (json.loads((r / name).read_text(encoding="utf-8"))
+                             for r in (root, chain_root))
+        key = "backend" if name.endswith("config.json") else "config_hash"
+        assert over_http.pop(key) != mocked.pop(key), name
+        assert over_http == mocked, name
+    assert len(golden) == 22
+    assert_digests_match(golden, found)
+    assert served == http_chains[1][1]
+    assert peak_inflight <= parallelism
 
 
 # The flags of each subcommand, other than --config and --out, by dest name.

@@ -211,9 +211,9 @@ class TestPassagePool:
             ),
             encoding="utf-8",
         )
-        pool = load_passage_pool(p, "fi", source="wiki")
+        pool = load_passage_pool(p, "fi")
         assert [x.id for x in pool] == ["p0", "p1", "p2"]
-        assert all(x.language == "fi" and x.source == "wiki" for x in pool)
+        assert all(x.language == "fi" and x.source == "pool.ndjson" for x in pool)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "pool.ndjson"

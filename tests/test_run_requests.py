@@ -53,8 +53,6 @@ class CountingTranslator(Backend):
     """Reverses the text; counts calls per (text, source, target); raises
     BackendError on the texts in fail_on."""
 
-    backend_id = "mock:counting"
-
     def __init__(self, fail_on=()):
         self.fail_on = set(fail_on)
         self.calls = Counter()
@@ -311,10 +309,24 @@ class TestFanOut:
         # reply handed to the wrong request, shows in the counts or results.
         n, parallelism = 2000, 8
         reqs = [TranslationRequest(text=f"t{i}", source="en", target="fi") for i in range(n)]
+        first, second = threading.Lock(), threading.Event()
+
+        def hold_first(server, handler, payload):
+            # The first request to get here stays in flight until a second
+            # one has (at most 5 s), so two are in flight at once however the
+            # threads are scheduled; then it is answered as usual.
+            if first.acquire(blocking=False):
+                second.wait(5)
+            else:
+                second.set()
+            return False
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with http_backend(parallelism, translator=ReversingTranslator()) as (backend, server):
+            with http_backend(
+                parallelism, translator=ReversingTranslator(), intercept=hold_first
+            ) as (backend, server):
                 results = run_requests(backend, reqs)
         finally:
             sys.setswitchinterval(interval)

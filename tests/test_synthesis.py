@@ -18,6 +18,7 @@ from qasynth.backends import (
 from qasynth.corpus import Dataset, Passage, QAExample, config_hash
 from qasynth.promptkit import Exemplar, ExemplarSet
 from qasynth.synthesis import (
+    PT_MAX_TOKENS,
     FilterReport,
     SynthesisError,
     SynthesisRun,
@@ -148,6 +149,11 @@ class TestSynthMT:
         run = synth_mt(gold_en, tagging_translator, ["en", "fi"])
         assert sorted(run.raw) == ["fi"]
 
+    def test_repeated_language_is_one_target(self, gold_en, tagging_translator):
+        run = synth_mt(gold_en, tagging_translator, ["fi", "ar", "fi"])
+        assert run == synth_mt(gold_en, tagging_translator, ["ar", "fi"])
+        assert run.languages == ("ar", "fi")
+
 
 class TestSynthPE:
     def test_clean_mock_round(self, mock_backend):
@@ -219,8 +225,7 @@ class TestSynthPT:
 
         model = create_toy_lm(seed=0)
         prompts = {"fi": init_prompt(4, model.d, seed=0)}
-        run = synth_pt({"fi": fi_passages(3)}, model=model,
-                       prompts_by_language=prompts, max_tokens=16)
+        run = synth_pt({"fi": fi_passages(3)}, model=model, prompts_by_language=prompts)
         report = run.reports["fi"]
         assert report.input_count == 3
         assert report.kept_count == len(run.raw["fi"])
@@ -239,12 +244,14 @@ class TestSynthPT:
         model = create_toy_lm(seed=0)
         prompts = {"fi": init_prompt(4, model.d, seed=0), "sw": init_prompt(4, model.d, seed=1)}
         passages = {"fi": fi_passages(5), "sw": fi_passages(3)}
-        run = synth_pt(passages, model=model, prompts_by_language=prompts, max_tokens=40)
+        run = synth_pt(passages, model=model, prompts_by_language=prompts)
         for lang, batch in passages.items():
             want = []
             for p in batch:
                 pair = split_decoded(
-                    greedy_decode(model, prompts[lang], encode_context(p.text, lang), 40)
+                    greedy_decode(
+                        model, prompts[lang], encode_context(p.text, lang), PT_MAX_TOKENS
+                    )
                 )
                 if pair and pair[0] and pair[1]:
                     want.append((f"pt-{lang}-{p.id}", pair[0], pair[1]))
@@ -274,23 +281,11 @@ class TestSynthPT:
         model = create_toy_lm(seed=0)
         prompts = {"fi": init_prompt(2, model.d, seed=0), "sw": init_prompt(2, model.d, seed=1)}
         run = synth_pt(
-            {"fi": fi_passages(2), "sw": []}, model=model,
-            prompts_by_language=prompts, max_tokens=16,
+            {"fi": fi_passages(2), "sw": []}, model=model, prompts_by_language=prompts
         )
         assert len(run.raw["sw"]) == 0
         assert run.reports["sw"].input_count == 0
         assert run.reports["fi"].input_count == 2
-
-    def test_negative_max_tokens_rejected(self):
-        from qasynth.tuner import TunerError, create_toy_lm, init_prompt
-
-        model = create_toy_lm(seed=0)
-        with pytest.raises(TunerError):
-            synth_pt(
-                {"fi": fi_passages(1)}, model=model,
-                prompts_by_language={"fi": init_prompt(2, model.d, seed=0)},
-                max_tokens=-1,
-            )
 
 
 class TestFilterExtractive:

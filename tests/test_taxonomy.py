@@ -24,8 +24,6 @@ from mock_server import http_backend, raise_on_reply
 class DictTranslator(Backend):
     """Scripted translator: exact source text to exact English text."""
 
-    backend_id = "mock:dict-translator"
-
     def __init__(self, mapping):
         self.mapping = dict(mapping)
 
