@@ -10,9 +10,9 @@ Run from the repository root:  python3 demos/04_synthesis_pipeline.py
 
 import json
 
-from qasynth.backends import MockQABackend, TaggingTranslator
+from qasynth.backends import TaggingTranslator
 from qasynth.corpus import Dataset, Passage, QAExample
-from qasynth.promptkit import build_exemplars_en_only
+from qasynth.promptkit import MockQABackend, build_exemplars_en_only
 from qasynth.synthesis import (
     assemble,
     filter_extractive,

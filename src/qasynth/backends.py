@@ -1,9 +1,9 @@
-"""The backend contract, an HTTP client, and test mocks.
+"""The backend contract, an HTTP client, run_requests, and a mock translator.
 
 A backend answers generate(GenerationRequest) and translate(TranslationRequest)
 with the reply text, or raises BackendError. Decoding is always greedy
-(temperature zero); a generation reply is only the continuation, cut at the
-first stop sequence when one occurs.
+(temperature zero); a generation reply is only the continuation, and only
+run_requests cuts it at the first stop sequence when one occurs.
 
 Wire format of the HTTP backend:
     POST {base_url}/v1/generate   {"prompt", "max_tokens", "temperature": 0, "stop": [...]}  -> {"text"}
@@ -50,7 +50,6 @@ selectors, ssl, urllib.request and base64 when it is built.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -65,7 +64,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 DEFAULT_TIMEOUT = 60.0
 MAX_ATTEMPTS = 3
 
-_DIGIT_RUN = re.compile(r"\d+")
 # One encoder for every request body: json.dumps builds a new JSONEncoder
 # on each call that passes an option, such as allow_nan.
 _encode_json = json.JSONEncoder(allow_nan=False).encode
@@ -628,17 +626,15 @@ class HttpBackend(Backend):
             conn.close()  # a failed tunnel or TLS handshake leaves the socket open
             raise
 
-    def _reply(self, request: Request) -> str:
+    def generate(self, request: Request) -> str:
+        """Send one request of either kind: its raw reply text, which only
+        run_requests cuts and checks, or its BackendError raised."""
         (reply,) = self.replies([request])
         if isinstance(reply, BackendError):
             raise reply
         return reply
 
-    def generate(self, request: GenerationRequest) -> str:
-        return apply_stop_sequences(self._reply(request), request.stop_sequences)
-
-    def translate(self, request: TranslationRequest) -> str:
-        return self._reply(request)
+    translate = generate
 
 
 def run_requests(
@@ -687,122 +683,3 @@ class TaggingTranslator(Backend):
 
     def translate(self, request: TranslationRequest) -> str:
         return f"[{request.target}] {request.text}"
-
-
-def _span_of(passage_text: str) -> str:
-    """The deterministic answer span: first maximal digit run, else first
-    token starting with an uppercase letter, else the first token."""
-    m = _DIGIT_RUN.search(passage_text)
-    if m:
-        return m.group(0)
-    tokens = passage_text.split()
-    for tok in tokens:
-        if tok and tok[0].isupper():
-            return tok
-    return tokens[0] if tokens else ""
-
-
-_CORRUPT_ALPHABET = "bcdfghjkmpqvwxz"
-
-
-def _corrupt(span: str, passage_text: str, rng: random.Random) -> str:
-    """A replacement span absent from the passage and free of the original.
-
-    Both conditions matter: a corrupted answer must fail the in-context
-    check, and a corrupted question must not smuggle the true answer back
-    in, or the trivial-question filter could never be exercised.
-    """
-    while True:
-        candidate = "".join(rng.choice(_CORRUPT_ALPHABET) for _ in range(10))
-        if candidate not in passage_text and span not in candidate:
-            return candidate
-
-
-def mock_qa_generate(
-    passage_text: str,
-    stage: str,
-    noise_rate: float = 0.0,
-    seed: int = 0,
-) -> str:
-    """Deterministic stand-in for the generating model, for tests and dry runs.
-
-    Answer stage: the span (first maximal digit run, else first capitalized
-    token, else first token). Question stage: "What is mentioned about
-    <span>?". With probability noise_rate the span is replaced by a corrupted
-    string guaranteed not to occur in the passage; the draw is a pure
-    function of (passage_text, stage, seed), so different stages corrupt
-    independently.
-    """
-    if not 0.0 <= noise_rate <= 1.0:
-        raise ValueError("noise_rate must be within [0, 1]")
-    if stage not in ("answer", "question"):
-        raise ValueError(f"unknown stage {stage!r}")
-    if not passage_text.strip():
-        return ""
-    span = _span_of(passage_text)
-    digest = hashlib.sha256(
-        f"{seed}|{stage}|{passage_text}".encode("utf-8")
-    ).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
-    if noise_rate > 0.0 and rng.random() < noise_rate:
-        span = _corrupt(span, passage_text, rng)
-    if stage == "answer":
-        return span
-    return f"What is mentioned about {span}?"
-
-
-class MockQABackend(Backend):
-    """Generation mock that understands the rendered prompt layouts.
-
-    For two-stage prompts it finds the target passage (last "  Passage: "
-    line), detects the stage from the trailing cue, and completes with
-    mock_qa_generate plus a continuation tail that exercises stop-sequence
-    truncation. For language-prefixed tuned-model prompts ("[fi] <passage>")
-    it returns "answer\\nquestion".
-    """
-
-    def __init__(self, noise_rate: float = 0.0, seed: int = 0):
-        if not 0.0 <= noise_rate <= 1.0:
-            raise ValueError("noise_rate must be within [0, 1]")
-        self.noise_rate = noise_rate
-        self.seed = seed
-
-    # Cue literals mirror the prompt templates; a test pins them together.
-    _ANSWER_CUE = "Answer in the original language:"
-    _QUESTION_CUE = "Question in the original language:"
-    _PASSAGE_LABEL = "  Passage: "
-
-    def _target_passage(self, prompt: str) -> str:
-        idx = prompt.rfind(self._PASSAGE_LABEL)
-        if idx == -1:
-            raise BackendError("prompt has no passage line; cannot mock a completion")
-        line_end = prompt.find("\n", idx)
-        if line_end == -1:
-            line_end = len(prompt)
-        return prompt[idx + len(self._PASSAGE_LABEL) : line_end]
-
-    def generate(self, request: GenerationRequest) -> str:
-        prompt = request.prompt
-        stripped = prompt.rstrip()
-        if stripped.endswith(self._QUESTION_CUE):
-            stage = "question"
-        elif stripped.endswith(self._ANSWER_CUE):
-            stage = "answer"
-        elif prompt.startswith("[") and "]" in prompt.split("\n", 1)[0]:
-            return self._generate_tuned(request)
-        else:
-            raise BackendError("prompt does not end at a known cue")
-        passage = self._target_passage(prompt)
-        completion = mock_qa_generate(passage, stage, self.noise_rate, self.seed)
-        raw = f" {completion}\nPassage: unrelated follow-on text"
-        return apply_stop_sequences(raw, request.stop_sequences)
-
-    def _generate_tuned(self, request: GenerationRequest) -> str:
-        # "[l] passage" prompts come from the tuned-model synthesis path; the
-        # reply convention there is answer, newline, question.
-        close = request.prompt.index("]")
-        passage = request.prompt[close + 1 :].lstrip()
-        answer = mock_qa_generate(passage, "answer", self.noise_rate, self.seed)
-        question = mock_qa_generate(passage, "question", self.noise_rate, self.seed)
-        raw = f"{answer}\n{question}"
-        return apply_stop_sequences(raw, request.stop_sequences)

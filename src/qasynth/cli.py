@@ -34,7 +34,6 @@ from .backends import (
     Backend,
     BackendError,
     HttpBackend,
-    MockQABackend,
     TaggingTranslator,
     split_backend_url,
 )
@@ -199,7 +198,7 @@ class RunConfig:
             raise ConfigError(
                 f"scenario must be 'english_only' or 'few_shot', got {self.scenario!r}"
             )
-        _check_int("n_shot", self.n_shot, 1 if self.scenario == "few_shot" else 0)
+        _check_int("n_shot", self.n_shot, 1)
         _check_object("paths", self.paths)
         for name, value in self.paths.items():
             if not isinstance(value, str):
@@ -281,6 +280,8 @@ def make_translator(config: RunConfig) -> Backend:
 
 def make_generator(config: RunConfig, seed: int) -> Backend:
     if config.backend.kind == "mock":
+        from .promptkit import MockQABackend
+
         return MockQABackend(noise_rate=config.backend.noise_rate, seed=seed)
     return _http_backend(config)
 

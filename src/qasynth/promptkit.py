@@ -1,19 +1,23 @@
-"""Exemplar construction and rendering/parsing of the two-stage QA prompts.
+"""Exemplar construction, the prompt formats and their completions, and the
+generation mock that answers them.
 
 Stage one asks for a plausible answer given a passage; stage two asks for the
 question that the answer answers. Each exemplar block carries an English line
 immediately before the corresponding target-language line, which anchors the
 generation through English even when the passage language is something else
-entirely (the bridge). Template byte layout is frozen in module constants so
-mock backends and golden tests can match it exactly.
+entirely (the bridge). Template byte layout is frozen in module constants,
+which the stop sequence and MockQABackend read too.
 """
 
 from __future__ import annotations
 
+import hashlib
+import random
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .backends import Backend, BackendError, TranslationRequest, run_requests
+from .backends import Backend, BackendError, GenerationRequest, TranslationRequest, run_requests
 from .corpus import SCENARIOS, Dataset, Passage, QAExample
 
 ANSWER_INSTRUCTION = "I will write potential answers\nfor the following passages."
@@ -26,6 +30,9 @@ ANSWER_LABEL = "  Answer: "
 QUESTION_EN_LABEL = "  Question in English: "
 QUESTION_L_CUE = "  Question in the original language:"
 QUESTION_LABEL = "  Question: "
+
+# A model that continues the few-shot pattern starts the next block here.
+STOP_SEQUENCES = ("\n" + PASSAGE_LABEL.rstrip(),)
 
 
 class PromptError(ValueError):
@@ -178,6 +185,14 @@ def build_exemplars_fewshot(
     )
 
 
+def _check_language(exemplars: ExemplarSet, target_passage: Passage) -> None:
+    if exemplars.language != target_passage.language:
+        raise PromptError(
+            f"exemplar language {exemplars.language!r} does not match passage "
+            f"language {target_passage.language!r}"
+        )
+
+
 def render_answer_prompt(
     exemplars: ExemplarSet,
     target_passage: Passage,
@@ -188,11 +203,7 @@ def render_answer_prompt(
     English / Answer in the original language), then the target block that
     ends exactly after the original-language answer cue.
     """
-    if exemplars.language != target_passage.language:
-        raise PromptError(
-            f"exemplar language {exemplars.language!r} does not match passage "
-            f"language {target_passage.language!r}"
-        )
+    _check_language(exemplars, target_passage)
     lines = [ANSWER_INSTRUCTION]
     for ex in exemplars.exemplars:
         lines.append(f"{PASSAGE_LABEL}{ex.context_l}")
@@ -216,11 +227,7 @@ def render_question_prompt(
     """
     if not predicted_answer:
         raise PromptError("predicted_answer must be non-empty")
-    if exemplars.language != target_passage.language:
-        raise PromptError(
-            f"exemplar language {exemplars.language!r} does not match passage "
-            f"language {target_passage.language!r}"
-        )
+    _check_language(exemplars, target_passage)
     lines = [QUESTION_INSTRUCTION]
     for ex in exemplars.exemplars:
         lines.append(f"{PASSAGE_LABEL}{ex.context_l}")
@@ -246,11 +253,7 @@ def render_roundtrip_prompt(
     """
     if not question:
         raise PromptError("question must be non-empty")
-    if exemplars.language != target_passage.language:
-        raise PromptError(
-            f"exemplar language {exemplars.language!r} does not match passage "
-            f"language {target_passage.language!r}"
-        )
+    _check_language(exemplars, target_passage)
     lines = [ANSWER_INSTRUCTION]
     for ex in exemplars.exemplars:
         lines.append(f"{PASSAGE_LABEL}{ex.context_l}")
@@ -261,6 +264,11 @@ def render_roundtrip_prompt(
     lines.append(f"{QUESTION_LABEL}{question}")
     lines.append(ANSWER_L_CUE)
     return "\n".join(lines)
+
+
+def render_pt_prompt(passage: Passage) -> str:
+    """Render a tuned-model request: the language tag, then the passage."""
+    return f"[{passage.language}] {passage.text}"
 
 
 def parse_completion(raw: str) -> str:
@@ -274,10 +282,128 @@ def parse_completion(raw: str) -> str:
     newline = raw.find("\n")
     if newline != -1:
         cut = min(cut, newline)
-    passage = raw.find("Passage:")
+    passage = raw.find(PASSAGE_LABEL.strip())
     if passage != -1:
         cut = min(cut, passage)
     value = raw[:cut].strip()
     if not value:
         raise PromptError("empty completion")
     return value
+
+
+def parse_pt_completion(raw: str) -> Optional[Tuple[str, str]]:
+    """A tuned-model completion as (answer, question), both trimmed: the first
+    line, then the next non-blank one. None if there is no newline."""
+    if "\n" not in raw:
+        return None
+    answer, question = raw.split("\n", 1)
+    return answer.strip(), question.strip().split("\n")[0]
+
+
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def _span_of(passage_text: str) -> str:
+    """The deterministic answer span: first maximal digit run, else first
+    token starting with an uppercase letter, else the first token."""
+    m = _DIGIT_RUN.search(passage_text)
+    if m:
+        return m.group(0)
+    tokens = passage_text.split()
+    for tok in tokens:
+        if tok and tok[0].isupper():
+            return tok
+    return tokens[0] if tokens else ""
+
+
+_CORRUPT_ALPHABET = "bcdfghjkmpqvwxz"
+
+
+def _corrupt(span: str, passage_text: str, rng: random.Random) -> str:
+    """A replacement span absent from the passage and free of the original.
+
+    Both conditions matter: a corrupted answer must fail the in-context
+    check, and a corrupted question must not smuggle the true answer back
+    in, or the trivial-question filter could never be exercised.
+    """
+    while True:
+        candidate = "".join(rng.choice(_CORRUPT_ALPHABET) for _ in range(10))
+        if candidate not in passage_text and span not in candidate:
+            return candidate
+
+
+def mock_qa_generate(
+    passage_text: str,
+    stage: str,
+    noise_rate: float = 0.0,
+    seed: int = 0,
+) -> str:
+    """Deterministic stand-in for the generating model, for tests and dry runs.
+
+    Answer stage: the span (first maximal digit run, else first capitalized
+    token, else first token). Question stage: "What is mentioned about
+    <span>?". With probability noise_rate the span is replaced by a corrupted
+    string guaranteed not to occur in the passage; the draw is a pure
+    function of (passage_text, stage, seed), so different stages corrupt
+    independently.
+    """
+    if not 0.0 <= noise_rate <= 1.0:
+        raise ValueError("noise_rate must be within [0, 1]")
+    if stage not in ("answer", "question"):
+        raise ValueError(f"unknown stage {stage!r}")
+    if not passage_text.strip():
+        return ""
+    span = _span_of(passage_text)
+    digest = hashlib.sha256(
+        f"{seed}|{stage}|{passage_text}".encode("utf-8")
+    ).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    if noise_rate > 0.0 and rng.random() < noise_rate:
+        span = _corrupt(span, passage_text, rng)
+    if stage == "answer":
+        return span
+    return f"What is mentioned about {span}?"
+
+
+class MockQABackend(Backend):
+    """Generation mock that reads the prompt layouts rendered above.
+
+    For two-stage prompts it finds the target passage (the last
+    PASSAGE_LABEL line), detects the stage from the trailing cue, and
+    replies with mock_qa_generate, then the start of a next block, which
+    run_requests cuts at the stop sequence. For tuned-model prompts
+    ("[fi] <passage>") it replies "answer\\nquestion".
+    """
+
+    def __init__(self, noise_rate: float = 0.0, seed: int = 0):
+        if not 0.0 <= noise_rate <= 1.0:
+            raise ValueError("noise_rate must be within [0, 1]")
+        self.noise_rate = noise_rate
+        self.seed = seed
+
+    def _target_passage(self, prompt: str) -> str:
+        idx = prompt.rfind(PASSAGE_LABEL)
+        if idx == -1:
+            raise BackendError("prompt has no passage line; cannot mock a completion")
+        line_end = prompt.find("\n", idx)
+        if line_end == -1:
+            line_end = len(prompt)
+        return prompt[idx + len(PASSAGE_LABEL) : line_end]
+
+    def generate(self, request: GenerationRequest) -> str:
+        prompt = request.prompt
+        stripped = prompt.rstrip()
+        if stripped.endswith(QUESTION_L_CUE):
+            stage = "question"
+        elif stripped.endswith(ANSWER_L_CUE):
+            stage = "answer"
+        elif prompt.startswith("[") and "]" in prompt.split("\n", 1)[0]:
+            passage = prompt[prompt.index("]") + 1 :].lstrip()
+            answer = mock_qa_generate(passage, "answer", self.noise_rate, self.seed)
+            question = mock_qa_generate(passage, "question", self.noise_rate, self.seed)
+            return f"{answer}\n{question}"
+        else:
+            raise BackendError("prompt does not end at a known cue")
+        passage = self._target_passage(prompt)
+        completion = mock_qa_generate(passage, stage, self.noise_rate, self.seed)
+        return f" {completion}\n{PASSAGE_LABEL}unrelated follow-on text"

@@ -33,10 +33,13 @@ from .corpus import (
 )
 from .metrics import normalize_answer
 from .promptkit import (
+    STOP_SEQUENCES,
     ExemplarSet,
     PromptError,
     parse_completion,
+    parse_pt_completion,
     render_answer_prompt,
+    render_pt_prompt,
     render_question_prompt,
     render_roundtrip_prompt,
     translate_fields,
@@ -56,7 +59,6 @@ FILTER_REASONS = (
 
 # The request sizes of pe's two stages and the round trip, then of pt.
 MAX_TOKENS = 64
-STOP_SEQUENCES = ("\nPassage:",)
 PT_MAX_TOKENS = 128
 
 
@@ -291,9 +293,9 @@ def synth_pt(
     first SEP into (answer, question). Every language must have a prompt
     before any decoding starts; each language's passages are decoded in one
     greedy_decode_batch call. Remote path: pass backend instead;
-    the prompt is "[l] passage" and the completion convention is the answer,
-    a newline, then the question. The remote prompts of every language go
-    through one run_requests call. Either way a generation with no
+    promptkit renders each prompt (render_pt_prompt) and reads each
+    completion (parse_pt_completion). The remote prompts of every language
+    go through one run_requests call. Either way a generation with no
     separator or an empty side is dropped as empty_generation.
     """
     toy = model is not None or prompts_by_language is not None
@@ -322,22 +324,15 @@ def synth_pt(
         ]
     else:
         reqs = [
-            GenerationRequest(prompt=f"[{lang}] {p.text}", max_tokens=PT_MAX_TOKENS)
+            GenerationRequest(prompt=render_pt_prompt(p), max_tokens=PT_MAX_TOKENS)
             for lang in languages
             for p in passages_by_language[lang]
         ]
-        outcomes = [_split_completion(text) for text in run_requests(backend, reqs)]
+        outcomes = [
+            text if isinstance(text, BackendError) else parse_pt_completion(text)
+            for text in run_requests(backend, reqs)
+        ]
     return _fold("pt", scenario, passages_by_language, outcomes)
-
-
-def _split_completion(text: Union[str, BackendError]):
-    """A remote pt completion as an (answer, question) pair, None or a BackendError."""
-    if isinstance(text, BackendError):
-        return text
-    if "\n" not in text:
-        return None
-    answer, question = text.split("\n", 1)
-    return answer.strip(), question.strip().split("\n")[0]
 
 
 def _fold(

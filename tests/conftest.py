@@ -9,15 +9,9 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from qasynth.backends import (
-    Backend,
-    BackendError,
-    GenerationRequest,
-    MockQABackend,
-    TaggingTranslator,
-    apply_stop_sequences,
-)
+from qasynth.backends import Backend, BackendError, GenerationRequest, TaggingTranslator
 from qasynth.corpus import Dataset, Passage, QAExample
+from qasynth.promptkit import MockQABackend
 
 
 def make_example(
@@ -43,7 +37,7 @@ def make_example(
 
 
 class StaticBackend(Backend):
-    """Replays canned completions in order; for plumbing tests."""
+    """Replays canned completions in order, raw; for plumbing tests."""
 
     def __init__(self, completions: Sequence[str]):
         self._completions = list(completions)
@@ -54,7 +48,7 @@ class StaticBackend(Backend):
             raise BackendError("static backend exhausted")
         text = self._completions[self._calls]
         self._calls += 1
-        return apply_stop_sequences(text, request.stop_sequences)
+        return text
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ protocol, so tests can run HttpBackend against the mocks.
             ...
 
 POST /v1/generate answers with generator.generate, by default
-MockQABackend(noise_rate, seed); POST /v1/translate with
+promptkit.MockQABackend(noise_rate, seed), whose raw reply runs on past the
+stop sequence for the client to cut; POST /v1/translate with
 translator.translate, by default TaggingTranslator. ReversingTranslator
 reverses the text instead, so every reply names its request. A BackendError
 the served backend raises becomes a 422 reply, which the client does not
@@ -51,10 +52,10 @@ from qasynth.backends import (
     BackendError,
     GenerationRequest,
     HttpBackend,
-    MockQABackend,
     TaggingTranslator,
     TranslationRequest,
 )
+from qasynth.promptkit import MockQABackend
 
 
 TLS_CERT = str(Path(__file__).with_name("tls") / "cert.pem")

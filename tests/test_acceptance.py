@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qasynth.backends import Backend, BackendError, MockQABackend, TaggingTranslator
+from qasynth.backends import Backend, BackendError, TaggingTranslator
 from qasynth.cli import EXIT_OK, TuneConfig, main
 from qasynth.corpus import Dataset, Passage
 from qasynth.metrics import corpus_bleu, em, f1, normalize_answer
+from qasynth.promptkit import MockQABackend
 from qasynth.synthesis import (
     assemble,
     filter_extractive,

@@ -1,4 +1,4 @@
-"""Backend protocol: wire format, retries, stop sequences, and mocks."""
+"""Backend protocol: wire format, retries, stop sequences, and the mock translator."""
 
 from __future__ import annotations
 
@@ -25,16 +25,12 @@ from qasynth.backends import (
     BackendError,
     GenerationRequest,
     HttpBackend,
-    MockQABackend,
     TaggingTranslator,
     TranslationRequest,
     _read_reply,
     apply_stop_sequences,
-    mock_qa_generate,
     run_requests,
 )
-from qasynth.corpus import Passage
-from qasynth.promptkit import render_answer_prompt, render_question_prompt
 from tests.conftest import StaticBackend
 from tests.mock_server import (
     FAULTS,
@@ -44,7 +40,6 @@ from tests.mock_server import (
     http_backend,
     send_reply,
 )
-from tests.test_promptkit import one_exemplar
 
 
 class RecordingHandler(BaseHTTPRequestHandler):
@@ -106,6 +101,7 @@ def server():
 class TestWireFormat:
     def test_generate_request_and_response(self, server):
         url, handler = server
+        # The reply comes back raw: only run_requests cuts it at a stop sequence.
         handler.script.append((200, {"text": " Lyon\nPassage: next"}))
         backend = HttpBackend(base_url=url, token="sekrit", retry_base_delay=0.0)
         resp = backend.generate(
@@ -122,7 +118,7 @@ class TestWireFormat:
             "stop": ["\nPassage:"],
         }
         assert sent["auth"] == "Bearer sekrit"
-        assert resp == " Lyon"
+        assert resp == " Lyon\nPassage: next"
 
     def test_translate_request(self, server):
         url, handler = server
@@ -1094,47 +1090,6 @@ class TestTaggingTranslator:
         t = TaggingTranslator()
         once = t.translate(TranslationRequest(text="x", source="en", target="fi"))
         assert once == "[fi] x"
-
-
-class TestMockQA:
-    def test_answer_stage_extracts_span(self):
-        passage = Passage(id="p", text="La tour date de 1889 exactement.", language="fr")
-        prompt = render_answer_prompt(one_exemplar(), passage)
-        backend = MockQABackend(noise_rate=0.0, seed=0)
-        resp = backend.generate(
-            GenerationRequest(
-                prompt=prompt, max_tokens=32, stop_sequences=("\nPassage:",)
-            )
-        )
-        answer = resp.strip()
-        assert answer == "1889"
-        assert answer in passage.text
-
-    def test_question_stage_mentions_answer(self):
-        passage = Passage(id="p", text="La tour date de 1889 exactement.", language="fr")
-        prompt = render_question_prompt(one_exemplar(), passage, "1889")
-        backend = MockQABackend(noise_rate=0.0, seed=0)
-        resp = backend.generate(
-            GenerationRequest(
-                prompt=prompt, max_tokens=32, stop_sequences=("\nPassage:",)
-            )
-        )
-        assert resp.strip() == "What is mentioned about 1889?"
-
-    def test_deterministic_given_seed(self):
-        passage = Passage(id="p", text="Il neige depuis 3 jours.", language="fr")
-        prompt = render_answer_prompt(one_exemplar(), passage)
-        req = GenerationRequest(prompt=prompt, max_tokens=32)
-        a = MockQABackend(noise_rate=0.5, seed=4).generate(req)
-        b = MockQABackend(noise_rate=0.5, seed=4).generate(req)
-        c = MockQABackend(noise_rate=0.5, seed=5).generate(req)
-        assert a == b
-        assert a != c or True  # different seeds may coincide on clean draws
-
-    def test_mock_qa_generate_pure(self):
-        one = mock_qa_generate("Le pont a 300 metres.", "answer", 0.0, 1)
-        two = mock_qa_generate("Le pont a 300 metres.", "answer", 0.0, 1)
-        assert one == two == "300"
 
 
 class TestStaticBackend:

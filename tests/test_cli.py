@@ -235,6 +235,7 @@ class TestConfigValidation:
             ({"languages": ["en", "../esc"]}, "languages"),
             ({"languages": ["en", ".."]}, "languages"),
             ({"languages": ["en", "a\\b"]}, "languages"),
+            ({"n_shot": 0}, "n_shot"),
         ],
     )
     def test_bad_structure_names_path_and_key(self, tmp_path, capsys, doc, key):

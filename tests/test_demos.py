@@ -1,11 +1,15 @@
-"""Every demo runs to the end in-process, and demo 04 reports real filter counts."""
+"""Every demo runs to the end in-process, demo 04 reports real filter counts,
+and every qasynth import in the README resolves."""
 
+import importlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_demos_found():
@@ -24,3 +28,13 @@ def test_synthesis_demo_prints_filtered_pt_count(capsys):
     out = capsys.readouterr().out
     # the mock's 4 tuned-prompt pairs all fail the extractive filter
     assert "4 raw, 0 after extractive filtering" in out
+
+
+def test_readme_imports_resolve():
+    imports = re.findall(
+        r"^from (qasynth[\w.]*) import (.+)$", (ROOT / "README.md").read_text(), re.MULTILINE
+    )
+    assert imports
+    for module, names in imports:
+        for name in names.split(","):
+            assert hasattr(importlib.import_module(module), name.strip()), (module, name)

@@ -1,24 +1,33 @@
-"""Exemplar construction and exact prompt renderings."""
+"""Exemplar construction, exact prompt renderings, the stop sequence, and
+the generation mock that reads them."""
 
 from __future__ import annotations
 
 import pytest
 
-from qasynth.backends import TaggingTranslator
+from qasynth import promptkit
+from qasynth.backends import GenerationRequest, TaggingTranslator, run_requests
 from qasynth.corpus import Dataset, Passage, QAExample
 from qasynth.promptkit import (
     ANSWER_INSTRUCTION,
+    PASSAGE_LABEL,
     QUESTION_INSTRUCTION,
+    STOP_SEQUENCES,
     Exemplar,
     ExemplarSet,
+    MockQABackend,
     PromptError,
     build_exemplars_en_only,
     build_exemplars_fewshot,
+    mock_qa_generate,
     parse_completion,
     render_answer_prompt,
     render_question_prompt,
     render_roundtrip_prompt,
 )
+from qasynth.synthesis import synth_pe
+from tests.conftest import StaticBackend
+from tests.test_synthesis import fi_exemplars, fi_passages
 
 
 def one_exemplar(language="fr") -> ExemplarSet:
@@ -202,3 +211,65 @@ class TestParseCompletion:
     def test_whitespace_only_raises(self):
         with pytest.raises(PromptError):
             parse_completion("")
+
+
+def completion(backend, prompt: str) -> str:
+    """The reply to prompt as a stage gets it: through run_requests, cut at the stop."""
+    (reply,) = run_requests(backend, [GenerationRequest(prompt, 32, STOP_SEQUENCES)])
+    return reply
+
+
+class TestStopSequence:
+    def test_reply_running_into_a_rendered_block_is_cut(self):
+        prompt = render_answer_prompt(
+            one_exemplar(), Passage(id="p", text="Marie habite Paris.", language="fr")
+        )
+        # A model that keeps to the few-shot pattern writes the next block as rendered.
+        next_blocks = prompt[prompt.index(PASSAGE_LABEL) :]
+        assert completion(StaticBackend([" Paris\n" + next_blocks]), prompt) == " Paris"
+
+
+class TestMockQA:
+    def test_answer_stage_extracts_span(self):
+        passage = Passage(id="p", text="La tour date de 1889 exactement.", language="fr")
+        prompt = render_answer_prompt(one_exemplar(), passage)
+        backend = MockQABackend(noise_rate=0.0, seed=0)
+        raw = backend.generate(GenerationRequest(prompt, 32, STOP_SEQUENCES))
+        assert raw.startswith(f" 1889\n{PASSAGE_LABEL}")  # runs on into a next block
+        assert completion(backend, prompt) == " 1889"
+        assert "1889" in passage.text
+
+    def test_question_stage_mentions_answer(self):
+        passage = Passage(id="p", text="La tour date de 1889 exactement.", language="fr")
+        prompt = render_question_prompt(one_exemplar(), passage, "1889")
+        backend = MockQABackend(noise_rate=0.0, seed=0)
+        assert completion(backend, prompt) == " What is mentioned about 1889?"
+
+    def test_deterministic_given_seed(self):
+        passage = Passage(id="p", text="Il neige depuis 3 jours.", language="fr")
+        prompt = render_answer_prompt(one_exemplar(), passage)
+        req = GenerationRequest(prompt=prompt, max_tokens=32)
+        a = MockQABackend(noise_rate=0.5, seed=4).generate(req)
+        b = MockQABackend(noise_rate=0.5, seed=4).generate(req)
+        c = MockQABackend(noise_rate=0.5, seed=5).generate(req)
+        assert a == b
+        assert a != c  # both draws corrupt the span, each differently
+
+    def test_mock_qa_generate_pure(self):
+        one = mock_qa_generate("Le pont a 300 metres.", "answer", 0.0, 1)
+        two = mock_qa_generate("Le pont a 300 metres.", "answer", 0.0, 1)
+        assert one == two == "300"
+
+    def test_reads_the_cues_promptkit_renders(self, monkeypatch):
+        def run():
+            backend = MockQABackend(noise_rate=0.5, seed=3)
+            return synth_pe({"fi": fi_exemplars()}, {"fi": fi_passages(12)}, backend)
+
+        plain = run()
+        assert plain.raw["fi"].examples  # non-vacuous: the mock answered
+        monkeypatch.setattr(promptkit, "ANSWER_L_CUE", "  Vastaus alkukielellä:")
+        monkeypatch.setattr(promptkit, "QUESTION_L_CUE", "  Kysymys alkukielellä:")
+        assert render_answer_prompt(fi_exemplars(), fi_passages(1)[0]).endswith(
+            "Vastaus alkukielellä:"
+        )
+        assert run() == plain

@@ -23,12 +23,11 @@ from qasynth.backends import (
     Backend,
     BackendError,
     HttpBackend,
-    MockQABackend,
     TranslationRequest,
     run_requests,
 )
 from qasynth.corpus import Dataset, Passage, QAExample
-from qasynth.promptkit import build_exemplars_en_only
+from qasynth.promptkit import MockQABackend, build_exemplars_en_only
 from qasynth.synthesis import (
     filter_extractive,
     filter_roundtrip,

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from qasynth.backends import (
     Backend,
     BackendError,
-    MockQABackend,
     TaggingTranslator,
 )
 from qasynth.corpus import Dataset, Passage, QAExample, config_hash
-from qasynth.promptkit import Exemplar, ExemplarSet
+from qasynth.promptkit import Exemplar, ExemplarSet, MockQABackend
 from qasynth.synthesis import (
     PT_MAX_TOKENS,
     FilterReport,
