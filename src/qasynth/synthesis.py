@@ -232,6 +232,16 @@ def _check_exemplars(
             )
 
 
+def _check_passages(passages_by_language: Mapping[str, Sequence[Passage]]) -> None:
+    """Raise SynthesisError unless each passage is listed under its own language."""
+    for lang in sorted(passages_by_language):
+        for p in passages_by_language[lang]:
+            if p.language != lang:
+                raise SynthesisError(
+                    f"passage {p.id!r} is {p.language!r}, listed under {lang!r}"
+                )
+
+
 def synth_pe(
     exemplars_by_language: Mapping[str, ExemplarSet],
     passages_by_language: Mapping[str, Sequence[Passage]],
@@ -248,12 +258,7 @@ def synth_pe(
     """
     languages = sorted(passages_by_language)
     _check_exemplars(exemplars_by_language, languages)
-    for lang in languages:
-        for p in passages_by_language[lang]:
-            if p.language != lang:
-                raise SynthesisError(
-                    f"passage {p.id!r} is {p.language!r}, listed under {lang!r}"
-                )
+    _check_passages(passages_by_language)
     scenarios = {exemplars_by_language[l].scenario for l in languages}
     scenario = scenarios.pop() if len(scenarios) == 1 else "few_shot"
 
@@ -305,6 +310,7 @@ def synth_pt(
         raise SynthesisError(
             "pass either model+prompts_by_language or backend, not both"
         )
+    _check_passages(passages_by_language)
     languages = sorted(passages_by_language)
     if toy:
         from .tuner import encode_context, greedy_decode_batch, split_decoded

@@ -23,7 +23,6 @@ from .corpus import Dataset
 
 OTHER = "Other"
 DEFAULT_OTHER_THRESHOLD = 0.02
-_FRACTION_TOL = 1e-9
 
 
 class TaxonomyError(ValueError):

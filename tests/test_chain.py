@@ -5,7 +5,8 @@ that alters any byte of the chain's output names the file it altered. Every
 command's manifest must list exactly the files under its --out and exactly
 its own flags. The same chain served over HTTP by tests/mock_server.py must
 make the same bytes, but for the backend in the config files beside the
-runs.
+runs: with faults off, and with a bounded fault schedule that the client's
+retries get through.
 
 The tune command and the toy-model pt path run on numpy, so their bytes
 depend on the numpy version, its BLAS library and the CPU architecture.
@@ -32,8 +33,9 @@ from pathlib import Path
 
 import pytest
 
+from qasynth.backends import HttpBackend
 from qasynth.cli import EXIT_OK, main
-from mock_server import MockServer
+from mock_server import FAULTS, MockServer
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 TOY_DIGESTS = Path(__file__).parent / "golden" / "toy_digests.json"
@@ -248,29 +250,45 @@ CONFIG_ARTIFACTS = [f"{step}/{name}" for step in ("synth-mt", "synth-pe", "synth
                     for name in ("config.json", "report.json")]
 
 
-@pytest.fixture(scope="module")
-def http_chains(tmp_path_factory) -> dict:
-    """{parallelism: (root, served, peak in flight)} for the chain run with an
-    http backend against a MockServer that serves what the mock config does:
-    noise 0.5 and seed 2, which is seeds.synth for every command that
-    generates."""
+# The fault seed of the faults-on chain; its schedule draws every one of FAULTS.
+FAULT_SEED = 0
+
+
+def run_http_chains(tmp_path_factory, name: str, **server_args) -> dict:
+    """{parallelism: (root, server)} for the chain run with an http backend
+    against a MockServer(**server_args) that serves what the mock config
+    does: noise 0.5 and seed 2, which is seeds.synth for every command that
+    generates. HttpBackend waits no backoff between attempts."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
-            mp.delenv(name, raising=False)
-            mp.delenv(name.upper(), raising=False)
+        for var in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+            mp.delenv(var, raising=False)
+            mp.delenv(var.upper(), raising=False)
+        mp.setattr(HttpBackend, "_backoff", lambda self, attempt: 0.0)
         for parallelism in (1, 2, 8):
-            root = tmp_path_factory.mktemp(f"http-chain-{parallelism}")
-            with MockServer(noise_rate=0.5, seed=2) as server:
+            root = tmp_path_factory.mktemp(f"{name}-{parallelism}")
+            with MockServer(noise_rate=0.5, seed=2, **server_args) as server:
                 backend = {"kind": "http", "url": server.url, "parallelism": parallelism}
                 run_chain(root, {**CONFIG, "backend": backend})
-            runs[parallelism] = (root, server.served, server.peak_inflight)
+            runs[parallelism] = (root, server)
     return runs
 
 
-@pytest.mark.parametrize("parallelism", [1, 2, 8])
-def test_http_chain_makes_the_mock_chains_bytes(chain_root, http_chains, parallelism):
-    root, served, peak_inflight = http_chains[parallelism]
+@pytest.fixture(scope="module")
+def http_chains(tmp_path_factory) -> dict:
+    return run_http_chains(tmp_path_factory, "http-chain")
+
+
+@pytest.fixture(scope="module")
+def faulty_http_chains(tmp_path_factory) -> dict:
+    """The http chains with a bounded fault schedule: every request gets its
+    reply by its last attempt."""
+    return run_http_chains(tmp_path_factory, "faulty-http-chain", faults=FAULT_SEED, bounded=True)
+
+
+def assert_http_chain_matches(chain_root: Path, root: Path) -> None:
+    """root's chain made the mock chain's bytes, but for the backend in the
+    config files beside the runs."""
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     found = digests(root)
     for name in CONFIG_ARTIFACTS:
@@ -282,8 +300,27 @@ def test_http_chain_makes_the_mock_chains_bytes(chain_root, http_chains, paralle
         assert over_http == mocked, name
     assert len(golden) == 22
     assert_digests_match(golden, found)
-    assert served == http_chains[1][1]
-    assert peak_inflight <= parallelism
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 8])
+def test_http_chain_makes_the_mock_chains_bytes(chain_root, http_chains, parallelism):
+    root, server = http_chains[parallelism]
+    assert_http_chain_matches(chain_root, root)
+    assert server.served == http_chains[1][1].served
+    assert server.peak_inflight <= parallelism
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 8])
+def test_http_chain_with_faults_makes_the_mock_chains_bytes(
+    chain_root, http_chains, faulty_http_chains, parallelism
+):
+    root, server = faulty_http_chains[parallelism]
+    assert_http_chain_matches(chain_root, root)
+    assert server.served == faulty_http_chains[1][1].served > http_chains[1][1].served
+    assert server.peak_inflight <= parallelism
+    drawn = {server.fault(body, k) for body, n in server.arrivals.items()
+             for k in range(1, n + 1)}
+    assert drawn == {None, *FAULTS}
 
 
 # The flags of each subcommand, other than --config and --out, by dest name.

@@ -25,6 +25,7 @@ from qasynth.corpus import Dataset, write_jsonl
 from qasynth.tuner import init_prompt, save_prompt
 
 from conftest import make_example
+from mock_server import MockServer, scripted
 from test_synthesis import fi_exemplars, fi_passages
 
 
@@ -809,29 +810,12 @@ class TestAssemble:
 
 class TestBackendFailures:
     def test_http_error_exits_backend_code(self, tmp_path, gold_en_path, capsys):
-        import threading
-        from http.server import HTTPServer
-
-        from test_backends import RecordingHandler
-
-        httpd = HTTPServer(("127.0.0.1", 0), RecordingHandler)
-        RecordingHandler.script = [(400, {"error": "bad request"})] * 8
-        RecordingHandler.requests_seen = []
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            config = write_config(
-                tmp_path,
-                {"backend": {"kind": "http",
-                             "url": f"http://127.0.0.1:{httpd.server_port}"}},
-            )
+        with MockServer(intercept=scripted(*[(400, {"error": "bad request"})] * 8)) as server:
+            config = write_config(tmp_path, {"backend": {"kind": "http", "url": server.url}})
             code = main(
                 ["exemplars", "--config", config, "--gold", gold_en_path,
                  "--language", "fi", "--out", str(tmp_path / "o")]
             )
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
         assert code == EXIT_BACKEND
         assert "backend error" in capsys.readouterr().err
 
@@ -845,16 +829,11 @@ class TestBackendFailures:
     def test_unusable_translation_exits_backend_code(
         self, tmp_path, gold_en_path, capsys, command, payload
     ):
-        from test_backends import RecordingHandler, serving
-
-        RecordingHandler.script = [(200, payload)] * 20
-        RecordingHandler.requests_seen = []
-        with serving(RecordingHandler) as httpd:
+        with MockServer(intercept=scripted(*[(200, payload)] * 20)) as server:
             config = write_config(
                 tmp_path,
                 {"languages": ["en", "fi"],
-                 "backend": {"kind": "http",
-                             "url": f"http://127.0.0.1:{httpd.server_port}"}},
+                 "backend": {"kind": "http", "url": server.url}},
             )
             argv = (["exemplars", "--gold", gold_en_path, "--language", "fi"]
                     if command == "exemplars"
@@ -897,42 +876,24 @@ class TestHttpSessionsClosed:
         self, tmp_path, gold_en_path, recorded_connections
     ):
         import gc
-        import threading
         import warnings
-        from http.server import ThreadingHTTPServer
 
-        from test_backends import RecordingHandler
-
-        class KeepAliveHandler(RecordingHandler):
-            # HTTP/1.1 keeps each client connection open, so a connection
-            # that is never closed leaves a socket open.
-            protocol_version = "HTTP/1.1"
-            script = []
-            requests_seen = []
-
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
-        thread = threading.Thread(
-            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        thread.start()
-        config = write_config(
-            tmp_path,
-            {"backend": {"kind": "http", "parallelism": 3,
-                         "url": f"http://127.0.0.1:{httpd.server_port}"}},
-        )
+        # The server keeps each client connection open, so a connection
+        # that is never closed leaves a socket open.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            try:
+            with MockServer() as server:
+                config = write_config(
+                    tmp_path,
+                    {"backend": {"kind": "http", "parallelism": 3, "url": server.url}},
+                )
                 code = main(
                     ["exemplars", "--config", config, "--gold", gold_en_path,
                      "--language", "fi", "--out", str(tmp_path / "o")]
                 )
-            finally:
-                httpd.shutdown()
-                httpd.server_close()
             gc.collect()
         assert code == EXIT_OK
-        assert KeepAliveHandler.requests_seen
+        assert server.requests
         assert recorded_connections and all(c.closed for c in recorded_connections)
         unclosed = [str(w.message) for w in caught
                     if issubclass(w.category, ResourceWarning)
@@ -945,30 +906,21 @@ class TestHttpParallelism:
         # Every request waits until three are in flight at once, so the
         # command succeeds only if backend.parallelism reaches the client.
         import threading
-        from http.server import ThreadingHTTPServer
-
-        from test_backends import RecordingHandler, serving
 
         barrier = threading.Barrier(3, timeout=5)
 
-        class BarrierHandler(RecordingHandler):
-            script = []
-            requests_seen = []
+        def wait(server, handler, payload):
+            barrier.wait()
 
-            def do_POST(self):
-                barrier.wait()
-                super().do_POST()
-
-        with serving(BarrierHandler, ThreadingHTTPServer) as httpd:
+        with MockServer(intercept=wait) as server:
             config = write_config(
                 tmp_path,
-                {"backend": {"kind": "http", "parallelism": 3,
-                             "url": f"http://127.0.0.1:{httpd.server_port}"}},
+                {"backend": {"kind": "http", "parallelism": 3, "url": server.url}},
             )
             code = main(["exemplars", "--config", config, "--gold", gold_en_path,
                          "--language", "fi", "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
-        assert len(BarrierHandler.requests_seen) == 15  # 5 shots x 3 fields
+        assert len(server.requests) == 15  # 5 shots x 3 fields
 
 
 def write_passage_file(directory: Path, lang: str, texts) -> None:

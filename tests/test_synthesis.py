@@ -54,6 +54,11 @@ def fi_exemplars() -> ExemplarSet:
     )
 
 
+def sw_passages(n: int) -> list:
+    """fi_passages(n), listed as Swahili: the toy path reads only the bytes."""
+    return [dataclasses.replace(p, language="sw") for p in fi_passages(n)]
+
+
 def fi_passages(n: int) -> list:
     texts = [
         "Silta valmistui vuonna 1956 ja se ylittaa joen.",
@@ -242,7 +247,7 @@ class TestSynthPT:
 
         model = create_toy_lm(seed=0)
         prompts = {"fi": init_prompt(4, model.d, seed=0), "sw": init_prompt(4, model.d, seed=1)}
-        passages = {"fi": fi_passages(5), "sw": fi_passages(3)}
+        passages = {"fi": fi_passages(5), "sw": sw_passages(3)}
         run = synth_pt(passages, model=model, prompts_by_language=prompts)
         for lang, batch in passages.items():
             want = []
@@ -268,11 +273,34 @@ class TestSynthPT:
         model = create_toy_lm(seed=0)
         with pytest.raises(SynthesisError, match="'sw'"):
             synth_pt(
-                {"fi": fi_passages(2), "sw": fi_passages(2)},
+                {"fi": fi_passages(2), "sw": sw_passages(2)},
                 model=model,
                 prompts_by_language={"fi": init_prompt(2, model.d, seed=0)},
             )
         assert calls == []
+
+    @pytest.mark.parametrize("path", ["toy", "backend"])
+    def test_passage_listed_under_another_language_fails_before_any_call(
+        self, monkeypatch, path
+    ):
+        import qasynth.tuner as tuner
+        from qasynth.tuner import create_toy_lm, init_prompt
+
+        calls = []
+        monkeypatch.setattr(
+            tuner, "greedy_decode_batch", lambda *a: calls.append(a) or []
+        )
+        german = Passage(id="p1", text="Die Brücke wurde 1956 gebaut.", language="de")
+        backend = StaticBackend(["vastaus\nkysymys?"] * 2)
+        if path == "toy":
+            model = create_toy_lm(seed=0)
+            args = {"model": model, "prompts_by_language": {"fi": init_prompt(2, model.d, seed=0)}}
+        else:
+            args = {"backend": backend}
+        with pytest.raises(SynthesisError, match="passage 'p1' is 'de', listed under 'fi'"):
+            synth_pt({"fi": fi_passages(1) + [german]}, **args)
+        assert calls == []
+        assert backend._calls == 0
 
     def test_language_without_passages_is_empty(self):
         from qasynth.tuner import create_toy_lm, init_prompt
