@@ -192,8 +192,15 @@ class DatasetStats:
 
 def is_language_code(code) -> bool:
     """A non-empty string that is one plain path component, since commands
-    name files and directories after it (<lang>/raw.jsonl, <lang>.gold.jsonl)."""
-    return isinstance(code, str) and code not in ("", ".", "..") and not {"/", "\\"} & set(code)
+    name files and directories after it (<lang>/raw.jsonl, <lang>.gold.jsonl),
+    with no whitespace or unprintable character. str.isprintable is false for
+    every whitespace character but the space."""
+    return (
+        isinstance(code, str)
+        and code not in ("", ".", "..")
+        and code.isprintable()
+        and not {"/", "\\", " "} & set(code)
+    )
 
 
 def _objects(value, key: str) -> list:

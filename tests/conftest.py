@@ -1,54 +1,18 @@
-"""Shared fixtures: tiny gold datasets, passage pools, the tuning corpus, and a
-canned-completion generation backend."""
+"""Shared fixtures: tiny gold datasets and a gold file, passage pools, the
+tuning corpus, the mock translator and generator, and a recorder of HTTP
+connections. Helpers and test doubles are in helpers.py."""
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
-import numpy as np
 import pytest
 
-from qasynth.backends import Backend, BackendError, GenerationRequest, TaggingTranslator
-from qasynth.corpus import Dataset, Passage, QAExample
+from qasynth.backends import TaggingTranslator
+from qasynth.corpus import Dataset, Passage, QAExample, write_jsonl
 from qasynth.promptkit import MockQABackend
 
-
-def make_example(
-    i: int,
-    context: str,
-    question: str,
-    answer: str,
-    language: str = "fi",
-    provenance: str = "gold",
-    answer_start=None,
-    source_dataset: str = "fixture",
-) -> QAExample:
-    return QAExample(
-        id=f"{provenance}-{language}-{i}",
-        context=context,
-        question=question,
-        answer=answer,
-        answer_start=answer_start,
-        language=language,
-        provenance=provenance,
-        source_dataset=source_dataset,
-    )
-
-
-class StaticBackend(Backend):
-    """Replays canned completions in order, raw; for plumbing tests."""
-
-    def __init__(self, completions: Sequence[str]):
-        self._completions = list(completions)
-        self._calls = 0
-
-    def generate(self, request: GenerationRequest) -> str:
-        if self._calls >= len(self._completions):
-            raise BackendError("static backend exhausted")
-        text = self._completions[self._calls]
-        self._calls += 1
-        return text
+from helpers import make_example
 
 
 @pytest.fixture
@@ -76,6 +40,13 @@ def gold_en() -> Dataset:
             )
         )
     return Dataset(name="gold-en", examples=tuple(examples))
+
+
+@pytest.fixture
+def gold_en_path(tmp_path, gold_en) -> str:
+    path = tmp_path / "en.gold.jsonl"
+    write_jsonl(gold_en, path)
+    return str(path)
 
 
 @pytest.fixture

@@ -8,10 +8,8 @@ protocol, so tests can run HttpBackend against the mocks.
 POST /v1/generate answers with generator.generate, by default
 promptkit.MockQABackend(noise_rate, seed), whose raw reply runs on past the
 stop sequence for the client to cut; POST /v1/translate with
-translator.translate, by default TaggingTranslator. ReversingTranslator
-reverses the text instead, so every reply names its request. A BackendError
-the served backend raises becomes a 422 reply, which the client does not
-retry.
+translator.translate, by default TaggingTranslator. A BackendError the
+served backend raises becomes a 422 reply, which the client does not retry.
 
 The server counts the requests it receives: `served` in all, `seen` per
 prompt or text, and the peak number in flight at once. A request stops
@@ -64,7 +62,6 @@ from pathlib import Path
 
 from qasynth import backends
 from qasynth.backends import (
-    Backend,
     BackendError,
     GenerationRequest,
     HttpBackend,
@@ -82,13 +79,6 @@ TLS_KEY = str(Path(__file__).with_name("tls") / "key.pem")
 # Content-Length promises more; reply as usual, with Connection: close;
 # reply as usual, in chunked framing.
 FAULTS = ("503", "429", "close", "cut", "close-after-reply", "chunked")
-
-
-class ReversingTranslator(Backend):
-    """Translates by reversing the text."""
-
-    def translate(self, request: TranslationRequest) -> str:
-        return request.text[::-1]
 
 
 def send_reply(handler, status: int, payload, headers=(), cut: bool = False,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qasynth.backends import Backend, BackendError, TaggingTranslator
+from qasynth.backends import TaggingTranslator
 from qasynth.cli import EXIT_OK, TuneConfig, main
 from qasynth.corpus import Dataset, Passage
 from qasynth.metrics import corpus_bleu, em, f1, normalize_answer
@@ -43,9 +43,8 @@ from qasynth.tuner import (
     tune,
 )
 
-from conftest import make_example
-from test_cli import TINY_TUNER, read_manifest, write_config, write_tune_corpus
-from test_synthesis import fi_exemplars
+from helpers import (TINY_TUNER, DictTranslator, fi_exemplars, make_example, read_manifest,
+                     synth_prerequisites, write_config, write_tune_corpus)
 
 
 def finish(name: str, problems: list, started: float, budget: float = None):
@@ -323,16 +322,6 @@ def test_uniform_logit_loss():
     finish("uniform-logit loss", problems, started, budget=1.0)
 
 
-class _ScriptedTranslator(Backend):
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def translate(self, request):
-        if request.text not in self.mapping:
-            raise BackendError(f"no translation for {request.text!r}")
-        return self.mapping[request.text]
-
-
 def test_taxonomy_conservation():
     started = time.perf_counter()
     problems = []
@@ -355,7 +344,7 @@ def test_taxonomy_conservation():
             )
         ),
     )
-    translator = _ScriptedTranslator(
+    translator = DictTranslator(
         {
             "q-fi-1": "When was the bridge completed?",
             "q-fi-2": "What is the river called?",
@@ -389,8 +378,6 @@ def test_taxonomy_conservation():
 def test_determinism(tmp_path, gold_en):
     started = time.perf_counter()
     problems = []
-
-    from test_cli import synth_prerequisites, write_pool  # noqa: F401
 
     pre = synth_prerequisites(tmp_path, gold_en)
     synth_outs = []

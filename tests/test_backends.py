@@ -30,16 +30,9 @@ from qasynth.backends import (
     apply_stop_sequences,
     run_requests,
 )
-from tests.conftest import StaticBackend
-from tests.mock_server import (
-    FAULTS,
-    TLS_CERT,
-    MockServer,
-    ReversingTranslator,
-    http_backend,
-    scripted,
-    send_reply,
-)
+
+from helpers import ReversingTranslator, StaticBackend
+from mock_server import FAULTS, TLS_CERT, MockServer, http_backend, scripted, send_reply
 
 
 @contextlib.contextmanager

@@ -24,37 +24,10 @@ from qasynth.cli import (
 from qasynth.corpus import Dataset, write_jsonl
 from qasynth.tuner import init_prompt, save_prompt
 
-from conftest import make_example
+from helpers import (TINY_TUNER, fi_exemplars, fi_passages, make_example, read_manifest,
+                     synth_prerequisites, write_config, write_passage_file, write_pool,
+                     write_tune_corpus)
 from mock_server import MockServer, scripted
-from test_synthesis import fi_exemplars, fi_passages
-
-
-def write_config(tmp_path: Path, doc: dict) -> str:
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path)
-
-
-def write_pool(tmp_path: Path, n: int = 10) -> str:
-    """NDJSON passage pool with lengths 150, 200, ..., straddling the window."""
-    path = tmp_path / "pool.ndjson"
-    with path.open("w", encoding="utf-8") as fh:
-        for i in range(n):
-            length = 150 + 50 * i
-            text = (f"p{i}" * (length // 2 + 1))[:length]
-            fh.write(json.dumps({"id": f"pass-{i}", "text": text}) + "\n")
-    return str(path)
-
-
-def read_manifest(outdir: Path) -> dict:
-    return json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
-
-
-@pytest.fixture
-def gold_en_path(tmp_path, gold_en) -> str:
-    path = tmp_path / "en.gold.jsonl"
-    write_jsonl(gold_en, path)
-    return str(path)
 
 
 HELP = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text(encoding="utf-8"))
@@ -121,7 +94,8 @@ class TestParser:
          ["tune", "--train", "x.jsonl", "--dev", "x.jsonl"]],
         ids=["ingest", "sample", "exemplars", "tune"],
     )
-    @pytest.mark.parametrize("language", ["../esc", "a/b", "a\\b", ".", "..", ""])
+    @pytest.mark.parametrize(
+        "language", ["../esc", "a/b", "a\\b", ".", "..", "", " ", "f i", "fi\n", "fi\x00"])
     def test_language_must_be_one_path_component(self, tmp_path, capsys, argv, language):
         out = tmp_path / "o"
         assert main(argv + ["--language", language, "--out", str(out)]) == EXIT_USAGE
@@ -237,6 +211,7 @@ class TestConfigValidation:
             ({"languages": ["en", ".."]}, "languages"),
             ({"languages": ["en", "a\\b"]}, "languages"),
             ({"n_shot": 0}, "n_shot"),
+            ({"languages": ["en", " "]}, "languages"),
         ],
     )
     def test_bad_structure_names_path_and_key(self, tmp_path, capsys, doc, key):
@@ -418,41 +393,6 @@ class TestExemplars:
         assert "English gold" in capsys.readouterr().err
 
 
-TINY_TUNER = {
-    "m": 2,
-    "d": 8,
-    "h": 16,
-    "learning_rate": 0.1,
-    "warmup_steps": 5,
-    "batch_size": 4,
-    "max_steps": 10,
-    "eval_every": 5,
-    "early_stop_metric": "dev_loss",
-}
-
-
-def write_tune_corpus(tmp_path: Path, train_language: str = "fi", dev_language: str = "fi"):
-    train = Dataset(
-        name="t",
-        examples=tuple(
-            make_example(i, f"x{10 + i}a", "aaa", "aa", language=train_language)
-            for i in range(8)
-        ),
-    )
-    dev = Dataset(
-        name="d",
-        examples=tuple(
-            make_example(100 + i, f"x{50 + i}a", "aaa", "aa", language=dev_language)
-            for i in range(4)
-        ),
-    )
-    train_path = tmp_path / "train.jsonl"
-    dev_path = tmp_path / "dev.jsonl"
-    write_jsonl(train, train_path)
-    write_jsonl(dev, dev_path)
-    return str(train_path), str(dev_path)
-
-
 class TestTune:
     def test_writes_prompt_and_trace(self, tmp_path, capsys):
         train, dev = write_tune_corpus(tmp_path)
@@ -502,35 +442,6 @@ class TestTune:
             outs.append(out)
         for artifact in ("fi.prompt.bin", "fi.trace.json"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
-
-
-def synth_prerequisites(tmp_path: Path, gold_en: Dataset) -> dict:
-    """ingest-equivalent gold file, sampled passages, and exemplars for fi.
-
-    The mock backend gets a noise rate: a noiseless mock question always
-    embeds its answer span, so nothing would survive the trivial-question
-    filter and the downstream steps would be exercised on empty data.
-    """
-    gold_path = tmp_path / "en.gold.jsonl"
-    write_jsonl(gold_en, gold_path)
-    pool = write_pool(tmp_path)
-    shared = tmp_path / "shared"
-    config = write_config(
-        tmp_path,
-        {"languages": ["en", "fi"],
-         "backend": {"kind": "mock", "noise_rate": 0.5}},
-    )
-    assert (
-        main(["sample", "--passages", pool, "--language", "fi", "--n", "7",
-              "--out", str(shared)])
-        == EXIT_OK
-    )
-    assert (
-        main(["exemplars", "--gold", str(gold_path), "--language", "fi",
-              "--out", str(shared)])
-        == EXIT_OK
-    )
-    return {"gold": str(gold_path), "shared": str(shared), "config": config}
 
 
 class TestSynth:
@@ -921,13 +832,6 @@ class TestHttpParallelism:
                          "--language", "fi", "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
         assert len(server.requests) == 15  # 5 shots x 3 fields
-
-
-def write_passage_file(directory: Path, lang: str, texts) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    with (directory / f"{lang}.passages.jsonl").open("w", encoding="utf-8") as fh:
-        for i, text in enumerate(texts):
-            fh.write(json.dumps({"id": f"p{i}", "text": text}) + "\n")
 
 
 def line_count(path: Path) -> int:

@@ -23,10 +23,9 @@ from qasynth.cli import EXIT_OK, main, save_exemplars
 from qasynth.corpus import parse_squad_json
 from qasynth.tuner import init_prompt, save_prompt
 
+from helpers import (TINY_TUNER, fi_exemplars, fi_passages, write_config, write_passage_file,
+                     write_pool, write_tune_corpus)
 from mock_server import MockServer
-from test_cli import TINY_TUNER, write_config, write_passage_file, write_pool, write_tune_corpus
-from test_cli import gold_en_path  # noqa: F401  (a fixture)
-from test_synthesis import fi_exemplars, fi_passages
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -200,6 +199,18 @@ def test_synth_pt_from_tuned_prompts_loads_the_tuner(tmp_path):
     assert report["after_command"] == [
         ["numpy", "qasynth.promptkit", "qasynth.synthesis", "qasynth.tuner"]
     ]
+
+
+def test_no_test_file_is_loaded_as_two_modules():
+    # A file imported under two names (`helpers` and `tests.helpers`) runs
+    # twice, and its classes and constants differ between the two copies.
+    tests = Path(__file__).resolve().parent
+    names = {}
+    for name, module in list(sys.modules.items()):
+        path = getattr(module, "__file__", None)
+        if path and tests in Path(path).resolve().parents:
+            names.setdefault(Path(path).resolve(), []).append(name)
+    assert {str(path): n for path, n in names.items() if len(n) > 1} == {}
 
 
 def test_requests_seam_resolves_on_demand():

@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 from qasynth import promptkit
-from qasynth.backends import GenerationRequest, TaggingTranslator, run_requests
-from qasynth.corpus import Dataset, Passage, QAExample
+from qasynth.backends import GenerationRequest, run_requests
+from qasynth.corpus import Dataset, Passage
 from qasynth.promptkit import (
     ANSWER_INSTRUCTION,
     PASSAGE_LABEL,
@@ -26,8 +26,8 @@ from qasynth.promptkit import (
     render_roundtrip_prompt,
 )
 from qasynth.synthesis import synth_pe
-from tests.conftest import StaticBackend
-from tests.test_synthesis import fi_exemplars, fi_passages
+
+from helpers import StaticBackend, fi_exemplars, fi_passages
 
 
 def one_exemplar(language="fr") -> ExemplarSet:

@@ -19,13 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qasynth.backends import (
-    Backend,
-    BackendError,
-    HttpBackend,
-    TranslationRequest,
-    run_requests,
-)
+from qasynth.backends import BackendError, HttpBackend, TranslationRequest, run_requests
 from qasynth.corpus import Dataset, Passage, QAExample
 from qasynth.promptkit import MockQABackend, build_exemplars_en_only
 from qasynth.synthesis import (
@@ -36,33 +30,12 @@ from qasynth.synthesis import (
     synth_pt,
 )
 from qasynth.taxonomy import distribution
-from tests.conftest import make_example
-from tests.mock_server import (
-    MockServer,
-    ReversingTranslator,
-    http_backend,
-    raise_on_reply,
-)
-from tests.test_synthesis import StubRoundtrip, fi_exemplars, fi_passages
+
+from helpers import (BrokenTranslator, ReversingTranslator, StubRoundtrip, fi_exemplars,
+                     fi_passages, make_example)
+from mock_server import MockServer, http_backend, raise_on_reply
 
 REFUSED = "unexpected status 422 from /v1/translate"  # a served BackendError, over HTTP
-
-
-class CountingTranslator(Backend):
-    """Reverses the text; counts calls per (text, source, target); raises
-    BackendError on the texts in fail_on."""
-
-    def __init__(self, fail_on=()):
-        self.fail_on = set(fail_on)
-        self.calls = Counter()
-        self._lock = threading.Lock()  # a MockServer calls it from several threads
-
-    def translate(self, request):
-        with self._lock:
-            self.calls[(request.text, request.source, request.target)] += 1
-        if request.text in self.fail_on:
-            raise BackendError(f"cannot translate {request.text!r}")
-        return request.text[::-1]
 
 
 def doubled(gold_en: Dataset) -> Dataset:
@@ -80,7 +53,7 @@ def doubled(gold_en: Dataset) -> Dataset:
 
 class TestRunRequests:
     def test_empty(self):
-        assert run_requests(CountingTranslator(), []) == []
+        assert run_requests(ReversingTranslator(), []) == []
         with http_backend(4) as (backend, server):
             assert run_requests(backend, []) == []
         assert server.served == 0
@@ -102,7 +75,7 @@ class TestRunRequests:
 
     def test_equals_serial_map(self):
         texts = [f"text {i}" for i in range(6)]
-        translator = CountingTranslator()
+        translator = ReversingTranslator()
 
         @settings(max_examples=60, deadline=None)
         @given(
@@ -134,7 +107,7 @@ class TestRunRequests:
 
 class TestDedup:
     def test_synth_mt_one_call_per_distinct_request(self, gold_en):
-        translator = CountingTranslator()
+        translator = ReversingTranslator()
         run = synth_mt(doubled(gold_en), translator, ["fi", "ar"])
         distinct = {
             (getattr(ex, name), "en", lang)
@@ -148,7 +121,7 @@ class TestDedup:
 
     def test_failing_duplicate_is_sent_once(self, gold_en):
         bad = gold_en.examples[1].question
-        translator = CountingTranslator(fail_on={bad})
+        translator = ReversingTranslator(fail_on={bad})
         with pytest.raises(BackendError):
             synth_mt(doubled(gold_en), translator, ["fi"])
         assert translator.calls[(bad, "en", "fi")] == 1
@@ -159,9 +132,9 @@ class TestFailureSemantics:
         bad = gold_en.examples[1].question
         failure = "translation of 'question' failed for example 'en-1' (ar): "
         with pytest.raises(BackendError) as err:
-            synth_mt(gold_en, CountingTranslator(fail_on={bad}), ["fi", "ar"])
+            synth_mt(gold_en, ReversingTranslator(fail_on={bad}), ["fi", "ar"])
         assert str(err.value) == f"{failure}cannot translate {bad!r}"
-        with http_backend(4, translator=CountingTranslator(fail_on={bad})) as (backend, _):
+        with http_backend(4, translator=ReversingTranslator(fail_on={bad})) as (backend, _):
             with pytest.raises(BackendError) as err:
                 synth_mt(gold_en, backend, ["fi", "ar"])
         assert str(err.value) == failure + REFUSED
@@ -170,11 +143,11 @@ class TestFailureSemantics:
         bad = {gold_en.examples[3].answer, gold_en.examples[2].context}
         failure = "translation of 'context' failed for example 'en-2' (fi): "
         with pytest.raises(BackendError) as err:
-            build_exemplars_en_only(gold_en, CountingTranslator(fail_on=bad), "fi")
+            build_exemplars_en_only(gold_en, ReversingTranslator(fail_on=bad), "fi")
         assert str(err.value) == (
             f"{failure}cannot translate {gold_en.examples[2].context!r}"
         )
-        with http_backend(4, translator=CountingTranslator(fail_on=bad)) as (backend, _):
+        with http_backend(4, translator=ReversingTranslator(fail_on=bad)) as (backend, _):
             with pytest.raises(BackendError) as err:
                 build_exemplars_en_only(gold_en, backend, "fi")
         assert str(err.value) == failure + REFUSED
@@ -182,16 +155,12 @@ class TestFailureSemantics:
     def test_program_fault_in_exemplars_is_raised_unwrapped(self, gold_en):
         # Only a BackendError is a failed call; anything else is a fault in
         # the program and reaches the caller as it was raised.
-        class Broken(Backend):
-            def translate(self, request):
-                raise RuntimeError("boom")
-
-        with Broken() as translator, pytest.raises(RuntimeError) as err:
+        with BrokenTranslator() as translator, pytest.raises(RuntimeError) as err:
             build_exemplars_en_only(gold_en, translator, "fi")
         assert type(err.value) is RuntimeError and str(err.value) == "boom"
 
     def test_synth_mt_program_fault_is_raised_unwrapped(self, gold_en):
-        class BrokenOnQuestion(CountingTranslator):
+        class BrokenOnQuestion(ReversingTranslator):
             def translate(self, request):
                 if request.text == gold_en.examples[1].question:
                     raise RuntimeError("boom")

@@ -9,13 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qasynth.backends import (
-    Backend,
-    BackendError,
-    TaggingTranslator,
-)
 from qasynth.corpus import Dataset, Passage, QAExample, config_hash
-from qasynth.promptkit import Exemplar, ExemplarSet, MockQABackend
+from qasynth.promptkit import MockQABackend
 from qasynth.synthesis import (
     PT_MAX_TOKENS,
     FilterReport,
@@ -33,47 +28,14 @@ from qasynth.synthesis import (
     synth_pe,
     synth_pt,
 )
-from tests.conftest import StaticBackend, make_example
-from tests.mock_server import http_backend
 
-
-def fi_exemplars() -> ExemplarSet:
-    return ExemplarSet(
-        language="fi",
-        scenario="english_only",
-        exemplars=(
-            Exemplar(
-                context_l="Torni on korkea.",
-                question_en="What is tall?",
-                answer_en="tower",
-                question_l="Mika on korkea?",
-                answer_l="torni",
-                language="fi",
-            ),
-        ),
-    )
+from helpers import StaticBackend, StubRoundtrip, fi_exemplars, fi_passages, make_example
+from mock_server import http_backend
 
 
 def sw_passages(n: int) -> list:
     """fi_passages(n), listed as Swahili: the toy path reads only the bytes."""
     return [dataclasses.replace(p, language="sw") for p in fi_passages(n)]
-
-
-def fi_passages(n: int) -> list:
-    texts = [
-        "Silta valmistui vuonna 1956 ja se ylittaa joen.",
-        "Kaupungissa asuu 45000 ihmista talvella.",
-        "Vuori kohoaa 1324 metrin korkeuteen merenpinnasta.",
-        "Nayttely avattiin 12 paivana ja kesti kolme viikkoa.",
-        "Juna kulkee reitin 90 minuutissa pysahtyen kahdesti.",
-        "Tehdas tyollisti 800 henkiloa parhaimmillaan.",
-        "Saari sijaitsee 7 kilometrin paassa rannikosta.",
-        "Kirjasto sai 230 uutta nidetta lahjoituksena.",
-    ]
-    return [
-        Passage(id=f"fi-p{i}", text=texts[i % len(texts)], language="fi")
-        for i in range(n)
-    ]
 
 
 class TestFilterReport:
@@ -358,19 +320,6 @@ class TestFilterExtractive:
         )
         kept, report = filter_extractive(raw)
         assert len(kept) == 0  # case differs; no normalization here
-
-
-class StubRoundtrip(Backend):
-    """Returns scripted re-answers keyed by the question inside the prompt."""
-
-    def __init__(self, answers_by_question):
-        self.answers_by_question = answers_by_question
-
-    def generate(self, request):
-        for question, answer in self.answers_by_question.items():
-            if f"  Question: {question}\n" in request.prompt + "\n":
-                return f" {answer}"
-        raise BackendError("no scripted answer")
 
 
 class TestFilterRoundtrip:

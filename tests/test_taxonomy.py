@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasynth.backends import Backend, BackendError
 from qasynth.corpus import Dataset, write_json
 from qasynth.taxonomy import (
     OTHER,
@@ -17,20 +16,8 @@ from qasynth.taxonomy import (
     ring_csv,
 )
 
-from conftest import make_example
+from helpers import BrokenTranslator, DictTranslator, make_example
 from mock_server import http_backend, raise_on_reply
-
-
-class DictTranslator(Backend):
-    """Scripted translator: exact source text to exact English text."""
-
-    def __init__(self, mapping):
-        self.mapping = dict(mapping)
-
-    def translate(self, request):
-        if request.text not in self.mapping:
-            raise BackendError(f"no translation for {request.text!r}")
-        return self.mapping[request.text]
 
 
 def questions_dataset(specs):
@@ -143,12 +130,8 @@ class TestDistribution:
     def test_program_fault_is_raised_not_counted(self, monkeypatch):
         # Only a BackendError is a failed translation; any other exception
         # is a fault in the program and must not turn into data.
-        class Broken(Backend):
-            def translate(self, request):
-                raise RuntimeError("boom")
-
         ds = questions_dataset([("en", "What is this?"), ("fi", "kuka?"), ("fi", "missä?")])
-        with Broken() as translator, pytest.raises(RuntimeError, match="^boom$"):
+        with BrokenTranslator() as translator, pytest.raises(RuntimeError, match="^boom$"):
             distribution(ds, translator)
         # Over HTTP, the same fault while a reply is read.
         raise_on_reply(monkeypatch, b"")

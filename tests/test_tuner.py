@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from qasynth import tuner as tuner_module
 from qasynth.cli import ConfigError, TuneConfig
-from qasynth.corpus import Dataset, QAExample
+from qasynth.corpus import Dataset
 from qasynth.tuner import (
-    ADAFACTOR_EPS,
     BLOCK,
     BOS,
     EOS,
@@ -43,7 +42,8 @@ from qasynth.tuner import (
     tune,
     warmup_lr,
 )
-from tests.conftest import make_example
+
+from helpers import make_example
 
 
 def oracle_loss(model: ToyLM, prompt: SoftPrompt, batch) -> float:
