@@ -4,6 +4,7 @@ report statistics, and sample unlabeled passages for synthesis.
 Run from the repository root:  python3 demos/01_ingest_and_sample.py
 """
 
+import dataclasses
 import json
 
 from qasynth.corpus import (
@@ -53,7 +54,7 @@ def main():
 
     stats = dataset_stats(dataset)
     print("\ndataset statistics:")
-    print(json.dumps(stats.to_dict(), indent=2))
+    print(json.dumps(dataclasses.asdict(stats), indent=2))
 
     # A pool with lengths straddling the 200..510 byte sampling window.
     pool = [

@@ -45,6 +45,7 @@ from .corpus import (
     config_hash,
     dataset_stats,
     is_language_code,
+    json_text,
     load_passage_pool,
     parse_squad_json,
     read_jsonl,
@@ -222,21 +223,9 @@ class RunConfig:
     def seed(self, stage: str) -> int:
         return self.seeds.get(stage, DEFAULT_SEEDS[stage])
 
-    def to_dict(self) -> dict:
-        return {
-            "languages": list(self.languages),
-            "scenario": self.scenario,
-            "n_shot": self.n_shot,
-            "backend": dataclasses.asdict(self.backend),
-            "paths": dict(self.paths),
-            "seeds": dict(self.seeds),
-            "tuner": dataclasses.asdict(self.tuner),
-            "filters": dict(self.filters),
-        }
-
     @property
     def config_hash(self) -> str:
-        return config_hash(self.to_dict())
+        return config_hash(self)
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -306,7 +295,7 @@ class OutputDir:
     def save_run(self, run, config: RunConfig) -> None:
         from .synthesis import save_run
 
-        self.written += save_run(run, self.root, config.to_dict())
+        self.written += save_run(run, self.root, config)
 
 
 def _manifest_value(value) -> str:
@@ -335,14 +324,8 @@ def write_manifest(out: OutputDir, args, config: RunConfig, seed: int) -> None:
 
 
 def save_exemplars(exemplars: ExemplarSet, path: Path) -> None:
-    write_json(
-        path,
-        {
-            "language": exemplars.language,
-            "scenario": exemplars.scenario,
-            "exemplars": [dataclasses.asdict(e) for e in exemplars.exemplars],
-        },
-    )
+    """Write the set as its dataclass fields; load_exemplars reads it back."""
+    write_json(path, exemplars)
 
 
 def load_exemplars(path: Path, language: str) -> ExemplarSet:
@@ -382,7 +365,7 @@ def cmd_ingest(args, config: RunConfig, out: OutputDir) -> int:
         raise CorpusError(f"{args.input}: {e}") from e
     gold_path = out.path(f"{args.language}.gold.jsonl")
     write_jsonl(dataset, gold_path)
-    write_json(out.path("ingest_report.json"), dataclasses.asdict(report))
+    write_json(out.path("ingest_report.json"), report)
     print(f"ingested {report.parsed}/{report.total_qas} examples -> {gold_path}")
     return 0
 
@@ -413,17 +396,21 @@ def cmd_exemplars(args, config: RunConfig, out: OutputDir) -> int:
         raise ConfigError("--language must name a language other than English, got 'en'")
     gold = read_jsonl(Path(args.gold))
     seed = config.seed("fewshot")
-    if config.scenario == "english_only":
-        if not any(ex.language == "en" for ex in gold.examples):
-            raise ConfigError("english_only exemplars need English gold data")
-        shots = subsample_fewshot(gold, "en", config.n_shot, seed)
-        with make_translator(config) as translator:
+    english_only = config.scenario == "english_only"
+    source = "en" if english_only else args.language
+    if not any(ex.language == source for ex in gold.examples):
+        raise ConfigError(
+            f"{args.gold}: english_only exemplars need English gold data" if english_only
+            else f"{args.gold}: no gold examples in language {source!r}"
+        )
+    try:
+        shots = subsample_fewshot(gold, source, config.n_shot, seed)
+    except CorpusError as e:
+        raise ConfigError(f"{args.gold}: {e} for n_shot") from e
+    with make_translator(config) as translator:
+        if english_only:
             exemplars = build_exemplars_en_only(shots, translator, args.language)
-    else:
-        if not any(ex.language == args.language for ex in gold.examples):
-            raise ConfigError(f"no gold examples in language {args.language!r}")
-        shots = subsample_fewshot(gold, args.language, config.n_shot, seed)
-        with make_translator(config) as translator:
+        else:
             exemplars = build_exemplars_fewshot(shots, translator)
     out_path = out.path(f"{args.language}.exemplars.json")
     save_exemplars(exemplars, out_path)
@@ -459,7 +446,7 @@ def cmd_tune(args, config: RunConfig, out: OutputDir) -> int:
             "best_step": trace.best_step,
             "initial_train_loss": trace.initial_train_loss,
             "final_train_loss": trace.final_train_loss,
-            "records": [dataclasses.asdict(r) for r in trace.records],
+            "records": trace.records,
         },
     )
     print(
@@ -644,7 +631,7 @@ def cmd_eval(args, config: RunConfig, out: OutputDir) -> int:
         report = evaluate(predictions, gold)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
-    write_json(out.path("eval.json"), report.to_dict())
+    write_json(out.path("eval.json"), report)
     table = render_eval_table(report)
     write_text(out.path("eval.txt"), table + "\n")
     print(table)
@@ -664,7 +651,7 @@ def cmd_taxonomy(args, config: RunConfig, out: OutputDir) -> int:
             pool_all_languages=not args.exclude_english,
             other_threshold=args.other_threshold,
         )
-    write_json(out.path("taxonomy.json"), report.to_dict())
+    write_json(out.path("taxonomy.json"), report)
     write_text(out.path("categories.csv"), ring_csv(report.pooled, "category"))
     write_text(out.path("subcategories.csv"), ring_csv(report.pooled, "subcategory"))
     print(f"taxonomy over {len(dataset)} questions -> {out.root}")
@@ -681,16 +668,12 @@ def cmd_stats(args, config: RunConfig, out: OutputDir) -> int:
             counts = squad_language_counts(json.loads(path.read_text(encoding="utf-8")))
         except (UnicodeDecodeError, json.JSONDecodeError, CorpusError) as e:
             raise CorpusError(f"{path}: {e}") from e
-        payload = {
-            "format": "squad",
-            "per_language": dict(sorted(counts.items())),
-            "total": sum(counts.values()),
-        }
+        payload = {"format": "squad", "per_language": counts, "total": sum(counts.values())}
     else:
-        dataset = read_jsonl(path)
-        payload = {"format": "jsonl", **dataset_stats(dataset).to_dict()}
-    write_json(out.path("stats.json"), payload)
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
+        payload = {"format": "jsonl", **dataclasses.asdict(dataset_stats(read_jsonl(path)))}
+    text = json_text(payload)
+    write_text(out.path("stats.json"), text)
+    print(text, end="")
     return 0
 
 

@@ -14,7 +14,7 @@ import json
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -178,16 +178,6 @@ class DatasetStats:
     mean_context_len: float
     mean_question_len: float
     mean_answer_len: float
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "by_language": dict(sorted(self.by_language.items())),
-            "by_provenance": dict(sorted(self.by_provenance.items())),
-            "mean_context_len": self.mean_context_len,
-            "mean_question_len": self.mean_question_len,
-            "mean_answer_len": self.mean_answer_len,
-        }
 
 
 def is_language_code(code) -> bool:
@@ -519,14 +509,29 @@ def write_text(path: Union[str, Path], text: str) -> None:
         fh.write(text)
 
 
+def _record_fields(obj) -> dict:
+    """json.dumps's default: a dataclass record is exactly its fields."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def json_text(payload) -> str:
+    """The text of one JSON artifact: no ASCII escaping, sorted keys, indent
+    2 and a final newline, with each dataclass record written as its fields."""
+    return json.dumps(
+        payload, ensure_ascii=False, sort_keys=True, indent=2, default=_record_fields
+    ) + "\n"
+
+
 def write_json(path: Union[str, Path], payload) -> None:
-    """Write one JSON artifact: UTF-8, no ASCII escaping, sorted keys, indent 2."""
-    write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    """Write one JSON artifact, UTF-8, as json_text encodes it."""
+    write_text(path, json_text(payload))
 
 
-def config_hash(config: dict) -> str:
-    """Stable 12-hex-digit digest of a JSON-serializable config."""
-    blob = json.dumps(config, sort_keys=True, ensure_ascii=False)
+def config_hash(config) -> str:
+    """Stable 12-hex-digit digest of a JSON-serializable config or record."""
+    blob = json.dumps(config, sort_keys=True, ensure_ascii=False, default=_record_fields)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 

@@ -97,27 +97,21 @@ class EvalReport:
     macro_em_excl_en: float
     macro_f1_excl_en: float
 
-    def to_dict(self) -> dict:
-        return {
-            "per_language": {
-                lang: {"em": s.em, "f1": s.f1, "n": s.n}
-                for lang, s in sorted(self.per_language.items())
-            },
-            "macro_em_excl_en": self.macro_em_excl_en,
-            "macro_f1_excl_en": self.macro_f1_excl_en,
-        }
-
 
 def evaluate(predictions: Mapping[str, str], gold: Dataset) -> EvalReport:
     """Score predictions (example id -> answer string) against a gold dataset.
 
-    Every gold example must have a prediction; missing ids raise. Extra
-    prediction ids are ignored. Gold examples may carry alternative answers,
-    in which case EM/F1 take the max over all of them.
+    Every gold example must have a prediction; missing ids raise, naming
+    their count and the first five of them. Extra prediction ids are
+    ignored. Gold examples may carry alternative answers, in which case
+    EM/F1 take the max over all of them.
     """
     missing = [ex.id for ex in gold.examples if ex.id not in predictions]
     if missing:
-        raise ValueError(f"missing predictions for ids: {', '.join(missing)}")
+        shown = ", ".join(missing[:5]) + (", ..." if len(missing) > 5 else "")
+        raise ValueError(
+            f"missing predictions for {len(missing)} of {len(gold)} gold ids: {shown}"
+        )
 
     sums: Dict[str, list] = {}
     for ex in gold.examples:

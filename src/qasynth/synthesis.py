@@ -87,14 +87,6 @@ class FilterReport:
                 f"{sum(self.dropped.values())} dropped != {self.input_count} input"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "input_count": self.input_count,
-            "kept_count": self.kept_count,
-            "dropped": {k: self.dropped[k] for k in sorted(self.dropped)},
-            "notes": list(self.notes),
-        }
-
 
 def merge_reports(first: FilterReport, second: FilterReport) -> FilterReport:
     """Chain two passes: the second pass consumed the first pass's survivors."""
@@ -588,12 +580,13 @@ def filter_run(
     return dataclasses.replace(run, filtered=filtered, reports=reports)
 
 
-def save_run(run: SynthesisRun, outdir: Union[str, Path], config: dict) -> List[str]:
+def save_run(run: SynthesisRun, outdir: Union[str, Path], config) -> List[str]:
     """Persist a run: per-language raw/filtered JSONL plus report and config.
 
-    report.json's counts are the line counts of the JSONL files beside it,
-    and its config_hash is the hash of config. Returns the paths written,
-    relative to outdir.
+    config is a JSON object or a dataclass record, such as the CLI's
+    RunConfig, and is written as config.json. report.json's counts are the
+    line counts of the JSONL files beside it, and its config_hash is the
+    hash of config. Returns the paths written, relative to outdir.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -608,7 +601,7 @@ def save_run(run: SynthesisRun, outdir: Union[str, Path], config: dict) -> List[
         "scenario": run.scenario,
         "languages": list(run.languages),
         "config_hash": config_hash(config),
-        "reports": {lang: run.reports[lang].to_dict() for lang in run.languages},
+        "reports": {lang: run.reports[lang] for lang in run.languages},
         "counts": {
             lang: {
                 "raw": len(run.raw[lang]),

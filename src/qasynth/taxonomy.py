@@ -61,6 +61,14 @@ def categorize(question_en: str) -> Tuple[str, str]:
 
 
 @dataclass(frozen=True)
+class SubcategoryStat:
+    """One subcategory's count and its share of its category."""
+
+    count: int
+    fraction: float
+
+
+@dataclass(frozen=True)
 class CategoryStat:
     """One category's count, share of its view, and subcategory breakdown.
 
@@ -70,7 +78,7 @@ class CategoryStat:
 
     count: int
     fraction: float
-    subcategories: Dict[str, Tuple[int, float]]
+    subcategories: Dict[str, SubcategoryStat]
 
 
 @dataclass(frozen=True)
@@ -80,30 +88,6 @@ class TaxonomyReport:
     other_threshold: float
     translation_failures: int
     notes: Tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        def view(stats: Dict[str, CategoryStat]) -> dict:
-            return {
-                cat: {
-                    "count": s.count,
-                    "fraction": s.fraction,
-                    "subcategories": {
-                        sub: {"count": c, "fraction": f}
-                        for sub, (c, f) in sorted(s.subcategories.items())
-                    },
-                }
-                for cat, s in sorted(stats.items())
-            }
-
-        return {
-            "per_language": {
-                lang: view(stats) for lang, stats in sorted(self.per_language.items())
-            },
-            "pooled": view(self.pooled),
-            "other_threshold": self.other_threshold,
-            "translation_failures": self.translation_failures,
-            "notes": list(self.notes),
-        }
 
 
 def _build_view(
@@ -121,9 +105,7 @@ def _build_view(
         out[cat] = CategoryStat(
             count=count,
             fraction=count / total if total else 0.0,
-            subcategories={
-                sub: (c, c / count) for sub, c in subs.items()
-            },
+            subcategories={sub: SubcategoryStat(c, c / count) for sub, c in subs.items()},
         )
     return out
 
@@ -223,10 +205,7 @@ def ring_csv(view: Dict[str, CategoryStat], ring: str) -> str:
         for cat in sorted(view):
             writer.writerow([cat, view[cat].count])
     else:
-        rows = []
         for cat in sorted(view):
-            for sub, (count, _) in sorted(view[cat].subcategories.items()):
-                rows.append((sub, count))
-        for sub, count in rows:
-            writer.writerow([sub, count])
+            for sub, stat in sorted(view[cat].subcategories.items()):
+                writer.writerow([sub, stat.count])
     return buf.getvalue()

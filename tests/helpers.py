@@ -4,6 +4,7 @@ module by its bare name, `from helpers import ...`."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from collections import Counter
@@ -36,6 +37,12 @@ def make_example(
         provenance=provenance,
         source_dataset=source_dataset,
     )
+
+
+def record_fields(record):
+    """A dataclass record's fields as its JSON artifact must read back:
+    dataclasses.asdict through plain json, so tuples come back as lists."""
+    return json.loads(json.dumps(dataclasses.asdict(record)))
 
 
 def fi_exemplars() -> ExemplarSet:

@@ -358,9 +358,9 @@ def test_taxonomy_conservation():
         if abs(total_fraction - 1.0) > 1e-9:
             problems.append(f"category fractions sum to {total_fraction}")
         for cat, stat in view.items():
-            if sum(c for c, _ in stat.subcategories.values()) != stat.count:
+            if sum(s.count for s in stat.subcategories.values()) != stat.count:
                 problems.append(f"subcategory counts of {cat} do not sum up")
-            sub_fraction = sum(fr for _, fr in stat.subcategories.values())
+            sub_fraction = sum(s.fraction for s in stat.subcategories.values())
             if abs(sub_fraction - 1.0) > 1e-9:
                 problems.append(f"subcategory fractions of {cat} sum to {sub_fraction}")
 

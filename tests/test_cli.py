@@ -586,6 +586,25 @@ class TestEval:
         assert code == EXIT_VALIDATION
         assert "JSON object" in capsys.readouterr().err
 
+    def test_missing_predictions_error_is_one_short_line(self, tmp_path, capsys):
+        gold_path = tmp_path / "gold.jsonl"
+        examples = tuple(make_example(i, "ctx a", "q?", "a") for i in range(1000))
+        write_jsonl(Dataset(name="g", examples=examples), gold_path)
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text("{}", encoding="utf-8")
+        code = main(
+            ["eval", "--gold", str(gold_path), "--predictions", str(pred_path),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred_path}: ") and err.count("\n") == 1
+        assert len(err) < 300
+        assert err.endswith(
+            "missing predictions for 1000 of 1000 gold ids: "
+            "gold-fi-0, gold-fi-1, gold-fi-2, gold-fi-3, gold-fi-4, ...\n"
+        )
+
 
     @pytest.mark.parametrize(
         "case, detail",
@@ -664,6 +683,23 @@ class TestStats:
         payload = json.loads((out / "stats.json").read_text(encoding="utf-8"))
         assert payload["format"] == "jsonl"
         assert payload["total"] == 6
+
+    @pytest.mark.parametrize("fmt", ["squad", "jsonl"])
+    def test_prints_the_bytes_of_stats_json(self, tmp_path, capsys, gold_multi, fmt):
+        src = tmp_path / "data"
+        if fmt == "squad":
+            qas = [{"id": f"{lang}-{i}-1", "question": "q", "answers": []}
+                   for i, lang in enumerate(["français", "arabic", "français"])]
+            doc = {"data": [{"paragraphs": [{"context": "c", "qas": qas}]}]}
+            src.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            write_jsonl(gold_multi, src)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["stats", "--format", fmt, "--input", str(src), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert printed.encode("utf-8") == (out / "stats.json").read_bytes()
+        assert json.loads(printed)["format"] == fmt
 
 
     @pytest.mark.parametrize(
@@ -1195,6 +1231,24 @@ def _exemplars_in_english(scenario):
     return setup
 
 
+def _exemplars_gold_short(scenario, languages, detail):
+    """exemplars --language fi on a gold file of one example in each of
+    languages. The backend is an http URL that nothing serves, so a backend
+    call before the check would exit 2, not 1."""
+    def setup(tmp_path):
+        path = tmp_path / "gold.jsonl"
+        examples = tuple(make_example(0, "ctx a", "q?", "a", language=lang)
+                         for lang in languages)
+        write_jsonl(Dataset(name="g", examples=examples), path)
+        config = write_config(tmp_path, {
+            "scenario": scenario, "backend": {"kind": "http", "url": "http://127.0.0.1:9"},
+        })
+        return (["exemplars", "--config", config, "--gold", str(path), "--language", "fi",
+                 "--out", str(tmp_path / "o")],
+                f"{path}: {detail}")
+    return setup
+
+
 def _assemble_mt_run(flags):
     """assemble of an mt run of one fi example; flags(run) gives the flags
     that name the run, and what the error names."""
@@ -1285,6 +1339,11 @@ class TestMalformedInputs:
             _mt_gold_not_english,
             _exemplars_in_english("english_only"),
             _exemplars_in_english("few_shot"),
+            _exemplars_gold_short("english_only", ["fi"],
+                                  "english_only exemplars need English gold data"),
+            _exemplars_gold_short("few_shot", ["en"], "no gold examples in language 'fi'"),
+            _exemplars_gold_short("english_only", ["en", "fi"],
+                                  "language 'en' has 1 examples; need 5 for n_shot"),
             _assemble_mt_run(lambda run: (["--runs", run, "--sizes", "1,1"],
                                           "--sizes must be increasing")),
             _assemble_mt_run(lambda run: (["--runs", run, run], f"--runs {run}: ")),
@@ -1306,6 +1365,8 @@ class TestMalformedInputs:
              "synth-no-target-language", "tune-train-not-monolingual",
              "tune-dev-not-monolingual", "mt-gold-not-english",
              "exemplars-en-english-only", "exemplars-en-few-shot",
+             "exemplars-gold-no-english", "exemplars-gold-no-target-language",
+             "exemplars-gold-fewer-than-n-shot",
              "assemble-sizes-not-increasing", "assemble-runs-repeated",
              "taxonomy-threshold-above-1", "sample-n-negative",
              "filter-run-example-in-another-language",

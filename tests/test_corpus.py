@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qasynth.cli import RunConfig, TuneConfig
 from qasynth.corpus import (
     CorpusError,
     Dataset,
     Passage,
     QAExample,
     atomic_open,
+    config_hash,
     dataset_stats,
     load_passage_pool,
     parse_squad_json,
@@ -24,8 +26,14 @@ from qasynth.corpus import (
     sample_passage_pool,
     sample_unlabeled,
     subsample_fewshot,
+    write_json,
     write_jsonl,
 )
+from qasynth.metrics import evaluate
+from qasynth.synthesis import FilterReport
+from qasynth.taxonomy import distribution
+
+from helpers import DictTranslator, fi_exemplars, record_fields
 
 
 def qa(i, context="abc def", answer="abc", start=0, language="fi", **kw):
@@ -488,6 +496,42 @@ class TestStatsAndSerialization:
             '"provenance": "gold", "source_dataset": "t"}\n'
         )
 
+
+class TestJsonRecords:
+    """write_json and config_hash write a dataclass record as exactly its
+    fields, nested records included, so no serializer can drift from its
+    dataclass."""
+
+    @staticmethod
+    def _records(gold):
+        return {
+            "DatasetStats": dataset_stats(gold),
+            "EvalReport": evaluate({ex.id: ex.answer for ex in gold.examples}, gold),
+            "FilterReport": FilterReport(
+                input_count=3, kept_count=1, dropped={"roundtrip_mismatch": 2}, notes=("n",)
+            ),
+            "TaxonomyReport": distribution(gold, DictTranslator({}), other_threshold=0.0),
+            "ExemplarSet": fi_exemplars(),
+            "RunConfig": RunConfig(languages=("en", "fi"), tuner=TuneConfig(m=4)),
+        }
+
+    @pytest.mark.parametrize("kind", ["DatasetStats", "EvalReport", "FilterReport",
+                                      "TaxonomyReport", "ExemplarSet", "RunConfig"])
+    def test_a_record_is_written_as_its_fields(self, tmp_path, gold_multi, kind):
+        record = self._records(gold_multi)[kind]
+        write_json(tmp_path / "record.json", record)
+        written = json.loads((tmp_path / "record.json").read_text(encoding="utf-8"))
+        assert written == record_fields(record)
+        write_json(tmp_path / "nested.json", {"records": [record]})
+        nested = json.loads((tmp_path / "nested.json").read_text(encoding="utf-8"))
+        assert nested == {"records": [record_fields(record)]}
+        assert config_hash(record) == config_hash(record_fields(record))
+
+    @pytest.mark.parametrize("payload", [object(), Dataset, {1, 2}], ids=["object", "class", "set"])
+    def test_what_is_neither_json_nor_a_record_is_refused(self, tmp_path, payload):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_json(tmp_path / "x.json", payload)
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestAtomicWrites:

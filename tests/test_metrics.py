@@ -22,6 +22,8 @@ from qasynth.metrics import (
     render_eval_table,
 )
 
+from helpers import record_fields
+
 # Each row: (raw, language, expected). Worked by hand through the four rules
 # (lowercase, strip punctuation, collapse whitespace, en-only article drop).
 NORMALIZE_CASES = [
@@ -212,9 +214,9 @@ def test_evaluate_macro_ignores_sample_sizes(gold_multi):
 def test_eval_report_json_round_trip(gold_multi, tmp_path):
     predictions = {ex.id: ex.answer for ex in gold_multi.examples}
     report = evaluate(predictions, gold_multi)
-    write_json(tmp_path / "eval.json", report.to_dict())
+    write_json(tmp_path / "eval.json", report)
     payload = json.loads((tmp_path / "eval.json").read_text(encoding="utf-8"))
-    assert payload == report.to_dict()
+    assert payload == record_fields(report)
     assert payload["per_language"]["fi"]["n"] == 3
     assert payload["macro_em_excl_en"] == pytest.approx(100.0)
 

@@ -243,8 +243,7 @@ class TestParallelismInvariance:
                 examples=gold_en.examples + mt.raw["fi"].examples + mt.raw["ar"].examples,
             )
             tax = distribution(mixed, translator)
-            return (mt.raw, mt.reports, pe.raw, pe.reports, rt, pt.raw, pt.reports,
-                    tax.to_dict())
+            return (mt.raw, mt.reports, pe.raw, pe.reports, rt, pt.raw, pt.reports, tax)
 
         serial = outputs(MockQABackend(noise_rate=0.5, seed=3), ReversingTranslator())
         assert serial[4][0].examples  # non-vacuous: the round trip keeps something

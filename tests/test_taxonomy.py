@@ -16,7 +16,7 @@ from qasynth.taxonomy import (
     ring_csv,
 )
 
-from helpers import BrokenTranslator, DictTranslator, make_example
+from helpers import BrokenTranslator, DictTranslator, make_example, record_fields
 from mock_server import http_backend, raise_on_reply
 
 
@@ -82,7 +82,9 @@ class TestDistribution:
         stat = report.pooled["When"]
         assert stat.count == 4
         assert stat.fraction == pytest.approx(1.0)
-        assert stat.subcategories == {"When was": (4, 1.0)}
+        assert {sub: (s.count, s.fraction) for sub, s in stat.subcategories.items()} == {
+            "When was": (4, 1.0)
+        }
 
     def test_translates_non_english_first(self):
         ds = questions_dataset([("fi", "milloin silta valmistui?")])
@@ -110,8 +112,8 @@ class TestDistribution:
             assert sum(s.fraction for s in view.values()) == pytest.approx(1.0)
             for stat in view.values():
                 subs = stat.subcategories
-                assert sum(c for c, _ in subs.values()) == stat.count
-                assert sum(f for _, f in subs.values()) == pytest.approx(1.0)
+                assert sum(s.count for s in subs.values()) == stat.count
+                assert sum(s.fraction for s in subs.values()) == pytest.approx(1.0)
 
     def test_failures_bucket_as_other_and_conserve_counts(self):
         ds = questions_dataset(
@@ -207,16 +209,16 @@ class TestDistribution:
             [("en", "What is this?"), ("fi", "q1"), ("ar", "q2")]
         )
         translator = DictTranslator({"q1": "Who now?", "q2": "Where to?"})
-        first = distribution(ds, translator).to_dict()
-        second = distribution(ds, translator).to_dict()
+        first = distribution(ds, translator)
+        second = distribution(ds, translator)
         assert first == second
 
     def test_json_matches_dict(self, tmp_path):
         ds = questions_dataset([("en", "What is this?"), ("en", "Why not?")])
         report = distribution(ds, DictTranslator({}), other_threshold=0.0)
-        write_json(tmp_path / "taxonomy.json", report.to_dict())
+        write_json(tmp_path / "taxonomy.json", report)
         assert json.loads((tmp_path / "taxonomy.json").read_text(encoding="utf-8")) == (
-            report.to_dict()
+            record_fields(report)
         )
 
 
